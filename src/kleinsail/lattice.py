@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, isqrt
 
 from .linalg import det, mat_inverse, mat_vec, primitive_int_vector, solve, transpose
 from .numberfield import FieldElement, NumberField
@@ -59,19 +59,24 @@ def _fr(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _iroot(m, n):
+    """Floor of the n-th root of an integer m >= 0, in integers."""
+    if m < 2:
+        return m
+    if n == 2:
+        return isqrt(m)
+    x = 1 << -(-m.bit_length() // n)   # above the root; Newton steps descend
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
 def _nth_root_fraction(q, n):
     """Exact Fraction n-th root of q > 0, or None."""
-    def iroot(m):
-        if m < 2:
-            return m
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    if a is None or b is None:
+    a, b = _iroot(q.numerator, n), _iroot(q.denominator, n)
+    if a ** n != q.numerator or b ** n != q.denominator:
         return None
     return Fraction(a, b)
 
@@ -772,36 +777,82 @@ def irrationality_check(lat, t):
 
 
 def _kernel_points_in_box(lat, kernel_gens, t):
-    """Nonzero integer combinations of kernel generators inside Q(t)."""
+    """Nonzero integer combinations of kernel generators inside Q(t).
+
+    Q(t) is convex and symmetric, and so are the in-box multipliers: one
+    interval [-K, K] for a rank-1 kernel; for rank 2, one interval of k2 per
+    row k1, row -k1 mirroring row k1, over the rows a float bound on |k1|
+    allows.  Floats seed each end; exact `in_sym_box` tests step it until
+    the test flips.
+    """
     if not kernel_gens:
         return []
-    rank = len(kernel_gens)
-    out = []
-    # conservative multiplier range from float hints, verified exactly
-    fb = lat.basis_float()
     n = lat.n
+    fb = lat.basis_float()
+    tf = float(lat.raw_window_enclosure(t))
+    g = [[sum(fb[i][j] * gen[j] for j in range(n)) for i in range(n)] for gen in kernel_gens]
 
-    def coord_float(c):
-        return [sum(fb[i][j] * c[j] for j in range(n)) for i in range(n)]
+    def point(ks):
+        return tuple(sum(k * gen[j] for k, gen in zip(ks, kernel_gens)) for j in range(n))
 
-    tf = float(lat.raw_window_enclosure(t)) * 1.01 + 1e-9
-    gen_norms = []
-    for g in kernel_gens:
-        cf = coord_float(g)
-        gen_norms.append(max(1e-12, max(abs(x) for x in cf)))
-    bounds = [max(1, int(tf / gn) + 2) for gn in gen_norms]
-    if rank == 1:
-        rng = [(k,) for k in range(-bounds[0], bounds[0] + 1)]
-    else:
-        rng = [(k1, k2) for k1 in range(-bounds[0], bounds[0] + 1)
-               for k2 in range(-bounds[1], bounds[1] + 1)]
-    for ks in rng:
-        c = tuple(sum(k * g[j] for k, g in zip(ks, kernel_gens)) for j in range(n))
-        if all(x == 0 for x in c):
+    def inside(ks):
+        return lat.in_sym_box(point(ks), t)
+
+    if len(kernel_gens) == 1:
+        seed = int(tf / max(1e-12, max(abs(x) for x in g[0])))
+        top = _last_inside(lambda k: inside((k,)), 0, seed)
+        return [point((k,)) for k in range(-top, top + 1) if k]
+    if len(kernel_gens) > 2:
+        raise DegenerateBasisError("an ambient coordinate vanishes on the whole lattice")
+    # rank 2: the best-conditioned pair of coordinates alone bounds |k1|
+    g0, g1 = g
+    r, q = max(((r, q) for r in range(n) for q in range(r + 1, n)),
+               key=lambda rq: abs(g0[rq[0]] * g1[rq[1]] - g0[rq[1]] * g1[rq[0]]))
+    dt = abs(g0[r] * g1[q] - g0[q] * g1[r])
+    k1_top = int(tf * (abs(g1[r]) + abs(g1[q])) / dt * (1 + 1e-9)) + 1
+    out = []
+    for k1 in range(k1_top + 1):
+        lo_f, hi_f = -float("inf"), float("inf")
+        for a, b in zip(g0, g1):
+            a *= k1
+            if b == 0:
+                if abs(a) >= tf * (1 + 1e-9):
+                    lo_f, hi_f = 1.0, 0.0
+                continue
+            e1, e2 = (-tf - a) / b, (tf - a) / b
+            lo_f, hi_f = max(lo_f, min(e1, e2)), min(hi_f, max(e1, e2))
+        slack = 1e-9 * (1 + abs(lo_f) + abs(hi_f)) if lo_f <= hi_f else 0.0
+        lo_c, hi_c = ceil(lo_f - slack), floor(hi_f + slack)
+        if lo_c > hi_c:
             continue
-        if lat.in_sym_box(c, t):
-            out.append(c)
+        known = (lo_c + hi_c) // 2
+        if not inside((k1, known)):
+            known = next((k for k in range(lo_c, hi_c + 1) if inside((k1, k))), None)
+        if known is None:
+            continue
+        lo = -_last_inside(lambda k: inside((k1, -k)), -known, -lo_c)
+        hi = _last_inside(lambda k: inside((k1, k)), known, hi_c)
+        for k2 in range(lo, hi + 1):
+            if k1 or k2:
+                c = point((k1, k2))
+                out.append(c)
+                if k1:
+                    out.append(tuple(-x for x in c))
     return out
+
+
+def _last_inside(test, known, seed):
+    """Largest k with test(k), for a test that holds on a run of integers
+    containing `known`; the walk starts from `seed`."""
+    k = max(known, seed)
+    if test(k):
+        while test(k + 1):
+            k += 1
+        return k
+    k -= 1
+    while not test(k):
+        k -= 1
+    return k
 
 
 def random_rational_lattice(n, seed, denom_limit=10**6):

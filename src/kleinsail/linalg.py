@@ -16,6 +16,7 @@ __all__ = [
     "det", "mat_inverse", "mat_vec", "mat_mul", "transpose", "solve",
     "identity", "vec_dot", "vec_sub", "vec_add", "vec_scale",
     "primitive_int_vector", "gcd_vector", "affine_rank", "det_int",
+    "unimodular_completion",
 ]
 
 
@@ -145,6 +146,42 @@ def primitive_int_vector(v):
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(int(x) // g for x in v)
+
+
+def unimodular_completion(v):
+    """(U, U^-1): integer matrices of determinant +-1 whose U has last column v.
+
+    v must be a primitive integer vector.  Row operations reduce v to e_n
+    while the same operations, inverted, build U column by column.
+    """
+    n = len(v)
+    vals = [int(x) for x in v]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [row[:] for row in u]   # invariant: w v = vals and u w = I
+    while True:
+        nz = [j for j in range(n) if vals[j]]
+        if len(nz) <= 1:
+            break
+        p = min(nz, key=lambda j: abs(vals[j]))
+        for i in nz:
+            if i == p:
+                continue
+            q = vals[i] // vals[p]
+            vals[i] -= q * vals[p]
+            w[i] = [a - q * b for a, b in zip(w[i], w[p])]
+            for row in u:
+                row[p] += q * row[i]
+    if not nz or abs(vals[nz[0]]) != 1:
+        raise ValueError("vector is not primitive")
+    p, last = nz[0], n - 1
+    w[p], w[last] = w[last], w[p]
+    for row in u:
+        row[p], row[last] = row[last], row[p]
+    if vals[p] < 0:
+        w[last] = [-a for a in w[last]]
+        for row in u:
+            row[last] = -row[last]
+    return [tuple(row) for row in u], [tuple(row) for row in w]
 
 
 def affine_rank(points):

@@ -4,10 +4,13 @@ The Klein polyhedron of a lattice and an orthant is the convex hull of the
 nonzero lattice points in that (closed) orthant; its boundary is the sail.
 A patch is computed inside the window [0, T)^n:
 
-1. enumerate the window's lattice points (exact interval-propagated ranges,
-   exact membership filters),
+1. enumerate the window's line minima: for a short lattice vector v with
+   ambient image >= 0, keep on each line parallel to v only its window point
+   nearest the origin (exact interval-propagated ranges, exact membership
+   filters); the line's other window points add multiples of v to it,
 2. prune points dominated in the componentwise order -- they are never
-   vertices of the hull of points plus the orthant's recession cone,
+   vertices of the hull of points plus the orthant's recession cone; the
+   line minima dominate the whole window, so they have its Pareto set,
 3. close the hull with far points along integer rays whose ambient images
    are verified strictly positive, so no bounded facet is ever cut off,
 4. certify each candidate facet by exhaustively enumerating the bounded
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .hull import convex_hull_2d, convex_hull_3d
-from .linalg import det, primitive_int_vector
+from .linalg import det, primitive_int_vector, unimodular_completion
 from .lattice import Lattice, irrationality_check
 
 __all__ = [
@@ -68,6 +71,17 @@ def _iv_mul_iv(a, b):
     return (min(ps), max(ps))
 
 
+def _iv_dot(ivs, ks):
+    """Enclosure of sum_j ivs[j] * ks[j] for integers ks."""
+    lo = hi = 0
+    for (a, b), k in zip(ivs, ks):
+        if k >= 0:
+            lo, hi = lo + a * k, hi + b * k
+        else:
+            lo, hi = lo + b * k, hi + a * k
+    return (lo, hi)
+
+
 def _basis_enclosure(lat, width=Fraction(1, 2**96)):
     """Rational interval enclosures of the raw basis entries."""
     n = lat.n
@@ -90,10 +104,14 @@ def _basis_enclosure(lat, width=Fraction(1, 2**96)):
     return out
 
 
-def _coeff_outer_ranges(lat, row_boxes):
-    """Integer ranges for coefficients compatible with raw coordinate boxes."""
+def _coeff_outer_ranges(lat, row_boxes, u_inv=None):
+    """Integer ranges for coefficients compatible with raw coordinate boxes;
+    with `u_inv`, for the coefficients U^-1 c of the basis B U."""
     inv = lat.coeff_interval_matrix()
     n = lat.n
+    if u_inv is not None:
+        inv = [[_iv_dot([inv[j][i] for j in range(n)], u_inv[k]) for i in range(n)]
+               for k in range(n)]
     ranges = []
     for j in range(n):
         acc = (Fraction(0), Fraction(0))
@@ -112,7 +130,7 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _enumerate_core(lat, row_boxes, leaf_filter, budget):
+def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
     """All integer coefficient vectors whose raw coordinates can lie in the
     given per-row boxes, passed through `leaf_filter` for exact membership.
 
@@ -120,14 +138,28 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget):
     scaled by 2^64), so no candidate is missed; the filter keeps only true
     members.  The leaf filter receives the scaled interval enclosures of the
     raw coordinates together with the scale shift.
+
+    With `line` = (U, U^-1), U unimodular with a last column v whose ambient
+    image is exactly >= 0, the scan runs over the coefficients c' of the
+    basis B U (c = U c') and keeps, on each line c' + m e_n, only the first
+    leaf the filter accepts: the line's later leaves are that point plus
+    positive multiples of v, so each is dominated by it componentwise.
+    The boxes are then read as half-open at the top, as windows are: a line
+    also ends at a leaf lying at or above the top of a box, since the
+    coordinates only grow along v.  Leaves reach the filter, and the
+    output, as c.
     """
     n = lat.n
+    u, u_inv = line if line is not None else (None, None)
     enc_q = _basis_enclosure(lat)
-    outer = _coeff_outer_ranges(lat, row_boxes)
+    outer = _coeff_outer_ranges(lat, row_boxes, u_inv)
     scale = 1 << _ENUM_SHIFT
     # scaled integer enclosures: floor/ceil keep them certain
     enc = [[(int((e[0] * scale).__floor__()), int((e[1] * scale).__ceil__()))
             for e in row] for row in enc_q]
+    if u is not None:
+        enc = [[_iv_dot(row, [u[j][k] for j in range(n)]) for k in range(n)]
+               for row in enc]
     boxes = [(int((b[0] * scale).__floor__()), int((b[1] * scale).__ceil__()))
              for b in row_boxes]
     # tail enclosures: sum over j > k of enc[i][j] * outer range j
@@ -150,10 +182,14 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget):
             count += 1
             if count > budget:
                 raise PointBudgetError(budget)
-            c = tuple(coeffs)
+            if u is None:
+                c = tuple(coeffs)
+            else:
+                c = tuple(sum(u[j][m] * coeffs[m] for m in range(n)) for j in range(n))
             if leaf_filter(c, partial):
                 out.append(c)
-            return
+                return True
+            return False
         lo_k, hi_k = outer[k]
         for i in range(n):
             elo, ehi = enc[i][k]
@@ -174,6 +210,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget):
                 lo_k = cand_lo
             if cand_hi < hi_k:
                 hi_k = cand_hi
+        first_only = u is not None and k == n - 1
         for v in range(lo_k, hi_k + 1):
             coeffs[k] = v
             nxt = []
@@ -184,7 +221,10 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget):
                     nxt.append((plo + elo * v, phi + ehi * v))
                 else:
                     nxt.append((plo + ehi * v, phi + elo * v))
-            rec(k + 1, nxt)
+            if not first_only:
+                rec(k + 1, nxt)
+            elif rec(k + 1, nxt) or any(nxt[i][0] >= boxes[i][1] for i in range(n)):
+                return  # the line's minimum, or the line has left the top of a box
 
     rec(0, [(0, 0)] * n)
     return out
@@ -220,15 +260,37 @@ def _window_leaf_filter(lat, t, include_boundary):
     return filt
 
 
+def _line_basis(lat, budget):
+    """(U, U^-1) for the line scan: U unimodular with last column v, a
+    primitive lattice vector whose ambient image is exactly >= 0.
+
+    v is the point of least coordinate sum in the smallest closed window
+    [0, t)^n, t = 2, 4, ..., that holds a lattice point; the number of lines
+    that cross a window grows with that sum.  The window filter decides
+    membership exactly, so floats only rank the candidates.
+    """
+    n = lat.n
+    t = Fraction(2)
+    while True:
+        boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * n
+        pts = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), budget)
+        if pts:
+            v = min(pts, key=lambda c: (sum(lat.coord_float(c, i) for i in range(n)), c))
+            return unimodular_completion(primitive_int_vector(v))
+        t *= 2
+
+
 def _enumerate_window(lat, t, include_boundary, budget, interval_store=None):
+    """The window's line minima: on every line along `_line_basis`'s vector
+    v, the window point nearest the origin.  Every window point is one of
+    them plus a nonnegative multiple of v, so they dominate the window, and
+    its Pareto-minimal points are theirs."""
     t = Fraction(t)
-    t_raw = lat.raw_window_enclosure(t)
-    boxes = [(Fraction(0), t_raw)] * lat.n
-    if _alpha_shaped(lat):
-        return _enumerate_window_alpha(lat, t, include_boundary, budget)
+    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
     filt = _window_leaf_filter(lat, t, include_boundary)
+    line = _line_basis(lat, budget)
     if interval_store is None:
-        return _enumerate_core(lat, boxes, filt, budget)
+        return _enumerate_core(lat, boxes, filt, budget, line)
 
     def recording(c, partial):
         if filt(c, partial):
@@ -236,29 +298,15 @@ def _enumerate_window(lat, t, include_boundary, budget, interval_store=None):
             return True
         return False
 
-    return _enumerate_core(lat, boxes, recording, budget)
-
-
-def _alpha_shaped(lat):
-    """Fast-path detection: basis rows ((1, 0), (s, r)) with r = +-1, so
-    x1 = a exactly and each column scan has a unique minimal-x2 point."""
-    if lat.n != 2 or not lat.is_unit_scale:
-        return False
-    if lat.kind == "rational":
-        return lat.basis[0] == (1, 0) and lat.basis[1][1] in (1, -1)
-    if lat.kind == "field":
-        one, zero = lat.field.one(), lat.field.zero()
-        return (lat.basis[0][0] == one and lat.basis[0][1] == zero
-                and (lat.basis[1][1] == one or lat.basis[1][1] == -one))
-    return False
+    return _enumerate_core(lat, boxes, recording, budget, line)
 
 
 def _enumerate_window_alpha(lat, t, include_boundary, budget):
     """Column scan for alpha-shaped lattices: keeps, per column x1 = a, the
     minimal-x2 point (all other column points are dominated) -- exactly the
-    candidates that can be hull vertices.  Only used by the patch builder,
-    which prunes dominated points anyway.  The scan solves for the product
-    r*b, since x2 = s*a + r*b, and returns b."""
+    candidates that can be hull vertices.  The scan solves for the product
+    r*b, since x2 = s*a + r*b, and returns b.  The library scans these
+    lattices with `_enumerate_window`, whose line vector here is (0, 1)."""
     t = Fraction(t)
     r = 1 if lat.basis[1][1] == 1 else -1
     a_lo = 0 if include_boundary else 1
@@ -313,27 +361,22 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
     t = Fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    if _alpha_shaped(lat):
-        # the fast path keeps only column minima; fall back to the generic
-        # exhaustive core for the public exact enumeration
-        t_raw = lat.raw_window_enclosure(t)
-        boxes = [(Fraction(0), t_raw)] * lat.n
-        pts = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, False), budget)
-    else:
-        pts = _enumerate_window(lat, t, include_boundary=False, budget=budget)
+    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    pts = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, False), budget)
     return [lat.point(c) for c in sorted(pts)]
 
 
 def _window_minima(lat, t, include_boundary=True, budget=DEFAULT_POINT_BUDGET):
-    """(number of nonzero window points, the window's Pareto-minimal points).
+    """(number of line minima, the window's Pareto-minimal points).
 
     Every nonzero lattice point of the window [0, t)^n (or (0, t)^n) is
-    dominated componentwise by one of the returned points.
+    dominated componentwise by one of the returned points.  The count is of
+    the line minima of `_enumerate_window`, not of all window points; it is
+    what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
     """
     interval_store = {} if lat.kind != "rational" else None
     window_pts = _enumerate_window(lat, t, include_boundary, budget,
                                    interval_store=interval_store)
-    window_pts = [c for c in window_pts if any(x != 0 for x in c)]
     if lat.kind == "rational":
         kept = _pareto_minimal_fast(lat, window_pts)
     else:
@@ -805,7 +848,7 @@ class SailPatch:
     edges: list               # sorted coeff-tuple pairs with >= 1 certified facet
     stars: dict               # coeff tuple -> EdgeStar (hull vertices on certified facets)
     irrationality: object
-    enumerated: int
+    enumerated: int           # line minima of the window scan, not all window points
     pruned: int
     budget: int
     include_boundary: bool = True

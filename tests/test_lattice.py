@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from kleinsail.contfrac import cf_value
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, GOLDEN_MINPOLY, DegenerateBasisError, Lattice, OrthantSign,
-    dual_lattice, evaluate_phi, irrationality_check, lattice_from_alpha,
+    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, DegenerateBasisError, Lattice,
+    OrthantSign, dual_lattice, evaluate_phi, irrationality_check, lattice_from_alpha,
     lattice_from_cubic_field, normalize_lattice, orthant_reflect,
     random_rational_lattice,
 )
@@ -209,3 +210,73 @@ def test_support_normal_product_cubic():
     # w = (1,0,0): normalized normal product = Norm(g*_1) * 7
     val = lat.support_normal_product((1, 0, 0))
     assert val == lat.inverse_rows()[0].norm() * 7
+
+
+def test_nth_root_fraction_integer_roots():
+    from kleinsail.lattice import _nth_root_fraction
+    assert _nth_root_fraction(Fraction((10**17 + 3) ** 2), 2) == 10**17 + 3
+    assert _nth_root_fraction(Fraction(10**400), 2) == 10**200
+    big = 10**40 + 17
+    assert _nth_root_fraction(Fraction(big**3, 8), 3) == Fraction(big, 2)
+    assert _nth_root_fraction(Fraction(big**3 + 1), 3) is None
+    assert _nth_root_fraction(Fraction(2), 2) is None
+    assert _nth_root_fraction(Fraction(4, 7), 2) is None
+
+
+def _sweep_kernel_points(lat, kernel_gens, t):
+    """Reference: one exact in_sym_box test per multiplier of a float-bounded box."""
+    if not kernel_gens:
+        return []
+    n = lat.n
+    fb = lat.basis_float()
+    tf = float(lat.raw_window_enclosure(t)) * 1.01 + 1e-9
+    bounds = [max(1, int(tf / max(1e-12, max(abs(sum(fb[i][j] * g[j] for j in range(n)))
+                                            for i in range(n)))) + 2)
+              for g in kernel_gens]
+    grids = [range(-b, b + 1) for b in bounds]
+    ks_list = ([(k,) for k in grids[0]] if len(kernel_gens) == 1
+               else [(k1, k2) for k1 in grids[0] for k2 in grids[1]])
+    out = []
+    for ks in ks_list:
+        c = tuple(sum(k * g[j] for k, g in zip(ks, kernel_gens)) for j in range(n))
+        if any(c) and lat.in_sym_box(c, t):
+            out.append(c)
+    return out
+
+
+def _golden_skew():
+    base = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    u = ((1, 1), (0, 1))
+    return Lattice.single_field(base.field, mat_mul(base.basis, u), base.root_index)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 1000),
+    (lambda: lattice_from_alpha(NumberField(SQRT2M1_MINPOLY).gen(), root_index=1), 1000),
+    (lambda: lattice_from_alpha(cf_value([0, 1, 2, 4, 8, 16, 32, 64, 128])), 1000),
+    (_golden_skew, 1000),
+    (lambda: random_rational_lattice(3, 0), 30),
+    (lambda: random_rational_lattice(3, 1), 30),
+    (lambda: normalize_lattice([(1, 2, 0), (0, 1, 3), (5, 0, 1)]), 9),
+])
+def test_kernel_points_match_per_multiplier_sweep(make, t):
+    from kleinsail.lattice import _kernel_points_in_box, _zero_coordinate_sublattice
+    lat = make()
+    for i in range(lat.n):
+        kern = _zero_coordinate_sublattice(lat, i)
+        pts = _kernel_points_in_box(lat, kern, t)
+        assert len(pts) == len(set(pts))
+        assert sorted(pts) == sorted(_sweep_kernel_points(lat, kern, t))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_irrationality_witnesses_match_box_enumeration(seed):
+    # small denominators give rank-2 kernels whose generators are far from
+    # orthogonal; a float-bounded multiplier box misses some of their points
+    from kleinsail.normmin import enumerate_sym_box
+    lat = random_rational_lattice(3, seed, denom_limit=7)
+    t = 12
+    want = sorted(c for c in enumerate_sym_box(lat, t)
+                  if any(lat.coord_sign(c, i) == 0 for i in range(3)))
+    got = [w.coeffs for w in irrationality_check(lat, t).witnesses]
+    assert want and got == want

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from kleinsail import linalg
 from kleinsail.linalg import (
     affine_rank, det, mat_inverse, mat_mul, mat_vec, primitive_int_vector,
-    solve, subset_det_sum,
+    solve, subset_det_sum, unimodular_completion,
 )
 
 
@@ -74,3 +74,20 @@ def test_subset_det_sum_cap():
         subset_det_sum(vecs, 2)
     with pytest.raises(ValueError):
         subset_det_sum([(1, 0)], 2)
+
+
+def test_unimodular_completion():
+    rng = random.Random(5)
+    vectors = [(0, 1), (1, 0), (0, -1), (3, 5), (0, 0, -1), (2, 3, 5)]
+    while len(vectors) < 200:
+        v = tuple(rng.randint(-40, 40) for _ in range(rng.choice((2, 3))))
+        if any(v):
+            vectors.append(primitive_int_vector(v))
+    for v in vectors:
+        u, u_inv = unimodular_completion(v)
+        n = len(v)
+        assert tuple(row[-1] for row in u) == tuple(v)
+        assert abs(det(u)) == 1
+        assert mat_mul(u, u_inv) == [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    with pytest.raises(ValueError):
+        unimodular_completion((2, 4))

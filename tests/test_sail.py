@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, GOLDEN_MINPOLY, Lattice, lattice_from_alpha,
-    lattice_from_cubic_field, normalize_lattice,
+    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice, lattice_from_alpha,
+    lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
 )
+from kleinsail.linalg import mat_mul
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import (
     PointBudgetError, build_sail_patch, certify_facet, detect_periodicity,
@@ -125,8 +126,9 @@ def test_cubic_patch_certification_and_distances(cubic_patch):
 
 
 def _window_points_closed(lat, t):
-    from kleinsail.sail import _enumerate_window
-    return _enumerate_window(lat, t, True, 10**6)
+    from kleinsail.sail import _enumerate_core, _window_leaf_filter
+    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    return _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), 10**6)
 
 
 def test_facet_support_unit_simplex():
@@ -295,3 +297,73 @@ def test_zero_window_rejected():
     lat = normalize_lattice([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         build_sail_patch(lat, 0)
+
+
+def _rebased(lat, u):
+    """The same lattice in the basis B U."""
+    if lat.kind == "rational":
+        return Lattice.rational(mat_mul(lat.basis, u))
+    if lat.kind == "field":
+        return Lattice.single_field(lat.field, mat_mul(lat.basis, u), lat.root_index)
+    gens = [sum((lat.gens[j] * u[j][k] for j in range(lat.n)), lat.field.zero())
+            for k in range(lat.n)]
+    return Lattice.module(lat.field, gens)
+
+
+def _seeded_unimodular(n, seed):
+    import random
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u = [[u[r][c] + (q * u[r][i] if c == j else 0) for c in range(n)] for r in range(n)]
+    return u
+
+
+@pytest.mark.parametrize("name, make, t", [
+    ("golden", lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 40),
+    ("sqrt2m1", lambda: lattice_from_alpha(NumberField(SQRT2M1_MINPOLY).gen(), root_index=1), 40),
+    ("alpha-13/34", lambda: lattice_from_alpha(Fraction(13, 34)), 40),
+    ("rational3-0", lambda: random_rational_lattice(3, 0), 6),
+    ("rational3-1", lambda: random_rational_lattice(3, 1), 6),
+    ("cubic49", lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 5),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_line_minima_match_full_window(name, make, t, seed):
+    # the line scan keeps one point per line; the full scan keeps every
+    # window point: their Pareto sets must agree in every basis and orthant
+    from itertools import product
+    from kleinsail.sail import _enumerate_window, _pareto_minimal
+    base = make()
+    lat0 = _rebased(base, _seeded_unimodular(base.n, seed))
+    for signs in product((1, -1), repeat=lat0.n):
+        lat = lat0.reflect(signs)
+        for closed in (True, False):
+            minima = _enumerate_window(lat, t, closed, 10**6)
+            assert minima and len(set(minima)) == len(minima)
+            assert all(lat.in_positive_window(c, t, include_boundary=closed) for c in minima)
+            full = _window_points_closed(lat, t) if closed else [
+                p.coeffs for p in enumerate_orthant_points(lat, t)]
+            assert len(minima) < len(full)
+            assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_minimal(lat, full))
+
+
+def test_golden_non_alpha_basis_certifies_t1000():
+    from kleinsail.sail import DEFAULT_POINT_BUDGET
+    alpha = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    u = ((1, 1), (0, 1))  # rows (1, 1), (1 - a, 2 - a)
+    skew = _rebased(alpha, u)
+    p_alpha = build_sail_patch(alpha, 1000)
+    p_skew = build_sail_patch(skew, 1000, budget=DEFAULT_POINT_BUDGET)
+
+    def point(c):
+        return tuple(sum(u[i][j] * c[j] for j in range(2)) for i in range(2))
+
+    def functional(w):  # w' = U^T w, so w = U^-T w'
+        return (w[0], w[1] - w[0])
+
+    mapped = {(tuple(sorted(point(c) for c in f.vertices)), functional(f.support), f.dist)
+              for f in p_skew.certified_facets()}
+    want = {(f.vertices, f.support, f.dist) for f in p_alpha.certified_facets()}
+    assert len(want) >= 8 and mapped == want
