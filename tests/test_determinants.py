@@ -11,7 +11,7 @@ from kleinsail.determinants import (
 from kleinsail.hull import polytope_volume
 from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice,
-    lattice_from_alpha, lattice_from_cubic_field,
+    lattice_from_alpha, lattice_from_cubic_field, random_rational_lattice,
 )
 from kleinsail.linalg import mat_mul, mat_inverse
 from kleinsail.numberfield import NumberField
@@ -120,26 +120,36 @@ def test_interior_vertex_angle_equals_star_det():
         assert det_edge_star(star) == integer_angle(*star.vectors)
 
 
-def test_det_invariance_under_unimodular_basis_change():
-    rng = random.Random(9)
-    lat = lattice_from_alpha(Fraction(5, 12))
-    u = [(1, 0), (3, 1)]  # unimodular
-    # change of basis: columns B' = B U  (rows: B'[i][j] = sum B[i][k] U[k][j])
-    new_rows = mat_mul(lat.basis, u)
-    lat2 = Lattice.rational(new_rows, provenance="basis-change")
-    p1 = build_sail_patch(lat, 20)
-    p2 = build_sail_patch(lat2, 20)
-    def remap(c):
-        # same lattice point: B' c' = B (U c')
-        return tuple(int(sum(u[i][j] * c[j] for j in range(2))) for i in range(2))
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_alpha(Fraction(5, 12)), 20),
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 40),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 4),
+    (lambda: random_rational_lattice(3, 0), 6),
+], ids=["alpha-5/12", "golden", "cubic49", "rational3-0"])
+def test_det_invariance_under_unimodular_basis_change(make, t):
+    # the same lattice in the basis B U, in every orthant: certified facets,
+    # their determinants and integer distances, and the complete edge stars
+    # with their determinants must agree once coefficients are mapped by U
+    from itertools import product
+    from test_sail import _rebased, _seeded_unimodular
+    base = make()
+    n = base.n
+    u = _seeded_unimodular(n, 0)
+    rebased = _rebased(base, u)
 
-    d1 = {tuple(sorted(f.vertices)): det_facet(f) for f in p1.certified_facets()}
-    d2 = {tuple(sorted(remap(c) for c in f.vertices)): det_facet(f)
-          for f in p2.certified_facets()}
-    common = set(d1) & set(d2)
-    assert len(common) == len(d1) == len(d2) >= 2  # the full finite sail
-    for k in common:
-        assert d1[k] == d2[k]
+    def remap(c):  # B' c' = B (U c')
+        return tuple(sum(u[i][j] * c[j] for j in range(n)) for i in range(n))
+
+    for signs in product((1, -1), repeat=n):
+        p1 = build_sail_patch(base.reflect(signs), t)
+        p2 = build_sail_patch(rebased.reflect(signs), t)
+        f1 = {f.vertices: (det_facet(f), f.dist) for f in p1.certified_facets()}
+        f2 = {tuple(sorted(remap(c) for c in f.vertices)): (det_facet(f), f.dist)
+              for f in p2.certified_facets()}
+        assert f1 and f1 == f2
+        s1 = {c: det_edge_star(p1.stars[c]) for c in p1.complete_star_vertices()}
+        s2 = {remap(c): det_edge_star(p2.stars[c]) for c in p2.complete_star_vertices()}
+        assert s1 == s2
 
 
 def test_det_invariance_under_diagonal_rescale():
