@@ -85,10 +85,7 @@ def det_SF(facet, lat):
     if any(s <= 0 for s in signs):
         raise ValueError("support normal not strictly positive")
     prod = lat.support_normal_product(w)
-    n = lat.n
-    if isinstance(prod, FieldElement):
-        return FieldElement(prod.field, prod.inverse().vec) * (Fraction(d) ** n)
-    return Fraction(d) ** n / prod
+    return Fraction(d) ** lat.n / prod
 
 
 def integer_length(a, b):
@@ -138,14 +135,6 @@ class DetReport:
         wtr.writerow(["facet", "dist", "det_facet"])
         for row in self.facet_dets:
             wtr.writerow(row)
-        return buf.getvalue()
-
-    def stars_csv(self):
-        buf = io.StringIO()
-        wtr = csv.writer(buf)
-        wtr.writerow(["vertex", "complete", "det_star"])
-        for coeffs, val in self.star_dets:
-            wtr.writerow([" ".join(map(str, coeffs)), True, val])
         return buf.getvalue()
 
 

@@ -154,10 +154,7 @@ def convex_hull_3d(points):
         # take the farthest-ish conflict point (any works; pick max by the
         # exact predicate chain to keep determinism)
         p = outside[0]
-        # find all triangles visible from p
-        visible = set()
-        stack = [live]
-        # visibility must be checked globally: adjacency isn't tracked, so scan
+        # find all triangles visible from p; adjacency isn't tracked, so scan
         visible = {tid for tid, (t, _) in tris.items()
                    if orient3(points[t[0]], points[t[1]], points[t[2]], points[p]) > 0}
         # horizon = directed edges of visible triangles whose reverse is not visible

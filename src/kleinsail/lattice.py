@@ -1,15 +1,21 @@
 """Unimodular lattices with exact coordinates.
 
-Three representations cover every construction used here:
+A lattice is one n x n basis over one scalar ring: Fractions for a lattice
+over Q, elements of one real quadratic or cubic field otherwise.  Row i is
+ambient coordinate i, read under its own real embedding ``embeddings[i]``
+(None over Q); an orthant reflection multiplies rows by +-1.  Every exact
+predicate reads its scalars through the ordered-scalar operations of
+`numberfield` (sign, compare, floor, interval, float), whatever the ring.
 
-* ``rational`` -- an n x n basis of Fractions.
-* ``field`` -- an n x n basis of elements of one quadratic/cubic field,
-  all evaluated under a single fixed embedding (e.g. the Klein-polygon
-  lattice of a quadratic irrational).
-* ``embedding`` -- the lattice of a module in a totally real cubic field:
-  ambient coordinate i of the point with integer coordinates c is the i-th
-  real embedding of ``sum_j c_j g_j`` for module generators ``g_j``.  Row
-  signs support orthant reflections.
+Only two decisions depend on how the rows relate, and both read it from the
+data:
+
+* all rows under one embedding (Q, or a field lattice such as the
+  Klein-polygon lattice of a quadratic irrational): the inverse basis is the
+  matrix inverse, and phi is the product of the coordinates;
+* row i under embedding i, every row +- the same generators g_j (the lattice
+  of a module in a totally real field): the inverse basis comes from the
+  trace-dual generators, and phi is a signed norm over the determinant.
 
 Determinant-one normalization never introduces irrational basis entries.
 When |det| has a rational n-th root the basis is rescaled in place;
@@ -27,8 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .linalg import det, mat_inverse, mat_vec, primitive_int_vector, solve, transpose
-from .numberfield import FieldElement, NumberField
+from .linalg import det, mat_inverse, mat_mul, solve, transpose
+from .numberfield import (
+    FieldElement, NumberField, cmp_at, float_at, interval_at, sign_at,
+)
 
 __all__ = [
     "Lattice", "LatticePoint", "OrthantSign", "DegenerateBasisError",
@@ -99,51 +107,53 @@ class OrthantSign:
 
 
 class Lattice:
-    """An n-dimensional lattice normalized to determinant one (n = 2 or 3)."""
+    """An n-dimensional lattice normalized to determinant one (n = 2 or 3).
 
-    def __init__(self, kind, n, *, basis=None, field=None, gens=None,
-                 row_signs=None, scale_d=None, scale_d_sq=None,
-                 provenance="", seed=None, root_index=None):
-        self.kind = kind
-        self.n = n
-        self.basis = basis            # rational/field kinds: list of row tuples
+    `basis` holds the raw rows and `embeddings[i]` the embedding row i is
+    read under.  `row_signs` records the orthant reflections applied since
+    construction; a module lattice's JSON form names its orthant by them.
+    """
+
+    def __init__(self, basis, embeddings, field=None, *, row_signs=None,
+                 scale_d=None, scale_d_sq=None, provenance="", seed=None):
+        self.basis = [tuple(r) for r in basis]
+        self.n = len(self.basis)
+        self.embeddings = tuple(embeddings)
         self.field = field
-        self.gens = gens              # embedding kind: module generators
-        self.row_signs = tuple(row_signs) if row_signs else tuple([1] * n)
-        # |det| of the raw basis: scale_d exact Fraction when rational,
-        # scale_d_sq = d^2 always rational.
+        self.row_signs = tuple(row_signs) if row_signs else (1,) * self.n
+        # |det| of the raw basis: scale_d exact Fraction when rational (None
+        # for a module with non-square discriminant), scale_d_sq = d^2 always.
         self.scale_d = scale_d
         self.scale_d_sq = scale_d_sq if scale_d_sq is not None else (
             scale_d * scale_d if scale_d is not None else None)
         self.provenance = provenance
         self.seed = seed
-        self.root_index = root_index  # field kind: the embedding in use
+        self._one_embedding = len(set(self.embeddings)) == 1
         self._float_basis = None
         self._inv_basis = None
+        self._dual = None
+        self._scale_root_iv = None
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def rational(cls, rows, **kw):
         rows = [tuple(_fr(x) for x in r) for r in rows]
-        n = len(rows)
         d = det(rows)
         if d == 0:
             raise DegenerateBasisError("degenerate basis")
         kw.setdefault("scale_d", abs(d))
-        return cls("rational", n, basis=rows, **kw)
+        return cls(rows, (None,) * len(rows), **kw)
 
     @classmethod
     def single_field(cls, field, rows, root_index, **kw):
-        n = len(rows)
         d = det(rows)
         if d.is_zero():
             raise DegenerateBasisError("degenerate basis")
         if not d.is_rational():
             raise DegenerateBasisError("field basis must have rational determinant")
         kw.setdefault("scale_d", abs(d.rational_value()))
-        return cls("field", n, basis=[tuple(r) for r in rows], field=field,
-                   root_index=root_index, **kw)
+        return cls(rows, (root_index,) * len(rows), field, **kw)
 
     @classmethod
     def module(cls, field, gens, row_signs=None, **kw):
@@ -158,10 +168,32 @@ class Lattice:
             raise DegenerateBasisError("degenerate module generators")
         d_sq = field.disc * dh * dh
         d = _nth_root_fraction(d_sq, 2)
-        return cls("embedding", n, field=field, gens=gens, row_signs=row_signs,
+        signs = tuple(row_signs) if row_signs else (1,) * n
+        rows = [tuple(g if s > 0 else -g for g in gens) for s in signs]
+        return cls(rows, range(n), field, row_signs=signs,
                    scale_d=d, scale_d_sq=d_sq, **kw)
 
-    # -- basic data -------------------------------------------------------------
+    # -- views -------------------------------------------------------------------
+
+    @property
+    def kind(self):
+        """The JSON label: "rational", "field" (one embedding) or "embedding"."""
+        if self.field is None:
+            return "rational"
+        return "field" if self._one_embedding else "embedding"
+
+    @property
+    def root_index(self):
+        """The embedding every row is read under, or None (Q, or a module)."""
+        return self.embeddings[0] if self._one_embedding else None
+
+    @property
+    def gens(self):
+        """A module lattice's generators g_j, with row i = row_signs[i] * g;
+        None when every row is read under one embedding."""
+        if self._one_embedding:
+            return None
+        return tuple(x if self.row_signs[0] > 0 else -x for x in self.basis[0])
 
     @property
     def is_unit_scale(self):
@@ -169,42 +201,35 @@ class Lattice:
 
     def basis_float(self):
         """Float approximation of the raw basis (search hints only)."""
-        if self._float_basis is not None:
-            return self._float_basis
-        if self.kind == "rational":
-            fb = [[float(x) for x in row] for row in self.basis]
-        elif self.kind == "field":
-            ri = self.root_index
-            fb = [[float(x.to_mpf_at(ri, 60)) for x in row] for row in self.basis]
-        else:
-            fb = []
-            for i in range(self.n):
-                s = self.row_signs[i]
-                fb.append([s * float(g.to_mpf_at(i, 60)) for g in self.gens])
-        self._float_basis = fb
-        return fb
+        if self._float_basis is None:
+            self._float_basis = [[float_at(x, e) for x in row]
+                                 for row, e in zip(self.basis, self.embeddings)]
+        return self._float_basis
 
     def inverse_rows(self):
-        """Rows of the raw inverse basis, exact.
+        """The raw inverse basis, exact; entry [j][i] is read under row i's
+        embedding.
 
-        rational/field kinds: a matrix over the same scalars.
-        embedding kind: per-row field elements g*_j with
-        inverse[j][i] = row_signs[i] * sigma_i(g*_j) (trace-dual generators).
+        One shared embedding: the matrix inverse.  A module lattice: entry
+        [j][i] is row_signs[i] * g*_j for the trace-dual generators g*_j
+        (Tr(g_i g*_j) = delta_ij), as sum_j sigma_i(g_j) sigma_k(g*_j) =
+        delta_ik.
         """
-        if self._inv_basis is not None:
-            return self._inv_basis
-        if self.kind in ("rational", "field"):
-            self._inv_basis = mat_inverse(self.basis)
-        else:
-            self._inv_basis = self._trace_dual_gens()
+        if self._inv_basis is None:
+            if self._one_embedding:
+                self._inv_basis = mat_inverse(self.basis)
+            else:
+                self._inv_basis = [tuple(g if s > 0 else -g for s in self.row_signs)
+                                   for g in self._trace_dual_gens()]
         return self._inv_basis
 
     def _trace_dual_gens(self):
         fld = self.field
         n = self.n
+        gens = self.gens
         pow_basis = [fld.gen() ** k for k in range(n)]
         # rows: Tr(g_i * theta^k); solve for dual coordinates
-        rows = [tuple((self.gens[i] * pow_basis[k]).trace() for k in range(n))
+        rows = [tuple((gens[i] * pow_basis[k]).trace() for k in range(n))
                 for i in range(n)]
         duals = []
         for j in range(n):
@@ -220,32 +245,28 @@ class Lattice:
         return LatticePoint(self, tuple(int(c) for c in coeffs))
 
     def module_element(self, coeffs):
-        if self.kind != "embedding":
-            raise ValueError("module elements exist only for embedding lattices")
+        """sum_j c_j g_j for a module lattice."""
+        gens = self.gens
+        if gens is None:
+            raise ValueError("module elements exist only for module lattices")
         acc = self.field.zero()
-        for c, g in zip(coeffs, self.gens):
+        for c, g in zip(coeffs, gens):
             acc = acc + self.field.element((c,)) * g
         return acc
 
     # -- exact coordinate predicates ----------------------------------------------
 
+    def coord(self, coeffs, i):
+        """Raw ambient coordinate i, exact: a scalar read under embeddings[i]."""
+        row = self.basis[i]
+        acc = row[0] * coeffs[0]
+        for j in range(1, self.n):
+            acc = acc + row[j] * coeffs[j]
+        return acc
+
     def coord_sign(self, coeffs, i):
         """Sign of ambient coordinate i (raw = normalized sign)."""
-        if self.kind == "rational":
-            v = sum(self.basis[i][j] * coeffs[j] for j in range(self.n))
-            return (v > 0) - (v < 0)
-        if self.kind == "field":
-            acc = self.field.zero()
-            for j in range(self.n):
-                acc = acc + self.basis[i][j] * coeffs[j]
-            return acc.sign_at(self.root_index)
-        xi = self.module_element(coeffs)
-        return self.row_signs[i] * xi.sign_at(i)
-
-    def coord_fraction(self, coeffs, i):
-        if self.kind != "rational":
-            raise ValueError("exact Fraction coordinates exist only for rational lattices")
-        return sum(self.basis[i][j] * coeffs[j] for j in range(self.n))
+        return sign_at(self.coord(coeffs, i), self.embeddings[i])
 
     def coord_float(self, coeffs, i):
         fb = self.basis_float()
@@ -256,29 +277,14 @@ class Lattice:
         bound = _fr(bound)
         if bound < 0:
             return False
-        n = self.n
-        if self.kind == "rational":
-            v = abs(self.coord_fraction(coeffs, i))
-            if self.is_unit_scale:
-                return v < bound if strict else v <= bound
-            lhs, rhs = v ** n, bound ** n * self.scale_d
-            return lhs < rhs if strict else lhs <= rhs
-        if self.kind == "field":
-            if not self.is_unit_scale:
-                raise NotImplementedError("scaled single-field lattices are unsupported")
-            acc = self.field.zero()
-            for j in range(n):
-                acc = acc + self.basis[i][j] * coeffs[j]
-            s = acc.sign_at(self.root_index)
-            if s < 0:
-                acc = -acc
-            c = acc.cmp_at(self.root_index, bound)
-            return c < 0 if strict else c <= 0
-        # embedding: compare x^(2n) against bound^(2n) * d^2, all rational-coeff
-        xi = self.module_element(coeffs)
-        elem = xi ** (2 * n) - self.field.element((bound ** (2 * n) * self.scale_d_sq,))
-        s = elem.sign_at(i)
-        return s < 0 if strict else s <= 0
+        x, e = self.coord(coeffs, i), self.embeddings[i]
+        if self.is_unit_scale:
+            c = cmp_at(x if sign_at(x, e) >= 0 else -x, bound, e)
+        else:
+            # |x| < bound * d^(1/n)  <=>  x^(2n) < bound^(2n) * d^2
+            k = 2 * self.n
+            c = cmp_at(x ** k, bound ** k * self.scale_d_sq, e)
+        return c < 0 if strict else c <= 0
 
     def coord_cmp_points(self, coeffs_a, coeffs_b, i):
         """Exact sign of (coordinate i of a) - (coordinate i of b)."""
@@ -302,25 +308,22 @@ class Lattice:
     # -- phi -----------------------------------------------------------------------
 
     def phi_raw(self, coeffs):
-        """Product of raw ambient coordinates, exact."""
-        if self.kind == "rational":
-            acc = Fraction(1)
-            for i in range(self.n):
-                acc *= self.coord_fraction(coeffs, i)
-            return acc
-        if self.kind == "field":
-            acc = self.field.one()
-            for i in range(self.n):
-                row = self.field.zero()
-                for j in range(self.n):
-                    row = row + self.basis[i][j] * coeffs[j]
-                acc = acc * row
-            return acc
-        xi = self.module_element(coeffs)
-        sgn = 1
-        for s in self.row_signs:
-            sgn *= s
-        return sgn * xi.norm()
+        """Product of raw ambient coordinates, exact.
+
+        Over one embedding, the product of the coordinate scalars.  For a
+        module lattice the coordinates live in different embeddings, and
+        their product is the module element's norm times the row signs: a
+        rational.
+        """
+        if not self._one_embedding:
+            sgn = 1
+            for s in self.row_signs:
+                sgn *= s
+            return sgn * self.module_element(coeffs).norm()
+        acc = self.coord(coeffs, 0)
+        for i in range(1, self.n):
+            acc = acc * self.coord(coeffs, i)
+        return acc
 
     def phi(self, coeffs):
         """Normalized phi value; exact Fraction/FieldElement."""
@@ -335,9 +338,7 @@ class Lattice:
     def scalar_sign(self, v):
         """Exact sign of a scalar of this lattice (a phi value, a determinant);
         a FieldElement is read under the lattice's own embedding."""
-        if isinstance(v, FieldElement):
-            return v.sign_at(self.root_index)
-        return (v > 0) - (v < 0)
+        return sign_at(v, self.root_index)
 
     def scalar_cmp(self, a, b):
         """Exact sign of a - b for scalars of this lattice."""
@@ -346,92 +347,36 @@ class Lattice:
     # -- functional geometry ---------------------------------------------------------
 
     def support_normal_signs(self, w):
-        """Signs of the normalized ambient normal B^-T w, coordinatewise."""
-        inv = self.inverse_rows()
-        out = []
-        if self.kind in ("rational", "field"):
-            cols = transpose(inv)  # column i of inverse = ambient dual direction i
-            for i in range(self.n):
-                v = None
-                for j in range(self.n):
-                    term = inv[j][i] * w[j]
-                    v = term if v is None else v + term
-                if self.kind == "rational":
-                    out.append((v > 0) - (v < 0))
-                else:
-                    out.append(v.sign_at(self.root_index))
-            return tuple(out)
-        w_hat = self._dual_combination(w)
-        return tuple(self.row_signs[i] * w_hat.sign_at(i) for i in range(self.n))
-
-    def _dual_combination(self, w):
-        duals = self.inverse_rows()
-        acc = self.field.zero()
-        for j in range(self.n):
-            acc = acc + self.field.element((w[j],)) * duals[j]
-        return acc
+        """Signs of the normalized ambient normal B^-T w, coordinatewise: the
+        coordinates of w in the dual lattice."""
+        dual = self.dual()
+        return tuple(dual.coord_sign(w, i) for i in range(self.n))
 
     def support_normal_product(self, w):
         """Product of the *normalized* ambient normal's coordinates, exact.
 
-        For a coefficient functional w this is prod_i (B_norm^-T w)_i; the
-        normalized inverse-transpose rescales each raw dual coordinate by
-        d^(1/n), so the product picks up one full factor of d.
+        For a coefficient functional w this is prod_i (B_norm^-T w)_i, the
+        normalized phi of w in the dual lattice: the normalized
+        inverse-transpose rescales each raw dual coordinate by d^(1/n), so
+        the product picks up one full factor of d.
         """
-        if self.kind == "rational":
-            inv = self.inverse_rows()
-            acc = Fraction(1)
-            for i in range(self.n):
-                acc *= sum(inv[j][i] * w[j] for j in range(self.n))
-            return acc * self.scale_d
-        if self.kind == "field":
-            if not self.is_unit_scale:
-                raise NotImplementedError
-            inv = self.inverse_rows()
-            acc = self.field.one()
-            for i in range(self.n):
-                v = self.field.zero()
-                for j in range(self.n):
-                    v = v + inv[j][i] * w[j]
-                acc = acc * v
-            return acc
-        if self.scale_d is None:
-            raise NotImplementedError(
-                "exact normal products need a square module discriminant")
-        w_hat = self._dual_combination(w)
-        sgn = 1
-        for s in self.row_signs:
-            sgn *= s
-        return sgn * w_hat.norm() * self.scale_d
+        return self.dual().phi(w)
 
     # -- coefficient range enclosures ---------------------------------------------------
 
     def coeff_interval_matrix(self, width=Fraction(1, 2**80)):
         """Rational interval enclosures of the raw inverse basis entries."""
-        inv = self.inverse_rows()
-        out = []
-        if self.kind == "rational":
-            for j in range(self.n):
-                out.append([(inv[j][i], inv[j][i]) for i in range(self.n)])
-            return out
-        if self.kind == "field":
-            ri = self.root_index
-            for j in range(self.n):
-                out.append([inv[j][i].interval_at(ri, width) for i in range(self.n)])
-            return out
-        for j in range(self.n):
-            row = []
-            for i in range(self.n):
-                lo, hi = inv[j].interval_at(i, width)
-                if self.row_signs[i] < 0:
-                    lo, hi = -hi, -lo
-                row.append((lo, hi))
-            out.append(row)
-        return out
+        return [[interval_at(x, e, width) for x, e in zip(row, self.embeddings)]
+                for row in self.inverse_rows()]
+
+    def basis_interval_matrix(self, width=Fraction(1, 2**96)):
+        """Rational interval enclosures of the raw basis entries."""
+        return [[interval_at(x, e, width) for x in row]
+                for row, e in zip(self.basis, self.embeddings)]
 
     def scale_root_interval(self):
         """Certified rational bounds (lo, hi) for d^(1/n), cached."""
-        if getattr(self, "_scale_root_iv", None) is not None:
+        if self._scale_root_iv is not None:
             return self._scale_root_iv
         n = self.n
         if self.is_unit_scale:
@@ -466,25 +411,43 @@ class Lattice:
         """Rational upper bound >= t * d^(1/n) for raw-coordinate boxes."""
         return self.raw_window_interval(t)[1]
 
+    def check_orthant_preserving(self, u):
+        """Raise ValueError unless c -> U c maps the closed positive orthant
+        into itself.
+
+        Over one embedding the ambient map B U B^-1 must be entrywise >= 0.
+        A module lattice's off-diagonal entries mix embeddings, so there U
+        must be multiplication by a totally positive element (the ambient map
+        is then diagonal, its entries that element's embeddings).
+        """
+        n = self.n
+        if self._one_embedding:
+            a = mat_mul(mat_mul(self.basis, u), self.inverse_rows())
+            if any(sign_at(x, self.root_index) < 0 for row in a for x in row):
+                raise ValueError("map does not preserve the positive orthant")
+            return
+        xi = self.module_element(tuple(u[i][0] for i in range(n)))
+        gens = self.gens
+        mult = xi / gens[0]
+        for j in range(n):
+            img = self.module_element(tuple(u[i][j] for i in range(n)))
+            if not (img - mult * gens[j]).is_zero():
+                raise ValueError("map is not a module multiplication")
+        for i in range(n):
+            if mult.sign_at(i) <= 0:
+                raise ValueError("multiplier is not totally positive")
+
     # -- transforms ------------------------------------------------------------------------
 
     def reflect(self, signs):
         signs = tuple(signs.signs if isinstance(signs, OrthantSign) else signs)
         if len(signs) != self.n or not all(s in (1, -1) for s in signs):
             raise ValueError("bad orthant sign vector")
-        if self.kind in ("rational", "field"):
-            rows = [tuple(signs[i] * x for x in self.basis[i]) for i in range(self.n)]
-            if self.kind == "rational":
-                return Lattice("rational", self.n, basis=rows, scale_d=self.scale_d,
-                               provenance=self.provenance, seed=self.seed)
-            return Lattice("field", self.n, basis=rows, field=self.field,
-                           root_index=self.root_index, scale_d=self.scale_d,
-                           provenance=self.provenance, seed=self.seed)
-        new_signs = tuple(a * b for a, b in zip(self.row_signs, signs))
-        return Lattice("embedding", self.n, field=self.field, gens=self.gens,
-                       row_signs=new_signs, scale_d=self.scale_d,
-                       scale_d_sq=self.scale_d_sq, provenance=self.provenance,
-                       seed=self.seed)
+        rows = [tuple(x if s > 0 else -x for x in row) for s, row in zip(signs, self.basis)]
+        return Lattice(rows, self.embeddings, self.field,
+                       row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
+                       scale_d=self.scale_d, scale_d_sq=self.scale_d_sq,
+                       provenance=self.provenance, seed=self.seed)
 
     def diagonal_rescale(self, factors):
         """Rescale ambient axes by exact rationals with product 1."""
@@ -494,53 +457,39 @@ class Lattice:
             prod *= f
         if prod != 1:
             raise ValueError("diagonal rescale must have determinant 1")
-        if self.kind == "rational":
-            rows = [tuple(factors[i] * x for x in self.basis[i]) for i in range(self.n)]
-            return Lattice("rational", self.n, basis=rows, scale_d=self.scale_d,
-                           provenance=self.provenance, seed=self.seed)
-        if self.kind == "field":
-            rows = [tuple(self.field.element((factors[i],)) * x for x in self.basis[i])
-                    for i in range(self.n)]
-            return Lattice("field", self.n, basis=rows, field=self.field,
-                           root_index=self.root_index, scale_d=self.scale_d,
-                           provenance=self.provenance, seed=self.seed)
-        raise NotImplementedError("diagonal rescale keeps module lattices out of module form")
+        if not self._one_embedding:
+            raise NotImplementedError("diagonal rescale keeps module lattices out of module form")
+        rows = [tuple(x * f for x in row) for f, row in zip(factors, self.basis)]
+        return Lattice(rows, self.embeddings, self.field, scale_d=self.scale_d,
+                       provenance=self.provenance, seed=self.seed)
 
     def dual(self):
-        if self.kind == "rational":
-            inv_t = transpose(mat_inverse(self.basis))
+        """The dual lattice, raw basis B^-T, in the same embeddings (cached)."""
+        if self._dual is None:
             d = self.scale_d
-            return Lattice("rational", self.n, basis=[tuple(r) for r in inv_t],
-                           scale_d=Fraction(1) / d, provenance=f"dual({self.provenance})",
-                           seed=self.seed)
-        if self.kind == "field":
-            inv_t = transpose(mat_inverse(self.basis))
-            return Lattice("field", self.n, basis=[tuple(r) for r in inv_t],
-                           field=self.field, root_index=self.root_index,
-                           scale_d=Fraction(1) / self.scale_d,
-                           provenance=f"dual({self.provenance})", seed=self.seed)
-        duals = self.inverse_rows()
-        return Lattice("embedding", self.n, field=self.field, gens=tuple(duals),
-                       row_signs=self.row_signs,
-                       scale_d=(Fraction(1) / self.scale_d) if self.scale_d else None,
-                       scale_d_sq=Fraction(1) / self.scale_d_sq,
-                       provenance=f"dual({self.provenance})", seed=self.seed)
+            self._dual = Lattice(
+                transpose(self.inverse_rows()), self.embeddings, self.field,
+                row_signs=self.row_signs, scale_d=None if d is None else 1 / d,
+                scale_d_sq=1 / self.scale_d_sq,
+                provenance=f"dual({self.provenance})", seed=self.seed)
+        return self._dual
 
     # -- serialization -----------------------------------------------------------------------
 
     def to_json(self):
+        kind = self.kind
         doc = {
             "schema": LATTICE_SCHEMA,
             "dim": self.n,
-            "kind": self.kind,
+            "kind": kind,
             "provenance": self.provenance,
             "seed": self.seed,
         }
-        if self.kind == "rational":
+        if kind == "rational":
             doc["field"] = {"kind": "rational"}
             doc["basis"] = [[str(x) for x in row] for row in self.basis]
             doc["det_scale"] = str(self.scale_d)
-        elif self.kind == "field":
+        elif kind == "field":
             doc["field"] = {
                 "kind": "quadratic" if self.field.degree == 2 else "cubic",
                 "minpoly": [str(c) for c in self.field.coeffs[:-1]],
@@ -564,11 +513,8 @@ class Lattice:
             raise ValueError(f"unknown lattice schema: {doc.get('schema')}")
         kind = doc["kind"]
         if kind == "rational":
-            lat = cls.rational(doc["basis"], provenance=doc.get("provenance", ""),
-                               seed=doc.get("seed"))
-            lat.scale_d = Fraction(doc["det_scale"])
-            lat.scale_d_sq = lat.scale_d ** 2
-            return lat
+            return cls.rational(doc["basis"], scale_d=Fraction(doc["det_scale"]),
+                                provenance=doc.get("provenance", ""), seed=doc.get("seed"))
         fld = NumberField([Fraction(c) for c in doc["field"]["minpoly"]])
         if kind == "field":
             rows = [tuple(fld.element([Fraction(c) for c in x]) for x in row)
@@ -593,10 +539,6 @@ class LatticePoint:
 
     lattice: Lattice
     coeffs: tuple
-
-    def ambient_floats(self):
-        return tuple(self.lattice.coord_float(self.coeffs, i)
-                     for i in range(self.lattice.n))
 
     def phi(self):
         return self.lattice.phi(self.coeffs)
@@ -623,10 +565,10 @@ def normalize_lattice(raw_basis, provenance="", seed=None):
     root = _nth_root_fraction(abs(d), n)
     if root is not None:
         scaled = [tuple(x / root for x in row) for row in rows]
-        return Lattice("rational", n, basis=scaled, scale_d=Fraction(1),
-                       provenance=provenance or "rational-normalized", seed=seed)
-    return Lattice("rational", n, basis=rows, scale_d=abs(d),
-                   provenance=provenance or "rational-tracked-det", seed=seed)
+        return Lattice.rational(scaled, scale_d=Fraction(1),
+                                provenance=provenance or "rational-normalized", seed=seed)
+    return Lattice.rational(rows, scale_d=abs(d),
+                            provenance=provenance or "rational-tracked-det", seed=seed)
 
 
 def dual_lattice(lat):
@@ -647,8 +589,7 @@ def lattice_from_alpha(alpha, field=None, root_index=None):
     if not (0 < a < 1):
         raise ValueError("alpha must lie strictly between 0 and 1")
     rows = [(Fraction(1), Fraction(0)), (1 - a, Fraction(1))]
-    return Lattice("rational", 2, basis=rows, scale_d=Fraction(1),
-                   provenance="from-alpha")
+    return Lattice.rational(rows, provenance="from-alpha")
 
 
 def lattice_from_cubic_field(minpoly_low):
@@ -704,34 +645,26 @@ def _integer_row_kernel(row):
 
 
 def _zero_coordinate_sublattice(lat, i):
-    """Integer kernel of 'ambient coordinate i = 0', as basis vectors."""
+    """Integer kernel of 'ambient coordinate i = 0', as basis vectors.
+
+    The coordinate sum_j B[i][j] c_j vanishes iff each of its rational
+    power-basis coordinates does (a Fraction is its own single coordinate):
+    intersect the integer kernels of those rows.  For a module lattice the
+    generators are independent over Q, so the kernel is trivial.
+    """
     n = lat.n
-    if lat.kind == "embedding":
-        return []  # sigma_i(xi) = 0 forces xi = 0 exactly
-    if lat.kind == "rational":
-        row = [lat.basis[i][j] for j in range(n)]
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        introw = [int(x * den) for x in row]
-        if all(v == 0 for v in introw):
-            raise DegenerateBasisError("zero basis row")
-        return _integer_row_kernel(introw)
-    # field kind: the coordinate vanishes iff every power-basis coordinate of
-    # sum_j B[i][j] c_j vanishes; intersect the integer kernels.
-    deg = lat.field.degree
+    vecs = [x.vec if isinstance(x, FieldElement) else (x,) for x in lat.basis[i]]
     kernels = None
-    for k in range(deg):
-        row = [lat.basis[i][j].vec[k] for j in range(n)]
+    for k in range(len(vecs[0])):
+        row = [v[k] for v in vecs]
         if all(v == 0 for v in row):
             continue
         den = 1
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
         introw = [int(x * den) for x in row]
-        kern = _integer_row_kernel(introw)
         if kernels is None:
-            kernels = kern
+            kernels = _integer_row_kernel(introw)
         else:
             kernels = _intersect_kernels(kernels, introw)
     return kernels if kernels is not None else [

@@ -14,9 +14,8 @@ from math import gcd
 
 __all__ = [
     "det", "mat_inverse", "mat_vec", "mat_mul", "transpose", "solve",
-    "identity", "vec_dot", "vec_sub", "vec_add", "vec_scale",
-    "primitive_int_vector", "gcd_vector", "affine_rank", "det_int",
-    "unimodular_completion",
+    "identity", "vec_dot", "vec_sub", "primitive_int_vector", "gcd_vector",
+    "affine_rank", "unimodular_completion",
 ]
 
 
@@ -43,11 +42,6 @@ def det(m):
     if total is None:
         return m[0][0] * 0  # zero of the right scalar type
     return total
-
-
-def det_int(m):
-    """Determinant of an integer matrix (plain ints, no Fractions)."""
-    return det(m)
 
 
 def identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -78,14 +72,6 @@ def vec_dot(a, b):
 
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(a, s):
-    return tuple(x * s for x in a)
 
 
 def solve(m, rhs):

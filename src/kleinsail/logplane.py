@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from functools import cmp_to_key
 import mpmath
 
 from .determinants import det_SF
+from .numberfield import mpf_at
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -37,22 +37,6 @@ CONSISTENCY_TOL = 1e-9     # shared-vertex agreement across adjacent cells
 TRANSLATION_TOL = 1e-6     # cell matching under diagonal rescales
 EDGE_SAMPLES = 16          # sample points per curvilinear cell edge
 _PREC = 113                # working precision in bits before ln
-
-
-def _coord_mpf(lat, coeffs, i, prec=_PREC):
-    """High-precision value of raw ambient coordinate i (floats only)."""
-    if lat.kind == "rational":
-        v = lat.coord_fraction(coeffs, i)
-        with mpmath.workprec(prec):
-            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    if lat.kind == "field":
-        acc = lat.field.zero()
-        for j in range(lat.n):
-            acc = acc + lat.basis[i][j] * Fraction(coeffs[j])
-        return acc.to_mpf_at(lat.root_index, prec)
-    xi = lat.module_element(coeffs)
-    val = xi.to_mpf_at(i, prec)
-    return -val if lat.row_signs[i] < 0 else val
 
 
 def pi_log(values):
@@ -74,7 +58,7 @@ def pi_log_point(lat, coeffs):
     for i in range(n):
         if lat.coord_sign(coeffs, i) <= 0:
             raise ValueError("log projection needs strictly positive coordinates")
-    vals = [_coord_mpf(lat, coeffs, i) for i in range(n)]
+    vals = [mpf_at(lat.coord(coeffs, i), lat.embeddings[i], _PREC) for i in range(n)]
     return pi_log(vals)
 
 
@@ -259,19 +243,3 @@ def cells_csv(cells):
                     ";".join(",".join(f"{x:.12g}" for x in p)
                              for p in c.vertex_images)])
     return buf.getvalue()
-
-
-def logplane_summary_json(patch, cells, skipped, phi_report, covering=None):
-    doc = {
-        "schema": "kleinsail.logplane/1",
-        "window": str(patch.t),
-        "cells": len(cells),
-        "skipped_boundary_facets": skipped,
-        "tolerances": {"consistency": CONSISTENCY_TOL,
-                       "translation": TRANSLATION_TOL},
-        "phi": phi_report.to_json(),
-    }
-    if covering is not None:
-        doc["covering"] = {k: (v if isinstance(v, int) else float(v))
-                           for k, v in covering.items()}
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -28,6 +28,7 @@ from itertools import product as iproduct
 
 from .determinants import det_report
 from .lattice import OrthantSign, irrationality_check
+from .numberfield import cmp_at, float_at
 from .sail import (
     DEFAULT_POINT_BUDGET, _ENUM_SHIFT, _enumerate_core, _window_minima,
     build_sail_patch,
@@ -115,26 +116,6 @@ def norm_minimum_estimate(lat, t, budget=DEFAULT_POINT_BUDGET, patches=None):
     pts = enumerate_sym_box(lat, t, budget, minimal=True, patches=patches)
     if not pts:
         raise ValueError("window contains no nonzero lattice points")
-    if lat.kind == "embedding":
-        # |phi| = |Norm(xi)| / d: minimize the integer |Norm| fast
-        mats = []
-        for g in lat.gens:
-            m = g.mul_matrix()
-            mats.append([[int(x) if x.denominator == 1 else x for x in row]
-                         for row in m])
-        best = None
-        best_c = None
-        for c in pts:
-            m = [[sum(c[k] * mats[k][i][j] for k in range(3)) for j in range(3)]
-                 for i in range(3)]
-            nrm = abs(m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                      - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                      + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-            if best is None or nrm < best:
-                best, best_c = nrm, c
-        if lat.scale_d is None:
-            raise NotImplementedError("norm values need a square module discriminant")
-        return Fraction(best) / lat.scale_d, best_c
     best = None
     best_c = None
     for c in pts:
@@ -217,40 +198,21 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     lhs_const = p_norm ** 2 * Fraction(n) ** n
     rhs_const = Fraction(det_f) ** 2 * d4
 
-    if lat.kind in ("rational", "field"):
-        inv = lat.inverse_rows()
-        u_raw = [sum(inv[j][i] * w[j] for j in range(n)) for i in range(n)]
-    else:
-        u_hat = lat._dual_combination(w)
-        u_raw = None  # handled per-embedding below
+    # the raw normal u = B^-T w: the coordinates of w in the dual lattice
+    dual = lat.dual()
+    u_raw = [dual.coord(w, i) for i in range(n)]
+    rhs = [rhs_const * u ** (2 * n) for u in u_raw]
 
     def inside(c):
         for i in range(n):
-            if lat.kind in ("rational", "field"):
-                x = _coord_scalar(lat, c, i)
-                lhs = x ** (2 * n) * lhs_const
-                rhs = rhs_const * u_raw[i] ** (2 * n)
-                if lat.kind == "rational":
-                    if not lhs < rhs:
-                        return False
-                else:
-                    if (lhs - rhs).sign_at(lat.root_index) >= 0:
-                        return False
-            else:
-                xi = lat.module_element(c)
-                elem = (xi ** (2 * n) * lat.field.element((lhs_const,))
-                        - lat.field.element((rhs_const,)) * u_hat ** (2 * n))
-                if elem.sign_at(i) >= 0:
-                    return False
+            x = lat.coord(c, i)
+            if cmp_at(x ** (2 * n) * lhs_const, rhs[i], lat.embeddings[i]) >= 0:
+                return False
         return True
 
     # float bounds for candidate enumeration (exactness lives in `inside`)
-    if lat.kind in ("rational", "field"):
-        u_f = [abs(float(x) if isinstance(x, Fraction) else
-                   float(x.to_mpf_at(lat.root_index, 60))) for x in u_raw]
-    else:
-        u_f = [abs(float(u_hat.to_mpf_at(i, 60))) for i in range(n)]
-    p_f = abs(float(p_norm))
+    u_f = [abs(float_at(u, e)) for u, e in zip(u_raw, lat.embeddings)]
+    p_f = abs(float_at(p_norm, lat.root_index))
     d_f = float(lat.scale_d_sq) ** 0.5
     t0_f = float(T0Bound(det_f, n))
     bounds = []
@@ -273,15 +235,6 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
 
     boxes = [(Fraction(0), b) for b in bounds]
     return _enumerate_core(lat, boxes, filt, budget), boundary
-
-
-def _coord_scalar(lat, c, i):
-    if lat.kind == "rational":
-        return lat.coord_fraction(c, i)
-    acc = lat.field.zero()
-    for j in range(lat.n):
-        acc = acc + lat.basis[i][j] * c[j]
-    return acc
 
 
 def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):

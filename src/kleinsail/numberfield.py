@@ -18,7 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-__all__ = ["NumberField", "FieldElement", "NotTotallyRealError"]
+__all__ = [
+    "NumberField", "FieldElement", "NotTotallyRealError",
+    "sign_at", "cmp_at", "floor_at", "interval_at", "float_at", "mpf_at",
+]
 
 
 class NotTotallyRealError(ValueError):
@@ -200,68 +203,6 @@ class NumberField:
     def gen(self):
         return self.element((0, 1))
 
-    def gen_conjugates(self):
-        """theta under every embedding, as elements when they lie in the field.
-
-        Only valid when the field is Galois over Q (always for degree 2;
-        for cubics iff disc is a perfect square).
-        """
-        if self.degree == 2:
-            # other root = -a1 - theta
-            return [self.gen(), self.element((-self.coeffs[1],)) - self.gen()]
-        if not self.is_galois():
-            raise ValueError("conjugates lie outside the field (non-Galois cubic)")
-        th = self.gen()
-        out = [th]
-        cur = th
-        for _ in range(2):
-            nxt = self._galois_image(cur)
-            out.append(nxt)
-            cur = nxt
-        return out
-
-    def is_galois(self):
-        if self.degree == 2:
-            return True
-        num = self.disc.numerator * self.disc.denominator
-        return _is_square(num)
-
-    def _galois_image(self, elem):
-        # the nontrivial automorphism sends theta to another root r(theta);
-        # find r by factoring minpoly over the field: minpoly(x)/(x - theta)
-        # is a quadratic with field coefficients; its roots are the other
-        # conjugates, solvable since its discriminant is a square in the field.
-        th = self.gen()
-        # synthetic division of minpoly by (x - elem_root) ... we need the
-        # image of *theta*; cache it once.
-        if not hasattr(self, "_frob"):
-            self._frob = self._find_frobenius()
-        # apply substitution theta -> frob to elem
-        return elem.substitute_gen(self._frob)
-
-    def _find_frobenius(self):
-        # search small polynomial expressions q(theta) that are roots of
-        # minpoly and differ from theta.  For cyclic cubics x -> x^2 + c is
-        # the common shape; fall back to a bounded generic search.
-        th = self.gen()
-        candidates = []
-        for c2 in (1, -1, 0, 2, -2):
-            for c1 in (0, 1, -1, 2, -2):
-                for c0 in range(-6, 7):
-                    candidates.append(self.element((c0, c1, c2)))
-        for cand in candidates:
-            if cand == th:
-                continue
-            if self._is_root(cand):
-                return cand
-        raise ValueError("could not locate a Galois conjugate of theta")
-
-    def _is_root(self, elem):
-        acc = self.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * elem + self.element((c,))
-        return acc.is_zero()
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
@@ -406,12 +347,6 @@ class FieldElement:
             raise ValueError("element is not rational")
         return self.vec[0]
 
-    def substitute_gen(self, image):
-        acc = self.field.zero()
-        for c in reversed(self.vec):
-            acc = acc * image + self.field.element((c,))
-        return acc
-
     # -- norms and traces ---------------------------------------------------------
 
     def mul_matrix(self):
@@ -498,6 +433,55 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement{self.vec}"
+
+
+# -- ordered scalars ------------------------------------------------------------
+#
+# A lattice coordinate is a Fraction, or a FieldElement read under one real
+# embedding.  These operations take both, with the embedding index `e`
+# (ignored for a Fraction), so callers never ask which one they hold.
+
+def sign_at(x, e):
+    """Exact sign of x (under embedding e)."""
+    if isinstance(x, FieldElement):
+        return x.sign_at(e)
+    return (x > 0) - (x < 0)
+
+
+def cmp_at(a, b, e):
+    """Exact sign of a - b (under embedding e)."""
+    return sign_at(a - b, e)
+
+
+def floor_at(x, e):
+    """Exact floor of x (under embedding e)."""
+    if isinstance(x, FieldElement):
+        return x.floor_at(e)
+    return x.numerator // x.denominator
+
+
+def interval_at(x, e, width=None):
+    """A rational interval certainly containing x (under embedding e)."""
+    if isinstance(x, FieldElement):
+        return x.interval_at(e, width)
+    return (x, x)
+
+
+def float_at(x, e):
+    """Float value of x (under embedding e); search hints only."""
+    if isinstance(x, FieldElement):
+        return float(x.to_mpf_at(e, 60))
+    return float(x)
+
+
+def mpf_at(x, e, prec=113):
+    """mpmath value of x (under embedding e) at `prec` bits; diagnostics only."""
+    if isinstance(x, FieldElement):
+        return x.to_mpf_at(e, prec)
+    import mpmath
+
+    with mpmath.workprec(prec):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 # -- dense rational polynomial helpers (low-to-high coefficient lists) --------

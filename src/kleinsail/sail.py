@@ -31,8 +31,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .hull import convex_hull_2d, convex_hull_3d
-from .linalg import det, primitive_int_vector, unimodular_completion
+from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
 from .lattice import Lattice, irrationality_check
+from .numberfield import cmp_at, floor_at, sign_at
 
 __all__ = [
     "PointBudgetError", "Facet", "EdgeStar", "SailPatch",
@@ -82,28 +83,6 @@ def _iv_dot(ivs, ks):
     return (lo, hi)
 
 
-def _basis_enclosure(lat, width=Fraction(1, 2**96)):
-    """Rational interval enclosures of the raw basis entries."""
-    n = lat.n
-    if lat.kind == "rational":
-        return [[(lat.basis[i][j], lat.basis[i][j]) for j in range(n)]
-                for i in range(n)]
-    if lat.kind == "field":
-        ri = lat.root_index
-        return [[lat.basis[i][j].interval_at(ri, width) for j in range(n)]
-                for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lo, hi = lat.gens[j].interval_at(i, width)
-            if lat.row_signs[i] < 0:
-                lo, hi = -hi, -lo
-            row.append((lo, hi))
-        out.append(row)
-    return out
-
-
 def _coeff_outer_ranges(lat, row_boxes, u_inv=None):
     """Integer ranges for coefficients compatible with raw coordinate boxes;
     with `u_inv`, for the coefficients U^-1 c of the basis B U."""
@@ -151,7 +130,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
     """
     n = lat.n
     u, u_inv = line if line is not None else (None, None)
-    enc_q = _basis_enclosure(lat)
+    enc_q = lat.basis_interval_matrix()
     outer = _coeff_outer_ranges(lat, row_boxes, u_inv)
     scale = 1 << _ENUM_SHIFT
     # scaled integer enclosures: floor/ceil keep them certain
@@ -313,45 +292,24 @@ def _enumerate_window_alpha(lat, t, include_boundary, budget):
     a_hi = int(t.__ceil__()) - (1 if t.denominator == 1 else 0)
     out = []
     count = 0
+    e = lat.embeddings[1]
     for a in range(a_lo, a_hi + 1):
         count += 1
         if count > budget:
             raise PointBudgetError(budget)
-        if lat.kind == "rational":
-            s = lat.basis[1][0] * a
-            # b range from x2 in [0, t) (or (0, t))
-            b_lo = -s
-            b = int(b_lo.__ceil__())
-            if b_lo.denominator == 1 and not include_boundary:
-                b += 1
-            elif b_lo.denominator == 1 and include_boundary:
-                b = int(b_lo)
-            x2 = s + b
-            if x2 < 0 or (x2 == 0 and not include_boundary):
-                b += 1
-                x2 = s + b
-            if x2 >= t:
-                continue
-        else:
-            s = lat.basis[1][0] * a
-            neg_s = -s
-            fl = neg_s.floor_at(lat.root_index)
-            b = fl if neg_s.cmp_at(lat.root_index, fl) == 0 else fl + 1
-            x2 = s + b
-            sgn = x2.sign_at(lat.root_index)
-            if sgn < 0 or (sgn == 0 and not include_boundary):
-                b += 1
-                x2 = s + b
-            if x2.cmp_at(lat.root_index, t) >= 0:
-                continue
+        # the least b with x2 = s + b >= 0 (> 0 without the boundary)
+        s = lat.basis[1][0] * a
+        fl = floor_at(-s, e)
+        b = fl if cmp_at(-s, fl, e) == 0 else fl + 1
+        sgn = sign_at(s + b, e)
+        if sgn < 0 or (sgn == 0 and not include_boundary):
+            b += 1
+        if cmp_at(s + b, t, e) >= 0:
+            continue
         if a == 0 and b == 0:
             b = 1
-            if lat.kind == "rational":
-                if Fraction(b) >= t:
-                    continue
-            else:
-                if lat.field.element((b,)).cmp_at(lat.root_index, t) >= 0:
-                    continue
+            if t <= 1:
+                continue
         out.append((a, r * b))
     return out
 
@@ -374,14 +332,13 @@ def _window_minima(lat, t, include_boundary=True, budget=DEFAULT_POINT_BUDGET):
     the line minima of `_enumerate_window`, not of all window points; it is
     what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
     """
-    interval_store = {} if lat.kind != "rational" else None
+    if lat.field is None:  # Fraction coordinates sort exactly
+        window_pts = _enumerate_window(lat, t, include_boundary, budget)
+        return len(window_pts), _pareto_minimal_fast(lat, window_pts)
+    interval_store = {}
     window_pts = _enumerate_window(lat, t, include_boundary, budget,
                                    interval_store=interval_store)
-    if lat.kind == "rational":
-        kept = _pareto_minimal_fast(lat, window_pts)
-    else:
-        kept = _pareto_minimal(lat, window_pts, interval_store)
-    return len(window_pts), kept
+    return len(window_pts), _pareto_minimal(lat, window_pts, interval_store)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +361,7 @@ def _pareto_minimal(lat, coeffs_list, intervals=None):
     missing = [c for c in pts if c not in intervals]
     if missing:
         scale = 1 << _ENUM_SHIFT
-        enc = _basis_enclosure(lat)
+        enc = lat.basis_interval_matrix()
         enc_s = [[(int((e[0] * scale).__floor__()), int((e[1] * scale).__ceil__()))
                   for e in row] for row in enc]
         for c in missing:
@@ -472,48 +429,47 @@ def _pareto_minimal(lat, coeffs_list, intervals=None):
     return kept
 
 
-if True:  # 2D/3D staircase speedup for the common rational case
-    def _pareto_minimal_fast(lat, coeffs_list):
-        n = lat.n
-        if lat.kind != "rational":
-            return _pareto_minimal(lat, coeffs_list)
-        pts = list(dict.fromkeys(coeffs_list))
-        coords = {c: tuple(lat.coord_fraction(c, i) for i in range(n)) for c in pts}
-        pts.sort(key=lambda c: coords[c])
-        kept = []
-        if n == 2:
-            best_y = None
-            for p in pts:
-                y = coords[p][1]
-                if best_y is None or y < best_y:
-                    kept.append(p)
-                    best_y = y
-            return kept
-        # n == 3: staircase on (y, z) of kept points, sorted by x
-        from bisect import bisect_right, insort
-        stair = []  # (y, z) with y ascending, z strictly descending
-
-        def stair_dominated(y, z):
-            i = bisect_right(stair, (y, Fraction(10) ** 40))
-            if i == 0:
-                return False
-            return stair[i - 1][1] <= z
-
-        def stair_insert(y, z):
-            i = bisect_right(stair, (y, z))
-            if i > 0 and stair[i - 1][1] <= z:
-                return
-            j = i
-            while j < len(stair) and stair[j][1] >= z:
-                j += 1
-            stair[i:j] = [(y, z)]
-
+def _pareto_minimal_fast(lat, coeffs_list):
+    """`_pareto_minimal` for lattices over Q: exact Fraction coordinates
+    are the sort keys, and a staircase decides dominance."""
+    n = lat.n
+    pts = list(dict.fromkeys(coeffs_list))
+    coords = {c: tuple(lat.coord(c, i) for i in range(n)) for c in pts}
+    pts.sort(key=lambda c: coords[c])
+    kept = []
+    if n == 2:
+        best_y = None
         for p in pts:
-            _, y, z = coords[p]
-            if not stair_dominated(y, z):
+            y = coords[p][1]
+            if best_y is None or y < best_y:
                 kept.append(p)
-                stair_insert(y, z)
+                best_y = y
         return kept
+    # n == 3: staircase on (y, z) of kept points, sorted by x
+    from bisect import bisect_right
+    stair = []  # (y, z) with y ascending, z strictly descending
+
+    def stair_dominated(y, z):
+        i = bisect_right(stair, (y, Fraction(10) ** 40))
+        if i == 0:
+            return False
+        return stair[i - 1][1] <= z
+
+    def stair_insert(y, z):
+        i = bisect_right(stair, (y, z))
+        if i > 0 and stair[i - 1][1] <= z:
+            return
+        j = i
+        while j < len(stair) and stair[j][1] >= z:
+            j += 1
+        stair[i:j] = [(y, z)]
+
+    for p in pts:
+        _, y, z = coords[p]
+        if not stair_dominated(y, z):
+            kept.append(p)
+            stair_insert(y, z)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +479,15 @@ def _closure_rays(lat):
     """Integer coefficient vectors with verified strictly positive ambient
     images, one near each ambient axis (slightly tilted into the orthant)."""
     n = lat.n
-    fb = lat.basis_float()
-    import numpy as np
-
-    B = np.array(fb, dtype=float)
-    Binv = np.linalg.inv(B)
+    # the float basis inverted exactly, then read as floats
+    binv = [[float(x) for x in row]
+            for row in mat_inverse([[Fraction(x) for x in row] for row in lat.basis_float()])]
     rays = []
     for i in range(n):
         for bias_exp in range(4, 14):
             bias = 2.0 ** -bias_exp if bias_exp < 13 else 0.25
-            target = np.full(n, bias)
-            target[i] = 1.0
-            c = Binv @ target
+            target = [1.0 if k == i else bias for k in range(n)]
+            c = [sum(binv[j][k] * target[k] for k in range(n)) for j in range(n)]
             scale = 2**24
             cand = tuple(int(round(x * scale)) for x in c)
             if all(x == 0 for x in cand):
@@ -624,39 +577,6 @@ def _solve_level(w, k):
     return base
 
 
-def _ambient_scalar(lat, coeffs, i):
-    """Ambient coordinate i as an exact scalar (Fraction or FieldElement);
-    embedding lattices return the module element image with its row sign
-    folded in, to be interpreted under embedding i."""
-    if lat.kind == "rational":
-        return lat.coord_fraction(coeffs, i)
-    if lat.kind == "field":
-        acc = lat.field.zero()
-        for j in range(lat.n):
-            acc = acc + lat.basis[i][j] * coeffs[j]
-        return acc
-    xi = lat.module_element(coeffs)
-    if lat.row_signs[i] < 0:
-        xi = -xi
-    return xi
-
-
-def _scalar_sign(lat, val, i):
-    if lat.kind == "rational":
-        return (val > 0) - (val < 0)
-    if lat.kind == "field":
-        return val.sign_at(lat.root_index)
-    return val.sign_at(i)
-
-
-def _scalar_floor(lat, val, i):
-    if lat.kind == "rational":
-        return val.numerator // val.denominator
-    if lat.kind == "field":
-        return val.floor_at(lat.root_index)
-    return val.floor_at(i)
-
-
 def _affine_nonneg_range(lat, base, step, cap=10**7):
     """Exact integer range of m with ambient(base + m*step) >= 0 in all rows.
 
@@ -666,20 +586,20 @@ def _affine_nonneg_range(lat, base, step, cap=10**7):
     n = lat.n
     lo, hi = None, None
     for i in range(n):
-        x0 = _ambient_scalar(lat, base, i)
-        s = _ambient_scalar(lat, step, i)
-        s_sign = _scalar_sign(lat, s, i)
+        e = lat.embeddings[i]
+        x0 = lat.coord(base, i)
+        s = lat.coord(step, i)
+        s_sign = sign_at(s, e)
         if s_sign == 0:
-            if _scalar_sign(lat, x0, i) < 0:
+            if sign_at(x0, e) < 0:
                 return None
             continue
         bound = -x0 / s  # FieldElement or Fraction division
+        fl = floor_at(bound, e)
         if s_sign > 0:
-            fl = _scalar_floor(lat, bound, i)
-            m_min = fl if _cmp_int(lat, bound, fl, i) == 0 else fl + 1
+            m_min = fl if cmp_at(bound, fl, e) == 0 else fl + 1
             lo = m_min if lo is None else max(lo, m_min)
         else:
-            fl = _scalar_floor(lat, bound, i)
             hi = fl if hi is None else min(hi, fl)
     if lo is None or hi is None:
         raise RuntimeError("level range is unbounded; support normal not positive?")
@@ -688,14 +608,6 @@ def _affine_nonneg_range(lat, base, step, cap=10**7):
     if lo > hi:
         return None
     return lo, hi
-
-
-def _cmp_int(lat, val, m, i):
-    if lat.kind == "rational":
-        return (val > m) - (val < m)
-    if lat.kind == "field":
-        return val.cmp_at(lat.root_index, m)
-    return val.cmp_at(i, m)
 
 
 def _level_points(lat, w, k, budget):
@@ -713,7 +625,7 @@ def _level_points(lat, w, k, budget):
         return [tuple(b + m * sv for b, sv in zip(base, s)) for m in range(rng[0], rng[1] + 1)]
     s1, s2 = kernel
     # outer range for m1 via interval enclosures, then exact inner ranges
-    enc = _basis_enclosure(lat)
+    enc = lat.basis_interval_matrix()
 
     def row_iv(vec):
         out = []
@@ -874,31 +786,6 @@ class SailPatch:
 
     def complete_star_vertices(self):
         return sorted(c for c, s in self.stars.items() if s.complete)
-
-    def facet_of_vertexset(self, vertices):
-        key = tuple(sorted(vertices))
-        for f in self.facets:
-            if f.certified and f.vertices == key:
-                return f
-        return None
-
-    def facet_adjacency(self):
-        """facet index -> set of facet indices sharing an edge."""
-        edge_map = {}
-        for fi, f in enumerate(self.facets):
-            cyc = f.cycle
-            m = len(cyc)
-            if m < 2:
-                continue
-            rng = range(m) if (self.n == 3 and m > 2) else range(m - 1)
-            for i in rng:
-                e = tuple(sorted((cyc[i], cyc[(i + 1) % m])))
-                edge_map.setdefault(e, set()).add(fi)
-        adj = {fi: set() for fi in range(len(self.facets))}
-        for fs in edge_map.values():
-            for a in fs:
-                adj[a].update(b for b in fs if b != a)
-        return adj
 
     def vertex_facets(self):
         """hull vertex coeffs -> indices of incident window-hull facets."""
@@ -1125,7 +1012,7 @@ def detect_periodicity(patch, u_matrix):
     u = [tuple(int(x) for x in row) for row in u_matrix]
     if abs(det(u)) != 1:
         raise ValueError("matrix is not unimodular")
-    _verify_orthant_preserving(lat, u)
+    lat.check_orthant_preserving(u)
 
     def apply(c):
         return tuple(sum(u[i][j] * c[j] for j in range(n)) for i in range(n))
@@ -1155,32 +1042,3 @@ def detect_periodicity(patch, u_matrix):
         "mismatches": mismatches,
         "verdict": checked > 0 and not mismatches,
     }
-
-
-def _verify_orthant_preserving(lat, u):
-    n = lat.n
-    if lat.kind == "rational":
-        from .linalg import mat_inverse, mat_mul
-        a = mat_mul(mat_mul(lat.basis, [list(r) for r in u]), mat_inverse(lat.basis))
-        if any(x < 0 for row in a for x in row):
-            raise ValueError("map does not preserve the positive orthant")
-        return
-    if lat.kind == "field":
-        from .linalg import mat_inverse, mat_mul
-        urows = [tuple(lat.field.element((x,)) for x in row) for row in u]
-        a = mat_mul(mat_mul(lat.basis, urows), mat_inverse(lat.basis))
-        if any(x.sign_at(lat.root_index) < 0 for row in a for x in row):
-            raise ValueError("map does not preserve the positive orthant")
-        return
-    # embedding lattice: the map must be multiplication by a totally positive
-    # unit of the module's multiplier ring
-    xi = lat.module_element(tuple(u[i][0] for i in range(n)))
-    g0 = lat.gens[0]
-    mult = xi / g0
-    for j in range(n):
-        img = lat.module_element(tuple(u[i][j] for i in range(n)))
-        if not (img - mult * lat.gens[j]).is_zero():
-            raise ValueError("map is not a module multiplication")
-    for i in range(n):
-        if mult.sign_at(i) <= 0:
-            raise ValueError("multiplier is not totally positive")

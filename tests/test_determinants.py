@@ -81,7 +81,7 @@ def test_det_SF_2d_is_product_of_intercepts():
     patch = build_sail_patch(lat, 30)
     for f in patch.certified_facets():
         # oracle: line through the two ambient vertices; intercepts from scratch
-        (a1, a2) = [(lat.coord_fraction(c, 0), lat.coord_fraction(c, 1))
+        (a1, a2) = [(lat.coord(c, 0), lat.coord(c, 1))
                     for c in f.vertices]
         dx, dy = a2[0] - a1[0], a2[1] - a1[1]
         # line: (x - a1) x (d) = 0 -> crossing x-axis at y=0, y-axis at x=0
@@ -120,12 +120,20 @@ def test_interior_vertex_angle_equals_star_det():
         assert det_edge_star(star) == integer_angle(*star.vectors)
 
 
+def _golden_scaled():
+    """The golden lattice with row 0 doubled: a field lattice of det 2."""
+    golden = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    rows = [tuple(2 * x for x in golden.basis[0]), golden.basis[1]]
+    return Lattice.single_field(golden.field, rows, golden.root_index)
+
+
 @pytest.mark.parametrize("make, t", [
     (lambda: lattice_from_alpha(Fraction(5, 12)), 20),
     (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 40),
     (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 4),
     (lambda: random_rational_lattice(3, 0), 6),
-], ids=["alpha-5/12", "golden", "cubic49", "rational3-0"])
+    (lambda: _golden_scaled(), 40),
+], ids=["alpha-5/12", "golden", "cubic49", "rational3-0", "golden-scaled"])
 def test_det_invariance_under_unimodular_basis_change(make, t):
     # the same lattice in the basis B U, in every orthant: certified facets,
     # their determinants and integer distances, and the complete edge stars
@@ -150,6 +158,22 @@ def test_det_invariance_under_unimodular_basis_change(make, t):
         s1 = {c: det_edge_star(p1.stars[c]) for c in p1.complete_star_vertices()}
         s2 = {remap(c): det_edge_star(p2.stars[c]) for c in p2.complete_star_vertices()}
         assert s1 == s2
+
+
+def test_scaled_field_lattice_matches_unscaled():
+    # row 0 doubled and the determinant 2 normalized away is the diagonal
+    # rescale (sqrt2, 1/sqrt2) of the golden lattice: the same sail in
+    # coefficient space, seen through a different window
+    golden = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    scaled = _golden_scaled()
+    assert scaled.scale_d == 2
+    p1 = build_sail_patch(golden, 40)
+    p2 = build_sail_patch(scaled, 40)
+    d1 = {f.vertices: (det_facet(f), f.dist) for f in p1.certified_facets()}
+    d2 = {f.vertices: (det_facet(f), f.dist) for f in p2.certified_facets()}
+    common = set(d1) & set(d2)
+    assert len(common) >= 3
+    assert all(d1[k] == d2[k] for k in common)
 
 
 def test_det_invariance_under_diagonal_rescale():

@@ -209,7 +209,7 @@ def test_support_normal_product_cubic():
     lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
     # w = (1,0,0): normalized normal product = Norm(g*_1) * 7
     val = lat.support_normal_product((1, 0, 0))
-    assert val == lat.inverse_rows()[0].norm() * 7
+    assert val == lat.dual().gens[0].norm() * 7
 
 
 def test_nth_root_fraction_integer_roots():

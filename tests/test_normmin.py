@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, SQRT2M1_MINPOLY, lattice_from_alpha,
+    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice, lattice_from_alpha,
     lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
 )
 from kleinsail.contfrac import cf_value
@@ -54,6 +54,16 @@ def test_estimate_matches_bruteforce_quadratic():
             if best is None or (v - best).sign_at(ri) < 0:
                 best = v
     assert (val if val.sign_at(ri) >= 0 else -val) == best
+
+
+@pytest.mark.parametrize("run", [norm_minimum_estimate, theorem1_audit])
+def test_module_2d_non_square_discriminant_is_refused(run):
+    # Z[theta] for the golden field has d^2 = 5: phi is irrational
+    fld = NumberField(GOLDEN_MINPOLY)
+    lat = Lattice.module(fld, [fld.one(), fld.gen()])
+    assert lat.scale_d is None
+    with pytest.raises(NotImplementedError, match="non-square module discriminant"):
+        run(lat, 10)
 
 
 def test_estimate_matches_sym_box_random_rational():

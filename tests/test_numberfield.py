@@ -74,19 +74,6 @@ def test_sign_determination_all_embeddings():
     assert CUBIC49.zero().sign_at(0) == 0
 
 
-def test_galois_conjugates_cyclic_cubic():
-    assert CUBIC49.is_galois()
-    conj = CUBIC49.gen_conjugates()
-    assert len(conj) == 3
-    # conjugates are exactly the three roots: their elementary symmetric
-    # functions reproduce the minimal polynomial coefficients
-    s1 = conj[0] + conj[1] + conj[2]
-    s3 = conj[0] * conj[1] * conj[2]
-    assert s1 == CUBIC49.element((-1,))
-    assert s3 == CUBIC49.one()
-    assert len({c.vec for c in conj}) == 3
-
-
 def test_floor_at():
     th = CUBIC49.gen()
     assert th.floor_at(2) == 1     # 1.2469...

@@ -271,7 +271,7 @@ def test_pareto_prune_preserves_hull():
     big = Fraction(10**8)
 
     def hull_of(cs):
-        amb = [(lat.coord_fraction(c, 0), lat.coord_fraction(c, 1)) for c in cs]
+        amb = [(lat.coord(c, 0), lat.coord(c, 1)) for c in cs]
         amb += [(big, 0), (0, big)]
         return {amb[i] for i in convex_hull_2d(amb)}
 
