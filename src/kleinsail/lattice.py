@@ -132,6 +132,8 @@ class Lattice:
         self._float_basis = None
         self._inv_basis = None
         self._dual = None
+        self._coeff_iv = None
+        self._basis_iv = None
         self._scale_root_iv = None
 
     # -- constructors ----------------------------------------------------------
@@ -364,15 +366,23 @@ class Lattice:
 
     # -- coefficient range enclosures ---------------------------------------------------
 
-    def coeff_interval_matrix(self, width=Fraction(1, 2**80)):
-        """Rational interval enclosures of the raw inverse basis entries."""
-        return [[interval_at(x, e, width) for x, e in zip(row, self.embeddings)]
-                for row in self.inverse_rows()]
+    def coeff_interval_matrix(self):
+        """Rational interval enclosures of the raw inverse basis entries, from
+        root intervals of width <= 2^-80 (cached)."""
+        if self._coeff_iv is None:
+            width = Fraction(1, 2**80)
+            self._coeff_iv = [[interval_at(x, e, width) for x, e in zip(row, self.embeddings)]
+                              for row in self.inverse_rows()]
+        return self._coeff_iv
 
-    def basis_interval_matrix(self, width=Fraction(1, 2**96)):
-        """Rational interval enclosures of the raw basis entries."""
-        return [[interval_at(x, e, width) for x in row]
-                for row, e in zip(self.basis, self.embeddings)]
+    def basis_interval_matrix(self):
+        """Rational interval enclosures of the raw basis entries, from root
+        intervals of width <= 2^-96 (cached)."""
+        if self._basis_iv is None:
+            width = Fraction(1, 2**96)
+            self._basis_iv = [[interval_at(x, e, width) for x in row]
+                              for row, e in zip(self.basis, self.embeddings)]
+        return self._basis_iv
 
     def scale_root_interval(self):
         """Certified rational bounds (lo, hi) for d^(1/n), cached."""
@@ -499,7 +509,7 @@ class Lattice:
             doc["det_scale"] = str(self.scale_d)
         else:
             doc["field"] = {
-                "kind": "cubic-embedding",
+                "kind": ("quadratic" if self.field.degree == 2 else "cubic") + "-embedding",
                 "minpoly": [str(c) for c in self.field.coeffs[:-1]],
             }
             doc["gens"] = [[str(c) for c in g.vec] for g in self.gens]

@@ -25,7 +25,7 @@ from functools import cmp_to_key
 import mpmath
 
 from .determinants import det_SF
-from .numberfield import mpf_at
+from .numberfield import interval_at, mpf_at, sign_at
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -54,11 +54,12 @@ def pi_log_point(lat, coeffs):
     Raw coordinates are used; the determinant normalization shifts every
     image by the same vector, which the partition geometry ignores.
     """
-    n = lat.n
-    for i in range(n):
-        if lat.coord_sign(coeffs, i) <= 0:
+    vals = []
+    for i in range(lat.n):
+        x, e = lat.coord(coeffs, i), lat.embeddings[i]
+        if not interval_at(x, e)[0] > 0 and sign_at(x, e) <= 0:
             raise ValueError("log projection needs strictly positive coordinates")
-    vals = [mpf_at(lat.coord(coeffs, i), lat.embeddings[i], _PREC) for i in range(n)]
+        vals.append(mpf_at(x, e, _PREC))
     return pi_log(vals)
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .hull import convex_hull_2d, convex_hull_3d
 from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
 from .lattice import Lattice, irrationality_check
-from .numberfield import cmp_at, floor_at, sign_at
+from .numberfield import cmp_at, floor_at, interval_at, sign_at
 
 __all__ = [
     "PointBudgetError", "Facet", "EdgeStar", "SailPatch",
@@ -56,15 +56,6 @@ class PointBudgetError(RuntimeError):
 
 def _iv_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _iv_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _iv_scale(a, k):
-    lo, hi = a[0] * k, a[1] * k
-    return (lo, hi) if k >= 0 else (hi, lo)
 
 
 def _iv_mul_iv(a, b):
@@ -109,41 +100,56 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
+def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=None,
+                    first_per_line=False):
     """All integer coefficient vectors whose raw coordinates can lie in the
     given per-row boxes, passed through `leaf_filter` for exact membership.
 
     The recursion propagates certain fixed-point interval bounds (integers
     scaled by 2^64), so no candidate is missed; the filter keeps only true
-    members.  The leaf filter receives the scaled interval enclosures of the
-    raw coordinates together with the scale shift.
+    members.  It is called as leaf_filter(c, partial), `partial` holding the
+    scaled enclosures of c's raw coordinates.
 
-    With `line` = (U, U^-1), U unimodular with a last column v whose ambient
-    image is exactly >= 0, the scan runs over the coefficients c' of the
-    basis B U (c = U c') and keeps, on each line c' + m e_n, only the first
-    leaf the filter accepts: the line's later leaves are that point plus
-    positive multiples of v, so each is dominated by it componentwise.
-    The boxes are then read as half-open at the top, as windows are: a line
-    also ends at a leaf lying at or above the top of a box, since the
-    coordinates only grow along v.  Leaves reach the filter, and the
-    output, as c.
+    With `basis` = (U, U^-1), U unimodular, the scan runs over the
+    coefficients c' of the basis B U (c = U c'), c'_0 outermost; leaves
+    reach the filter, and the output, as c.
+
+    With `functional` = (f, lo, hi), f an integer row, lo <= f.c <= hi is one
+    more box row with exact entries, and its scaled value follows the n
+    coordinates in `partial`.  When f U = e_0, c'_0 is pruned to [lo, hi]
+    exactly.
+
+    With `first_per_line`, U's last column v must have an ambient image
+    exactly >= 0.  On each line c' + m e_n only the first leaf the filter
+    accepts is kept: the line's later leaves are that point plus positive
+    multiples of v, so each is dominated by it componentwise.  The boxes are
+    then read as half-open at the top, as windows are: a line also ends at a
+    leaf lying at or above the top of a box, since the coordinates only grow
+    along v.
+
+    `budget` bounds the leaves of the whole scan.
     """
     n = lat.n
-    u, u_inv = line if line is not None else (None, None)
-    enc_q = lat.basis_interval_matrix()
+    u, u_inv = basis if basis is not None else (None, None)
     outer = _coeff_outer_ranges(lat, row_boxes, u_inv)
     scale = 1 << _ENUM_SHIFT
     # scaled integer enclosures: floor/ceil keep them certain
     enc = [[(int((e[0] * scale).__floor__()), int((e[1] * scale).__ceil__()))
-            for e in row] for row in enc_q]
+            for e in row] for row in lat.basis_interval_matrix()]
     if u is not None:
         enc = [[_iv_dot(row, [u[j][k] for j in range(n)]) for k in range(n)]
                for row in enc]
     boxes = [(int((b[0] * scale).__floor__()), int((b[1] * scale).__ceil__()))
              for b in row_boxes]
+    if functional is not None:
+        f, f_lo, f_hi = functional
+        f_u = f if u is None else [sum(f[j] * u[j][k] for j in range(n)) for k in range(n)]
+        enc.append([(x * scale, x * scale) for x in f_u])
+        boxes.append((f_lo * scale, f_hi * scale))
+    rows = range(len(enc))
     # tail enclosures: sum over j > k of enc[i][j] * outer range j
-    tails = [[(0, 0)] * (n + 1) for _ in range(n)]
-    for i in range(n):
+    tails = [[(0, 0)] * (n + 1) for _ in rows]
+    for i in rows:
         for k in range(n - 1, -1, -1):
             tlo, thi = tails[i][k + 1]
             elo, ehi = enc[i][k]
@@ -170,7 +176,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
                 return True
             return False
         lo_k, hi_k = outer[k]
-        for i in range(n):
+        for i in rows:
             elo, ehi = enc[i][k]
             blo, bhi = boxes[i]
             tlo, thi = tails[i][k + 1]
@@ -189,11 +195,11 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
                 lo_k = cand_lo
             if cand_hi < hi_k:
                 hi_k = cand_hi
-        first_only = u is not None and k == n - 1
+        first_only = first_per_line and k == n - 1
         for v in range(lo_k, hi_k + 1):
             coeffs[k] = v
             nxt = []
-            for i in range(n):
+            for i in rows:
                 elo, ehi = enc[i][k]
                 plo, phi = partial[i]
                 if v >= 0:
@@ -205,7 +211,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, line=None):
             elif rec(k + 1, nxt) or any(nxt[i][0] >= boxes[i][1] for i in range(n)):
                 return  # the line's minimum, or the line has left the top of a box
 
-    rec(0, [(0, 0)] * n)
+    rec(0, [(0, 0)] * len(enc))
     return out
 
 
@@ -269,7 +275,7 @@ def _enumerate_window(lat, t, include_boundary, budget, interval_store=None):
     filt = _window_leaf_filter(lat, t, include_boundary)
     line = _line_basis(lat, budget)
     if interval_store is None:
-        return _enumerate_core(lat, boxes, filt, budget, line)
+        return _enumerate_core(lat, boxes, filt, budget, line, first_per_line=True)
 
     def recording(c, partial):
         if filt(c, partial):
@@ -277,7 +283,7 @@ def _enumerate_window(lat, t, include_boundary, budget, interval_store=None):
             return True
         return False
 
-    return _enumerate_core(lat, boxes, recording, budget, line)
+    return _enumerate_core(lat, boxes, recording, budget, line, first_per_line=True)
 
 
 def _enumerate_window_alpha(lat, t, include_boundary, budget):
@@ -549,152 +555,50 @@ def facet_support(vertex_coeffs, n):
 # ---------------------------------------------------------------------------
 # certification
 
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
+def _level_points(lat, w, d, budget):
+    """Every lattice point of the closed orthant with 1 <= w . c <= d.
 
-
-def _solve_level(w, k):
-    """One integer solution of w . c = k for primitive w."""
-    n = len(w)
-    if n == 2:
-        g, x, y = _xgcd(w[0], w[1])
-        base = (x * k, y * k)
-    else:
-        g01, x, y = _xgcd(w[0], w[1])
-        g, s, t = _xgcd(g01, w[2])
-        # s*(x*w0 + y*w1) + t*w2 = g = 1
-        base = (x * s * k, y * s * k, t * k)
-    if sum(wi * bi for wi, bi in zip(w, base)) != k:
-        raise AssertionError("level solver produced a wrong level")
-    return base
-
-
-def _affine_nonneg_range(lat, base, step, cap=10**7):
-    """Exact integer range of m with ambient(base + m*step) >= 0 in all rows.
-
-    Returns (lo, hi) or None when empty; raises if unbounded (cannot happen
-    for levels of a strictly positive functional).
+    One `_enumerate_core` walk.  Its basis is level-first: c' = A c for a
+    unimodular A with first row w, so c'_0 is the level w . c, pruned to
+    [1, d] exactly.  Each x_i lies in [0, d / nu_i] for the strictly positive
+    raw normal nu = B^-T w.  A leaf needs an exact sign test only where the
+    enclosure of one of its coordinates straddles 0.  `budget` bounds the
+    leaves of the whole walk.
     """
     n = lat.n
-    lo, hi = None, None
+    inv = lat.coeff_interval_matrix()
+    boxes = []
     for i in range(n):
-        e = lat.embeddings[i]
-        x0 = lat.coord(base, i)
-        s = lat.coord(step, i)
-        s_sign = sign_at(s, e)
-        if s_sign == 0:
-            if sign_at(x0, e) < 0:
-                return None
-            continue
-        bound = -x0 / s  # FieldElement or Fraction division
-        fl = floor_at(bound, e)
-        if s_sign > 0:
-            m_min = fl if cmp_at(bound, fl, e) == 0 else fl + 1
-            lo = m_min if lo is None else max(lo, m_min)
-        else:
-            hi = fl if hi is None else min(hi, fl)
-    if lo is None or hi is None:
-        raise RuntimeError("level range is unbounded; support normal not positive?")
-    if hi - lo > cap:
-        raise PointBudgetError(cap)
-    if lo > hi:
-        return None
-    return lo, hi
+        nu_lo = _iv_dot([inv[j][i] for j in range(n)], w)[0]
+        if nu_lo <= 0:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
+            x, e, width = lat.dual().coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
+            while (nu_lo := interval_at(x, e, width)[0]) <= 0:
+                width /= 2**40
+        boxes.append((Fraction(0), d / nu_lo))
+    # A = M^T with its last row, w, moved to the front (M's last column is w)
+    m, m_inv = unimodular_completion(w)
+    order = [n - 1] + list(range(n - 1))
+    a = [tuple(m[j][k] for j in range(n)) for k in order]
+    a_inv = [tuple(m_inv[k][j] for k in order) for j in range(n)]
 
-
-def _level_points(lat, w, k, budget):
-    """All lattice points of the closed positive orthant with w . c = k."""
-    from .lattice import _integer_row_kernel
-
-    n = lat.n
-    base = _solve_level(w, k)
-    kernel = _integer_row_kernel(list(w))
-    if n == 2:
-        (s,) = kernel
-        rng = _affine_nonneg_range(lat, base, s, cap=budget)
-        if rng is None:
-            return []
-        return [tuple(b + m * sv for b, sv in zip(base, s)) for m in range(rng[0], rng[1] + 1)]
-    s1, s2 = kernel
-    # outer range for m1 via interval enclosures, then exact inner ranges
-    enc = lat.basis_interval_matrix()
-
-    def row_iv(vec):
-        out = []
+    def filt(c, partial):
         for i in range(n):
-            acc = (Fraction(0), Fraction(0))
-            for j in range(n):
-                acc = _iv_add(acc, _iv_scale(enc[i][j], vec[j]))
-            out.append(acc)
-        return out
+            lo, hi = partial[i]
+            if hi < 0 or (lo < 0 and lat.coord_sign(c, i) < 0):
+                return False
+        return 1 <= sum(x * y for x, y in zip(w, c)) <= d
 
-    base_iv, s1_iv, s2_iv = row_iv(base), row_iv(s1), row_iv(s2)
-    s2_signs = [lat.coord_sign(s2, i) for i in range(n)]
-
-    # Fourier-Motzkin: each (positive, negative) s2-sign row pair yields
-    # alpha + beta*m1 >= 0 with alpha = X_j*S2_i - X_i*S2_j,
-    # beta = U_j*S2_i - U_i*S2_j (j the negative row); s2-zero rows
-    # constrain m1 directly.  Enclosure arithmetic only widens the range.
-    cands = []
-    for i in range(n):
-        if s2_signs[i] <= 0:
-            continue
-        for j in range(n):
-            if s2_signs[j] >= 0:
-                continue
-            alpha = _iv_sub(_iv_mul_iv(base_iv[j], s2_iv[i]),
-                            _iv_mul_iv(base_iv[i], s2_iv[j]))
-            beta = _iv_sub(_iv_mul_iv(s1_iv[j], s2_iv[i]),
-                           _iv_mul_iv(s1_iv[i], s2_iv[j]))
-            cands.append((alpha, beta))
-    for i in range(n):
-        if s2_signs[i] == 0:
-            cands.append((base_iv[i], s1_iv[i]))
-
-    m1_lo, m1_hi = None, None
-    for alpha, beta in cands:
-        # sup over enclosures of alpha + beta*m1 must be >= 0
-        if beta[0] > 0:
-            q1, q2 = -alpha[1] / beta[0], -alpha[1] / beta[1]
-            v = int(min(q1, q2).__ceil__())
-            m1_lo = v if m1_lo is None else max(m1_lo, v)
-        elif beta[1] < 0:
-            q1, q2 = -alpha[1] / beta[0], -alpha[1] / beta[1]
-            v = int(max(q1, q2).__floor__())
-            m1_hi = v if m1_hi is None else min(m1_hi, v)
-    if m1_lo is None or m1_hi is None:
-        raise RuntimeError("unbounded facet plane section")
-    out = []
-    count = 0
-    for m1 in range(m1_lo, m1_hi + 1):
-        shifted = tuple(b + m1 * sv for b, sv in zip(base, s1))
-        rng = _affine_nonneg_range(lat, shifted, s2, cap=budget)
-        if rng is None:
-            continue
-        for m2 in range(rng[0], rng[1] + 1):
-            count += 1
-            if count > budget:
-                raise PointBudgetError(budget)
-            out.append(tuple(sh + m2 * sv for sh, sv in zip(shifted, s2)))
-    return out
+    return _enumerate_core(lat, boxes, filt, budget, (a_inv, a), (w, 1, d))
 
 
 def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET):
     """Exact emptiness check below the hyperplane w.c = d in the closed orthant.
 
-    Any point of the closed orthant has w.c = <normal, x> > 0 once the normal
-    is strictly positive, so the region below the plane meets the lattice in
-    the integer levels w.c = 1..d-1; each level is walked exactly.  The level
-    w.c = d is returned in full: it is the infinite facet's point set (the
-    plane section of the orthant is bounded).
+    Once the normal B^-T w is strictly positive, every point of the closed
+    orthant but the origin has w.c >= 1, and the region {x >= 0,
+    1 <= w.c <= d} is bounded.  `_level_points` walks it once; its points
+    with w.c < d are `below`, and those with w.c = d are `on_plane`, the
+    infinite facet's point set.  `budget` bounds the leaves of that walk.
 
     Returns (certified, reason, on_plane, below).
     """
@@ -702,12 +606,12 @@ def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET):
     if any(s <= 0 for s in signs):
         return False, "support normal not strictly positive", [], []
     try:
-        below = []
-        for k in range(1, d):
-            below.extend(_level_points(lat, w, k, budget))
-        on_plane = _level_points(lat, w, d, budget)
+        pts = _level_points(lat, w, d, budget)
     except PointBudgetError:
         return False, "certification region exceeded the point budget", [], []
+    on_plane, below = [], []
+    for c in pts:
+        (on_plane if sum(x * y for x, y in zip(w, c)) == d else below).append(c)
     if below:
         return False, "lattice points strictly below the supporting plane", on_plane, below
     return True, "", on_plane, below
@@ -939,7 +843,6 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET, include_boundary=True)
         include_boundary=include_boundary, minima=tuple(kept),
     )
     _attach_edges_and_stars(patch)
-    _check_no_axis_parallel_certified(patch)
     return patch
 
 
@@ -978,16 +881,6 @@ def _attach_edges_and_stars(patch):
         stars[v] = EdgeStar(center=v, vectors=tuple(sorted(vectors)),
                             complete=complete)
     patch.stars = stars
-
-
-def _check_no_axis_parallel_certified(patch):
-    # an unbounded face would surface as a certified support normal with a
-    # zero entry; certification already rejects those, so this is a guard
-    for f in patch.facets:
-        if f.certified:
-            signs = patch.lattice.support_normal_signs(f.support)
-            if any(s <= 0 for s in signs):
-                raise AssertionError("certified facet with non-positive normal")
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_json_roundtrip_field_and_module():
     assert back.kind == "embedding"
     assert back.scale_d == 7
     assert [g.vec for g in back.gens] == [g.vec for g in cub.gens]
+    assert cub.to_json()["field"]["kind"] == "cubic-embedding"
+
+    quad = Lattice.module(fld, [fld.one(), fld.gen()])
+    doc = quad.to_json()
+    assert doc["field"]["kind"] == "quadratic-embedding"
+    back = Lattice.from_json(doc)
+    assert back.kind == "embedding" and back.scale_d_sq == 5
+    assert [g.vec for g in back.gens] == [g.vec for g in quad.gens]
+    assert back.to_json() == doc
 
 
 def test_random_lattice_reproducible():

@@ -204,6 +204,99 @@ def test_certify_finds_below_witness():
     assert (1, 2) in on_plane
 
 
+def test_certify_budget_bounds_the_whole_walk():
+    lat = normalize_lattice([(1, 0), (0, 1)])
+    # the region 1 <= x1 + x2 <= 3 of the closed quadrant holds 9 points
+    ok, _, on_plane, below = certify_facet(lat, (1, 1), 3, budget=100)
+    assert len(on_plane) + len(below) == 9
+    ok, reason, _, _ = certify_facet(lat, (1, 1), 3, budget=8)
+    assert not ok and reason == "certification region exceeded the point budget"
+
+
+def test_certify_wide_normal_enclosure_falls_back_to_exact():
+    # a normal enclosure too wide to bound the region is tightened exactly
+    lat = random_rational_lattice(3, 0)
+    wide = random_rational_lattice(3, 0)
+    wide._coeff_iv = [[(x - 1, x + 1) for x in row] for row in wide.inverse_rows()]
+    for f in build_sail_patch(lat, 6).facets:
+        if f.support:
+            want = certify_facet(lat, f.support, f.dist)
+            got = certify_facet(wide, f.support, f.dist)
+            assert got[:2] == want[:2]
+            assert [sorted(x) for x in got[2:]] == [sorted(x) for x in want[2:]]
+
+
+def _bruteforce_region(lat, w, d):
+    """(below, on_plane) of the region {x >= 0, 1 <= w.c <= d} by a plain scan.
+
+    The region is the simplex with vertices 0 and (d / nu_i) e_i, nu = B^-T w;
+    its coefficient image spans 0 and the columns d / nu_i B^-1 e_i, which
+    float bounds with a margin enclose.  The scan walks that box in every
+    coefficient but one, solves 1 <= w.c <= d for the last in integers, and
+    keeps the points whose coordinates are exactly >= 0.
+    """
+    import math
+    from itertools import product
+    from kleinsail.numberfield import float_at
+    n = lat.n
+    inv = lat.inverse_rows()
+    nu = [float_at(lat.dual().coord(w, i), lat.embeddings[i]) for i in range(n)]
+    ranges = []
+    for j in range(n):
+        ends = [0.0] + [d / nu[i] * float_at(inv[j][i], lat.embeddings[i]) for i in range(n)]
+        ranges.append((math.floor(min(ends) * (1 + 1e-6)) - 1,
+                       math.ceil(max(ends) * (1 + 1e-6)) + 1))
+    k = max((j for j in range(n) if w[j]), key=lambda j: ranges[j][1] - ranges[j][0])
+    rest = [j for j in range(n) if j != k]
+    below, on_plane = set(), set()
+    for part in product(*(range(ranges[j][0], ranges[j][1] + 1) for j in rest)):
+        c = [0] * n
+        for j, v in zip(rest, part):
+            c[j] = v
+        s = sum(w[j] * c[j] for j in rest)
+        a, b = (1 - s, d - s) if w[k] > 0 else (s - d, s - 1)
+        for c[k] in range(max(-(-a // abs(w[k])), ranges[k][0]),
+                          min(b // abs(w[k]), ranges[k][1]) + 1):
+            level = sum(x * y for x, y in zip(w, c))
+            if all(lat.coord_sign(c, i) >= 0 for i in range(n)):
+                (on_plane if level == d else below).add(tuple(c))
+    return below, on_plane
+
+
+@pytest.mark.parametrize("name, make, t", [
+    ("cubic49", lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 6),
+    ("golden-skew", lambda: _rebased(lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(),
+                                                        root_index=1), ((1, -1), (-2, 1))), 60),
+    ("rational3-0", lambda: random_rational_lattice(3, 0), 10),
+    ("alpha-7/16", lambda: lattice_from_alpha(Fraction(7, 16)), 12),
+    ("rational3-69", lambda: random_rational_lattice(3, 69), 10),
+])
+def test_certify_matches_bruteforce(name, make, t):
+    # every non-artificial facet in every orthant: the walk's below and
+    # on-plane sets are those of a plain scan of a box around the region
+    from itertools import product
+    base = make()
+    deep = below_found = 0
+    for signs in product((1, -1), repeat=base.n):
+        lat = base.reflect(signs)
+        for f in build_sail_patch(lat, t).facets:
+            if f.artificial or not f.support:
+                continue
+            ok, reason, on_plane, below = certify_facet(lat, f.support, f.dist)
+            if any(s <= 0 for s in lat.support_normal_signs(f.support)):
+                assert not ok and "positive" in reason
+                continue
+            assert len(set(below)) == len(below) and len(set(on_plane)) == len(on_plane)
+            assert (set(below), set(on_plane)) == _bruteforce_region(lat, f.support, f.dist)
+            assert ok == (not below) == f.certified
+            deep += f.dist >= 2
+            below_found += bool(below)
+    if name in ("cubic49", "rational3-0", "rational3-69"):
+        assert deep
+    if name == "rational3-69":
+        assert below_found
+
+
 def test_certified_facet_extension_past_window():
     # 7/16 = [0;2,3,2]: at T=12 the terminal edge is visible only partially;
     # certification completes it to its true vertex at (16, 0)
