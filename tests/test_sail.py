@@ -213,6 +213,14 @@ def test_certify_budget_bounds_the_whole_walk():
     assert not ok and reason == "certification region exceeded the point budget"
 
 
+def test_certify_signs_straddling_leaves_exactly():
+    # (1, 0) lies at ambient (1, -2^-70), inside every fixed-point enclosure
+    # of the orthant: only the exact sign test keeps it out of the region
+    lat = Lattice.rational([(1, 0), (-Fraction(1, 2**70), 1)])
+    ok, _, on_plane, below = certify_facet(lat, (1, 1), 1)
+    assert ok and on_plane == [(0, 1)] and below == []
+
+
 def test_certify_wide_normal_enclosure_falls_back_to_exact():
     # a normal enclosure too wide to bound the region is tightened exactly
     lat = random_rational_lattice(3, 0)
@@ -255,8 +263,9 @@ def _bruteforce_region(lat, w, d):
             c[j] = v
         s = sum(w[j] * c[j] for j in rest)
         a, b = (1 - s, d - s) if w[k] > 0 else (s - d, s - 1)
-        for c[k] in range(max(-(-a // abs(w[k])), ranges[k][0]),
-                          min(b // abs(w[k]), ranges[k][1]) + 1):
+        for ck in range(max(-(-a // abs(w[k])), ranges[k][0]),
+                        min(b // abs(w[k]), ranges[k][1]) + 1):
+            c[k] = ck
             level = sum(x * y for x, y in zip(w, c))
             if all(lat.coord_sign(c, i) >= 0 for i in range(n)):
                 (on_plane if level == d else below).add(tuple(c))
