@@ -4,9 +4,11 @@ Points of the open positive orthant are first scaled onto the surface
 {x1*...*xn = 1} and then mapped through coordinatewise logarithms to
 R^(n-1); a sail projects to a partition of the plane into curvilinear
 cells, one per facet.  Everything here is diagnostic: floats never flow
-back into the exact modules.  Scalars are evaluated to >= 80 bits before
-the logarithm; comparison tolerances are fixed constants recorded in the
-outputs.
+back into the exact modules.  Vertex coordinates are exact, then read at
+113 bits; an edge sample's are lambda*x(a) + (1 - lambda)*x(b) from its
+vertices' values at 121 bits, lambda dyadic.  Both terms are positive, so
+samples are positive by convexity, with relative error at most their
+vertices' plus 2^-120.  Comparison tolerances are fixed constants.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -48,18 +50,27 @@ def pi_log(values):
         return tuple(float(l - mean) for l in logs[:-1])
 
 
+def _coord_values(lat, coeffs):
+    """A point's coordinates at _PREC bits, or None if one is not positive
+    (decided interval first, exactly where the enclosure straddles 0)."""
+    vals = []
+    for i in range(lat.n):
+        x, e = lat.coord(coeffs, i), lat.embeddings[i]
+        if not interval_at(x, e)[0] > 0 and sign_at(x, e) <= 0:
+            return None
+        vals.append(mpf_at(x, e, _PREC))
+    return vals
+
+
 def pi_log_point(lat, coeffs):
     """Log-plane image of a lattice point (or rational combination).
 
     Raw coordinates are used; the determinant normalization shifts every
     image by the same vector, which the partition geometry ignores.
     """
-    vals = []
-    for i in range(lat.n):
-        x, e = lat.coord(coeffs, i), lat.embeddings[i]
-        if not interval_at(x, e)[0] > 0 and sign_at(x, e) <= 0:
-            raise ValueError("log projection needs strictly positive coordinates")
-        vals.append(mpf_at(x, e, _PREC))
+    vals = _coord_values(lat, coeffs)
+    if vals is None:
+        raise ValueError("log projection needs strictly positive coordinates")
     return pi_log(vals)
 
 
@@ -74,30 +85,33 @@ class LogCell:
 
 
 def project_patch(patch, edge_samples=EDGE_SAMPLES):
-    """One log-plane cell per certified facet; facets touching the orthant
-    boundary are skipped (their images are unbounded) and reported, under
-    the boundary policy of `build_sail_patch`."""
+    """One log-plane cell per certified facet, from one pass over its
+    vertices.  A facet with a zero vertex coordinate (patches lie in the
+    closed orthant) touches its boundary and is skipped and reported, under
+    `build_sail_patch`'s policy.  Edge samples are convex mixes of the
+    vertex values and take no exact arithmetic."""
     lat = patch.lattice
     cells = []
     skipped = []
     for fi, f in enumerate(patch.facets):
         if not f.certified:
             continue
-        if any(lat.coord_sign(c, i) == 0
-               for c in f.vertices for i in range(lat.n)):
+        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+        vals = [_coord_values(lat, c) for c in ring]
+        if None in vals:
             skipped.append(fi)
             continue
-        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
-        imgs = [pi_log_point(lat, c) for c in ring]
+        imgs = [pi_log(v) for v in vals]
         samples = list(imgs)
         m = len(ring)
         pair_count = m if (lat.n == 3 and m > 2) else m - 1
-        for k in range(pair_count):
-            a, b = ring[k], ring[(k + 1) % m]
-            for s in range(1, edge_samples):
-                lam = Fraction(s, edge_samples)
-                mix = tuple(lam * x + (1 - lam) * y for x, y in zip(a, b))
-                samples.append(pi_log_point(lat, mix))
+        with mpmath.workprec(_PREC + 8):
+            for k in range(pair_count):
+                a, b = vals[k], vals[(k + 1) % m]
+                for s in range(1, edge_samples):
+                    lam = mpmath.mpf(s) / edge_samples
+                    samples.append(pi_log([lam * x + (1 - lam) * y
+                                           for x, y in zip(a, b)]))
         dim = len(imgs[0])
         centroid = tuple(sum(p[d] for p in imgs) / len(imgs) for d in range(dim))
         radius = max(math.dist(centroid, p) for p in samples)
@@ -149,7 +163,6 @@ def cell_covering_radius(cells, grid_pitch_factor=0.25):
         ys = [p[1] for c in interior for p in c.edge_samples]
         pitch = r_max * grid_pitch_factor
         centers = []
-        k = 0
         x = min(xs)
         while x <= max(xs):
             y = min(ys)

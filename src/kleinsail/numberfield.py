@@ -164,6 +164,8 @@ class NumberField:
     def refine_root(self, i, width=None):
         """Bisect root i's isolating interval (to `width` if given)."""
         lo, hi = self._roots[i]
+        if width is not None and hi - lo <= width:
+            return lo, hi
         flo = _poly_eval(self.coeffs, lo)
         while width is None or hi - lo > width:
             mid = (lo + hi) / 2

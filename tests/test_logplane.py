@@ -5,12 +5,13 @@ import pytest
 
 from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, lattice_from_alpha,
-    lattice_from_cubic_field,
+    lattice_from_cubic_field, random_rational_lattice,
 )
 from kleinsail.logplane import (
-    TRANSLATION_TOL, cell_covering_radius, cells_csv, check_phi_bounds,
+    EDGE_SAMPLES, TRANSLATION_TOL, cell_covering_radius, cells_csv, check_phi_bounds,
     pi_log, pi_log_point, project_patch,
 )
+from kleinsail.normmin import orthant_representatives
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import build_sail_patch
 
@@ -27,11 +28,13 @@ def cubic_patch_big():
     return build_sail_patch(lat, 40)
 
 
+def _golden_alpha():
+    return lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+
+
 @pytest.fixture(scope="module")
 def golden_patch():
-    fld = NumberField(GOLDEN_MINPOLY)
-    lat = lattice_from_alpha(fld.gen(), root_index=1)
-    return build_sail_patch(lat, 60)
+    return build_sail_patch(_golden_alpha(), 60)
 
 
 def test_pi_log_trivials():
@@ -126,6 +129,62 @@ def test_phi_bounds_golden(golden_patch):
     rep = check_phi_bounds(golden_patch)
     assert rep.per_facet_ok
     assert rep.min_vertex_phi == 0  # the axis vertex of the alpha lattice
+
+
+def _cubic49_orthants():
+    lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
+    return [lat.reflect(s) for s in orthant_representatives(3)]
+
+
+@pytest.mark.parametrize("make, t", [
+    *[(lambda k=k: _cubic49_orthants()[k], 6) for k in range(4)],
+    (_golden_alpha, 60),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 20),
+    (lambda: random_rational_lattice(3, 0), 10),
+], ids=["cubic49-o0", "cubic49-o1", "cubic49-o2", "cubic49-o3", "golden", "alpha-13/34",
+        "rational3-0"])
+def test_cell_samples_match_exact_mixes(make, t):
+    # vertex images are pi_log_point's; every edge sample is the image of
+    # the exact Fraction mix of its two ring vertices
+    lat = make()
+    patch = build_sail_patch(lat, t)
+    cells, _ = project_patch(patch)
+    assert cells
+    for cell in cells:
+        f = patch.facets[cell.facet_index]
+        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+        m = len(ring)
+        assert cell.vertex_images == tuple(pi_log_point(lat, c) for c in ring)
+        want = []
+        for k in range(m if (lat.n == 3 and m > 2) else m - 1):
+            a, b = ring[k], ring[(k + 1) % m]
+            for s in range(1, EDGE_SAMPLES):
+                lam = Fraction(s, EDGE_SAMPLES)
+                want.append(pi_log_point(lat, tuple(lam * x + (1 - lam) * y
+                                                    for x, y in zip(a, b))))
+        got = cell.edge_samples[m:]
+        assert cell.edge_samples[:m] == cell.vertex_images
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert max(abs(x - y) for x, y in zip(p, q)) < 1e-12
+
+
+@pytest.mark.parametrize("make, t, skips", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 6, False),
+    (_golden_alpha, 60, True),   # the axis-vertex facet
+], ids=["cubic49", "golden"])
+def test_project_patch_straddling_enclosures_fall_back_to_exact(monkeypatch, make, t, skips):
+    # every coordinate enclosure widened by 1 straddles 0: only the exact
+    # sign test decides positivity and the orthant boundary
+    import kleinsail.logplane as lp
+
+    patch = build_sail_patch(make(), t)
+    want = project_patch(patch)
+    exact = lp.interval_at
+    monkeypatch.setattr(lp, "interval_at",
+                        lambda x, e: tuple(v + d for v, d in zip(exact(x, e), (-1, 1))))
+    assert project_patch(patch) == want
+    assert bool(want[1]) == skips
 
 
 def test_diagonal_rescale_translates_cells():

@@ -104,3 +104,24 @@ def test_quadratic_subcase_golden_value():
     assert val.is_zero()
     assert g.sign_at(1) == 1
     assert (1 - g).sign_at(1) == 1  # inside (0, 1)
+
+
+def test_refine_root_returns_narrow_interval_without_evaluating(monkeypatch):
+    import kleinsail.numberfield as nf
+
+    fld = NumberField((-1, -2, 1))
+    want = fld.refine_root(2, Fraction(1, 2**40))
+    calls = []
+    poly_eval = nf._poly_eval
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return poly_eval(coeffs, x)
+
+    monkeypatch.setattr(nf, "_poly_eval", counted)
+    assert fld.refine_root(2, Fraction(1, 2**30)) == want
+    assert fld.refine_root(2, want[1] - want[0]) == want
+    assert calls == []
+    # a single step (no width) still bisects once
+    lo, hi = fld.refine_root(2)
+    assert calls and hi - lo == (want[1] - want[0]) / 2
