@@ -11,6 +11,7 @@ hull vertices.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .linalg import primitive_int_vector
 
@@ -272,7 +273,7 @@ def polytope_volume(points):
     for p in points:
         for x in p:
             if isinstance(x, Fraction):
-                den = den * x.denominator // _gcd(den, x.denominator)
+                den = den * x.denominator // gcd(den, x.denominator)
     ipts = [tuple(int(x * den) for x in p) for p in points]
     try:
         facets, _ = convex_hull_3d(ipts)
@@ -293,8 +294,3 @@ def polytope_volume(points):
             total += Fraction(det)
     return abs(total) / 6 / den**3
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -635,25 +635,6 @@ class IrrationalityReport:
         return not self.witnesses
 
 
-def _integer_row_kernel(row):
-    """Basis of the integer kernel of one integer row vector."""
-    n = len(row)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    vals = list(row)
-    # column reduction to a single nonzero pivot
-    while True:
-        nz = [j for j in range(n) if vals[j] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda j: abs(vals[j]))
-        j0 = nz[0]
-        for j in nz[1:]:
-            q = vals[j] // vals[j0]
-            vals[j] -= q * vals[j0]
-            cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-    return [tuple(cols[j]) for j in range(n) if vals[j] == 0]
-
-
 def _zero_coordinate_sublattice(lat, i):
     """Integer kernel of 'ambient coordinate i = 0', as basis vectors.
 
@@ -664,7 +645,7 @@ def _zero_coordinate_sublattice(lat, i):
     """
     n = lat.n
     vecs = [x.vec if isinstance(x, FieldElement) else (x,) for x in lat.basis[i]]
-    kernels = None
+    kernels = [tuple(1 if a == j else 0 for a in range(n)) for j in range(n)]
     for k in range(len(vecs[0])):
         row = [v[k] for v in vecs]
         if all(v == 0 for v in row):
@@ -673,12 +654,8 @@ def _zero_coordinate_sublattice(lat, i):
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
         introw = [int(x * den) for x in row]
-        if kernels is None:
-            kernels = _integer_row_kernel(introw)
-        else:
-            kernels = _intersect_kernels(kernels, introw)
-    return kernels if kernels is not None else [
-        tuple(1 if a == j else 0 for a in range(n)) for j in range(n)]
+        kernels = _intersect_kernels(kernels, introw)
+    return kernels
 
 
 def _intersect_kernels(gens, introw):

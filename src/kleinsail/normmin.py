@@ -81,7 +81,7 @@ def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patche
     if not minimal:
         hi = lat.raw_window_enclosure(t)
         boxes = [(-hi, hi)] * lat.n
-        return _enumerate_core(lat, boxes, _sym_box_filter(lat, t), budget)
+        return list(_enumerate_core(lat, boxes, _sym_box_filter(lat, t), budget))
     reps = orthant_representatives(lat.n)
     if patches is not None and set(patches) != {tuple(s) for s in reps}:
         raise ValueError("need one patch per orthant representative")
@@ -234,7 +234,7 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
         return True
 
     boxes = [(Fraction(0), b) for b in bounds]
-    return _enumerate_core(lat, boxes, filt, budget), boundary
+    return list(_enumerate_core(lat, boxes, filt, budget)), boundary
 
 
 def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):

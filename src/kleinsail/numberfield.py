@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .linalg import solve
+
 __all__ = [
     "NumberField", "FieldElement", "NotTotallyRealError",
     "sign_at", "cmp_at", "floor_at", "interval_at", "float_at", "mpf_at",
@@ -294,21 +296,9 @@ class FieldElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        # extended Euclid in Q[x] against the minimal polynomial
-        d = self.field.degree
-        a = list(self.field.coeffs)
-        b = list(self.vec)
-        s_a, s_b = [Fraction(0)], [Fraction(1)]
-        while True:
-            b_deg = _poly_deg(b)
-            if b_deg == 0:
-                inv = [c / b[0] for c in s_b]
-                inv = _poly_mod(inv, self.field.coeffs)
-                inv += [Fraction(0)] * (d - len(inv))
-                return FieldElement(self.field, tuple(inv[:d]))
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s_a, s_b = s_b, _poly_sub(s_a, _poly_mul(q, s_b))
+        # self * y = 1 is the linear system M y = e_0, M = self.mul_matrix()
+        e0 = (Fraction(1),) + (Fraction(0),) * (self.field.degree - 1)
+        return FieldElement(self.field, solve(self.mul_matrix(), e0))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -355,7 +345,6 @@ class FieldElement:
         """Matrix of multiplication by self over the power basis (rows)."""
         d = self.field.degree
         rows = []
-        cur = self
         basis_img = []
         e = self.field.one()
         for _ in range(d):
@@ -484,50 +473,3 @@ def mpf_at(x, e, prec=113):
 
     with mpmath.workprec(prec):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-# -- dense rational polynomial helpers (low-to-high coefficient lists) --------
-
-def _poly_deg(p):
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db, da = _poly_deg(b), _poly_deg(a)
-    q = [Fraction(0)] * (max(da - db, 0) + 1)
-    while da >= db and any(a):
-        c = a[da] / b[db]
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-        a[da] = Fraction(0)
-        da = _poly_deg(a)
-        if all(x == 0 for x in a):
-            break
-    return q, a[: db] if db > 0 else [a[0]]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mod(a, m):
-    _, r = _poly_divmod(a, list(m))
-    return r

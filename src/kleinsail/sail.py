@@ -27,8 +27,10 @@ are always followed by exact verification.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .hull import convex_hull_2d, convex_hull_3d
 from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
@@ -127,7 +129,8 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
     leaf lying at or above the top of a box, since the coordinates only grow
     along v.
 
-    `budget` bounds the leaves of the whole scan.
+    `budget` bounds the leaves of the whole scan.  Returns a dict from each
+    kept c, in scan order, to its `partial`.
     """
     n = lat.n
     u, u_inv = basis if basis is not None else (None, None)
@@ -157,7 +160,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
             ps = (elo * rlo, elo * rhi, ehi * rlo, ehi * rhi)
             tails[i][k] = (tlo + min(ps), thi + max(ps))
 
-    out = []
+    out = {}
     count = 0
     coeffs = [0] * n
 
@@ -172,7 +175,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
             else:
                 c = tuple(sum(u[j][m] * coeffs[m] for m in range(n)) for j in range(n))
             if leaf_filter(c, partial):
-                out.append(c)
+                out[c] = partial
                 return True
             return False
         lo_k, hi_k = outer[k]
@@ -211,7 +214,10 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
             elif rec(k + 1, nxt) or any(nxt[i][0] >= boxes[i][1] for i in range(n)):
                 return  # the line's minimum, or the line has left the top of a box
 
-    rec(0, [(0, 0)] * len(enc))
+    try:
+        rec(0, [(0, 0)] * len(enc))
+    finally:
+        del rec  # rec refers to itself: free the scan's state now, not at a collection
     return out
 
 
@@ -265,25 +271,17 @@ def _line_basis(lat, budget):
         t *= 2
 
 
-def _enumerate_window(lat, t, include_boundary, budget, interval_store=None):
-    """The window's line minima: on every line along `_line_basis`'s vector
-    v, the window point nearest the origin.  Every window point is one of
-    them plus a nonnegative multiple of v, so they dominate the window, and
-    its Pareto-minimal points are theirs."""
+def _enumerate_window(lat, t, include_boundary, budget):
+    """The window's line minima, as `_enumerate_core` returns them: on every
+    line along `_line_basis`'s vector v, the window point nearest the origin,
+    with its enclosures.  Every window point is one of them plus a
+    nonnegative multiple of v, so they dominate the window, and its
+    Pareto-minimal points are theirs."""
     t = Fraction(t)
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
     filt = _window_leaf_filter(lat, t, include_boundary)
-    line = _line_basis(lat, budget)
-    if interval_store is None:
-        return _enumerate_core(lat, boxes, filt, budget, line, first_per_line=True)
-
-    def recording(c, partial):
-        if filt(c, partial):
-            interval_store[c] = tuple(partial)
-            return True
-        return False
-
-    return _enumerate_core(lat, boxes, recording, budget, line, first_per_line=True)
+    return _enumerate_core(lat, boxes, filt, budget, _line_basis(lat, budget),
+                           first_per_line=True)
 
 
 def _enumerate_window_alpha(lat, t, include_boundary, budget):
@@ -338,144 +336,84 @@ def _window_minima(lat, t, include_boundary=True, budget=DEFAULT_POINT_BUDGET):
     the line minima of `_enumerate_window`, not of all window points; it is
     what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
     """
-    if lat.field is None:  # Fraction coordinates sort exactly
-        window_pts = _enumerate_window(lat, t, include_boundary, budget)
-        return len(window_pts), _pareto_minimal_fast(lat, window_pts)
-    interval_store = {}
-    window_pts = _enumerate_window(lat, t, include_boundary, budget,
-                                   interval_store=interval_store)
-    return len(window_pts), _pareto_minimal(lat, window_pts, interval_store)
+    window_pts = _enumerate_window(lat, t, include_boundary, budget)
+    return len(window_pts), _pareto_minimal(lat, window_pts)
 
 
 # ---------------------------------------------------------------------------
 # Pareto pruning (componentwise minima)
 
-def _pareto_minimal(lat, coeffs_list, intervals=None):
-    """Prune points dominated in the componentwise order (exact).
+def _pareto_minimal(lat, enclosures):
+    """The points of `enclosures` that no other of its points dominates
+    componentwise, in the exact lexicographic order of their coordinates.
 
+    `enclosures` maps distinct coefficient tuples to the certified scaled
+    enclosures of their coordinates, as `_enumerate_core` returns them.
     Dominated points are never vertices of hull(points) + positive cone, so
-    the sail hull is unchanged.  Certified fixed-point coordinate intervals
-    (from the enumeration) decide comparisons; removal falls back to exact
-    sign tests only when intervals overlap.  Keeping an undominated point by
-    mistake is impossible; keeping a dominated one would only add an
-    uncertifiable hull vertex, and cannot happen either.
+    the sail hull is unchanged.  Coordinates are compared on the enclosures,
+    exactly only where two of them overlap.
+
+    The sweep is the maxima algorithm of Kung, Luccio and Preparata (J. ACM
+    22, 1975): points in ascending order of their x enclosure midpoints, and
+    a staircase over the (y, z) midpoints of the kept points (z = 0 for
+    n = 2).  A point is dropped only after an exact dominance test by a kept
+    point, so no Pareto-minimal point is lost.  Midpoints misorder points
+    whose enclosures overlap, exact ties included, so the sweep can keep a
+    dominated point; a last exact pass over the k kept points, O(k^2) tests,
+    removes every one that another kept point dominates.  The survivors are
+    sorted exactly, so their order, and the hull cycles built from it, do not
+    depend on the enclosures.
     """
     n = lat.n
-    pts = list(dict.fromkeys(coeffs_list))
-    if intervals is None:
-        intervals = {}
-    missing = [c for c in pts if c not in intervals]
-    if missing:
-        scale = 1 << _ENUM_SHIFT
-        enc = lat.basis_interval_matrix()
-        enc_s = [[(int((e[0] * scale).__floor__()), int((e[1] * scale).__ceil__()))
-                  for e in row] for row in enc]
-        for c in missing:
-            ivs = []
-            for i in range(n):
-                lo = hi = 0
-                for j, v in enumerate(c):
-                    elo, ehi = enc_s[i][j]
-                    if v >= 0:
-                        lo += elo * v
-                        hi += ehi * v
-                    else:
-                        lo += ehi * v
-                        hi += elo * v
-                ivs.append((lo, hi))
-            intervals[c] = tuple(ivs)
 
-    def dominates(q, p):
-        # q <= p componentwise (and q != p, guaranteed by dedupe)
+    def cmp(p, q, i):
+        # exact sign of coordinate i of p minus that of q
+        plo, phi = enclosures[p][i]
+        qlo, qhi = enclosures[q][i]
+        if phi < qlo:
+            return -1
+        if plo > qhi:
+            return 1
+        return lat.coord_cmp_points(p, q, i)
+
+    def dominates(q, p):  # for distinct points q and p
         for i in range(n):
-            qlo, qhi = intervals[q][i]
-            plo, phi = intervals[p][i]
-            if qhi <= plo:
-                continue
-            if qlo > phi:
-                return False
-            if lat.coord_cmp_points(q, p, i) > 0:
+            if cmp(q, p, i) > 0:
                 return False
         return True
 
-    def mid(c):
-        return tuple((lo + hi) >> 1 for lo, hi in intervals[c])
+    def lex(p, q):
+        for i in range(n):
+            s = cmp(p, q, i)
+            if s:
+                return s
+        return 0
 
-    pts.sort(key=mid)
+    def mid(p, i):  # twice the midpoint of coordinate i's enclosure
+        lo, hi = enclosures[p][i]
+        return lo + hi
+
     kept = []
-    if n == 2:
-        best = None  # point with the running-minimum second coordinate
-        for p in pts:
-            if best is not None and dominates(best, p):
-                continue
-            kept.append(p)
-            if best is None or mid(p)[1] < mid(best)[1]:
-                best = p
-        return kept
-    # n == 3: staircase of kept points over midpoint keys (y, z); every prune
-    # is confirmed by the interval/exact dominance test
-    from bisect import bisect_right
-    stair = []  # (y_mid, z_mid, point), y ascending, z strictly descending
-
-    for p in pts:
-        my, mz = mid(p)[1], mid(p)[2]
-        i = bisect_right(stair, (my, mz, p))
-        cand = None
-        if i > 0 and stair[i - 1][1] <= mz:
-            cand = stair[i - 1][2]
-        if cand is not None and dominates(cand, p):
+    stair = []  # (y, z, point) of kept points: y ascending, z strictly descending
+    for p in sorted(enclosures, key=lambda c: mid(c, 0)):
+        y, z = mid(p, 1), mid(p, 2) if n == 3 else 0
+        i = bisect_right(stair, (y, z, p))
+        covered = i > 0 and stair[i - 1][1] <= z
+        if covered and dominates(stair[i - 1][2], p):
             continue
         kept.append(p)
-        if i > 0 and stair[i - 1][1] <= mz:
-            continue  # not inserted: an existing entry already covers (y, z)
-        j = i
-        while j < len(stair) and stair[j][1] >= mz:
-            j += 1
-        stair[i:j] = [(my, mz, p)]
-    return kept
+        if not covered:
+            j = i
+            while j < len(stair) and stair[j][1] >= z:
+                j += 1
+            stair[i:j] = [(y, z, p)]
+    kept = [p for p in kept if not any(q != p and dominates(q, p) for q in kept)]
+    return sorted(kept, key=cmp_to_key(lex))
 
 
-def _pareto_minimal_fast(lat, coeffs_list):
-    """`_pareto_minimal` for lattices over Q: exact Fraction coordinates
-    are the sort keys, and a staircase decides dominance."""
-    n = lat.n
-    pts = list(dict.fromkeys(coeffs_list))
-    coords = {c: tuple(lat.coord(c, i) for i in range(n)) for c in pts}
-    pts.sort(key=lambda c: coords[c])
-    kept = []
-    if n == 2:
-        best_y = None
-        for p in pts:
-            y = coords[p][1]
-            if best_y is None or y < best_y:
-                kept.append(p)
-                best_y = y
-        return kept
-    # n == 3: staircase on (y, z) of kept points, sorted by x
-    from bisect import bisect_right
-    stair = []  # (y, z) with y ascending, z strictly descending
-
-    def stair_dominated(y, z):
-        i = bisect_right(stair, (y, Fraction(10) ** 40))
-        if i == 0:
-            return False
-        return stair[i - 1][1] <= z
-
-    def stair_insert(y, z):
-        i = bisect_right(stair, (y, z))
-        if i > 0 and stair[i - 1][1] <= z:
-            return
-        j = i
-        while j < len(stair) and stair[j][1] >= z:
-            j += 1
-        stair[i:j] = [(y, z)]
-
-    for p in pts:
-        _, y, z = coords[p]
-        if not stair_dominated(y, z):
-            kept.append(p)
-            stair_insert(y, z)
-    return kept
+# The benchmark's tracer still wraps this name; the benchmark-only change
+# (ROADMAP item 1) drops it there and here.
+_pareto_minimal_fast = _pareto_minimal
 
 
 # ---------------------------------------------------------------------------

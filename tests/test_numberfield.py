@@ -46,10 +46,11 @@ def test_arithmetic_against_minimal_polynomial():
 
 
 def test_inverse_and_division():
-    th = CUBIC49.gen()
-    x = th**2 - th + 3
-    assert (x * x.inverse()) == CUBIC49.one()
-    assert (x / x) == CUBIC49.one()
+    for fld in (GOLDEN, SQRT2M1, CUBIC49):
+        th = fld.gen()
+        for x in (th**2 - th + 3, th, 3 * th - Fraction(1, 2), fld.element((Fraction(-2, 7),))):
+            assert (x * x.inverse()) == fld.one()
+            assert (x / x) == fld.one()
 
 
 def test_norm_of_unit_is_one():

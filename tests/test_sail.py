@@ -118,17 +118,49 @@ def test_cubic_patch_certification_and_distances(cubic_patch):
     assert certified
     assert all(f.dist >= 1 for f in certified)
     # certification soundness re-checked by an independent window scan
-    window = {p for p in _window_points_closed(lat, cubic_patch.t)}
+    window = {p for p in _window_points(lat, cubic_patch.t)}
     for f in certified[:10]:
         w, d = f.support, f.dist
         for c in window:
             assert sum(a * b for a, b in zip(w, c)) >= d
 
 
-def _window_points_closed(lat, t):
+def _window_points(lat, t, closed=True):
+    """Every window point, mapped to its enclosures (the window (0, t)^n
+    without `closed`)."""
     from kleinsail.sail import _enumerate_core, _window_leaf_filter
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    return _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), 10**6)
+    return _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, closed), 10**6)
+
+
+def _pareto_oracle(lat, pts):
+    """The points of `pts` that no other of them dominates componentwise.
+
+    Brute force over all m^2 pairs, as bitsets: bit q of below[p] stays set
+    while q's coordinates are exactly <= p's in every coordinate seen so
+    far, so p is minimal iff below[p] ends with its own bit alone."""
+    from functools import cmp_to_key
+    pts = list(pts)
+    m = len(pts)
+    below = [(1 << m) - 1] * m
+    for i in range(lat.n):
+        def cmp(a, b):
+            return lat.coord_cmp_points(pts[a], pts[b], i)
+
+        # sort by floats, then check each neighbouring pair exactly
+        order = sorted(range(m), key=lambda a: lat.coord_float(pts[a], i))
+        steps = [cmp(a, b) for a, b in zip(order, order[1:])]
+        if any(s > 0 for s in steps):
+            order.sort(key=cmp_to_key(cmp))
+            steps = [cmp(a, b) for a, b in zip(order, order[1:])]
+        seen, start = 0, 0  # seen: the points at or below order[k] in coordinate i
+        for k, p in enumerate(order):
+            seen |= 1 << p
+            if k == m - 1 or steps[k] < 0:  # the last of equal values
+                for q in order[start:k + 1]:
+                    below[q] &= seen
+                start = k + 1
+    return [p for k, p in enumerate(pts) if below[k] == 1 << k]
 
 
 def test_facet_support_unit_simplex():
@@ -364,10 +396,10 @@ def test_patch_json_roundtrip_deterministic(golden_patch):
 
 
 def test_pareto_prune_preserves_hull():
-    from kleinsail.sail import _pareto_minimal_fast
+    from kleinsail.sail import _pareto_minimal
     lat = lattice_from_alpha(Fraction(5, 12))
-    pts = [p.coeffs for p in enumerate_orthant_points(lat, 8)]
-    kept = _pareto_minimal_fast(lat, pts)
+    pts = _window_points(lat, 8, closed=False)
+    kept = _pareto_minimal(lat, pts)
     # hull of pruned set (with closure corners) = hull of full set
     from kleinsail.hull import convex_hull_2d
     big = Fraction(10**8)
@@ -383,16 +415,14 @@ def test_pareto_prune_preserves_hull():
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
 def test_alpha_column_scan_matches_generic_enumeration(signs):
     # reflecting the second axis gives the alpha shape rows (1, 0), (s, -1)
-    from kleinsail.sail import (
-        _enumerate_core, _enumerate_window_alpha, _pareto_minimal, _window_leaf_filter,
-    )
+    from kleinsail.sail import _enumerate_core, _enumerate_window_alpha, _window_leaf_filter
     lat = lattice_from_alpha(Fraction(13, 34)).reflect(signs)
     t = 30
     scan = _enumerate_window_alpha(lat, t, True, 10**6)
     assert all(lat.in_positive_window(c, t) for c in scan)
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * 2
     full = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), 10**6)
-    assert sorted(_pareto_minimal(lat, scan)) == sorted(_pareto_minimal(lat, full))
+    assert sorted(_pareto_oracle(lat, scan)) == sorted(_pareto_oracle(lat, full))
 
 
 def test_zero_window_rejected():
@@ -445,10 +475,52 @@ def test_line_minima_match_full_window(name, make, t, seed):
             minima = _enumerate_window(lat, t, closed, 10**6)
             assert minima and len(set(minima)) == len(minima)
             assert all(lat.in_positive_window(c, t, include_boundary=closed) for c in minima)
-            full = _window_points_closed(lat, t) if closed else [
+            full = _window_points(lat, t) if closed else [
                 p.coeffs for p in enumerate_orthant_points(lat, t)]
             assert len(minima) < len(full)
-            assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_minimal(lat, full))
+            assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_oracle(lat, full))
+
+
+@pytest.mark.parametrize("name, make, t", [
+    ("identity", lambda: normalize_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 6),
+    ("integer-rows", lambda: normalize_lattice([(1, 2, 0), (0, 1, 3), (5, 0, 1)]), 9),
+] + [(f"rational3-d7-{k}", lambda k=k: random_rational_lattice(3, k, denom_limit=7), 10)
+     for k in range(6)])
+def test_pareto_sweep_matches_oracle(name, make, t):
+    # small denominators give exact coordinate ties, which misorder the
+    # sweep's midpoint keys; the pruned set must still be exact
+    from itertools import product
+    from kleinsail.sail import _enumerate_window, _pareto_minimal
+    base = make()
+    for signs in product((1, -1), repeat=3):
+        lat = base.reflect(signs)
+        for closed in (True, False):
+            full = _window_points(lat, t, closed)
+            want = sorted(_pareto_oracle(lat, full))
+            got = _pareto_minimal(lat, full)
+            assert sorted(got) == want
+            # in the exact lexicographic order of the (rational) coordinates
+            assert got == sorted(got, key=lambda c: [lat.coord(c, i) for i in range(3)])
+            minima = _enumerate_window(lat, t, closed, 10**6)
+            assert sorted(_pareto_minimal(lat, minima)) == want
+
+
+def test_scan_state_is_freed_on_return():
+    # the scan's recursion refers to itself; the cycle must not outlive it
+    import gc
+    import weakref
+    from kleinsail.sail import _enumerate_core, _window_leaf_filter
+    lat = random_rational_lattice(3, 0)
+    boxes = [(Fraction(0), lat.raw_window_enclosure(4))] * 3
+    filt = _window_leaf_filter(lat, 4, True)
+    ref = weakref.ref(filt)
+    gc.disable()
+    try:
+        assert _enumerate_core(lat, boxes, filt, 10**6)
+        del filt
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_golden_non_alpha_basis_certifies_t1000():
