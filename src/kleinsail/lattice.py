@@ -5,7 +5,7 @@ over Q, elements of one real quadratic or cubic field otherwise.  Row i is
 ambient coordinate i, read under its own real embedding ``embeddings[i]``
 (None over Q); an orthant reflection multiplies rows by +-1.  Every exact
 predicate reads its scalars through the ordered-scalar operations of
-`numberfield` (sign, compare, floor, interval, float), whatever the ring.
+`numberfield` (sign, compare, interval, float), whatever the ring.
 
 Only two decisions depend on how the rows relate, and both read it from the
 data:
@@ -79,6 +79,17 @@ def _iroot(m, n):
         if y >= x:
             return x
         x = y
+
+
+def _root_bounds(q_lo, q_hi, k, shift):
+    """Integers (lo, hi) with lo <= 2^shift * q^(1/k) <= hi for every q in
+    the rational interval [q_lo, q_hi], q_hi >= 0: the floor of the root's
+    lower end and the ceiling of its upper end, in integers."""
+    scale = 1 << (k * shift)
+    lo = _iroot(max(0, floor(q_lo * scale)), k)
+    m = q_hi * scale
+    hi = _iroot(ceil(m), k)
+    return lo, hi if hi ** k >= m else hi + 1
 
 
 def _nth_root_fraction(q, n):
@@ -274,8 +285,8 @@ class Lattice:
         fb = self.basis_float()
         return sum(fb[i][j] * coeffs[j] for j in range(self.n))
 
-    def coord_abs_lt(self, coeffs, i, bound, strict=True):
-        """|normalized coordinate i| < bound (<= if strict=False), exact."""
+    def coord_abs_lt(self, coeffs, i, bound):
+        """|normalized coordinate i| < bound, exact."""
         bound = _fr(bound)
         if bound < 0:
             return False
@@ -286,7 +297,7 @@ class Lattice:
             # |x| < bound * d^(1/n)  <=>  x^(2n) < bound^(2n) * d^2
             k = 2 * self.n
             c = cmp_at(x ** k, bound ** k * self.scale_d_sq, e)
-        return c < 0 if strict else c <= 0
+        return c < 0
 
     def coord_cmp_points(self, coeffs_a, coeffs_b, i):
         """Exact sign of (coordinate i of a) - (coordinate i of b)."""
@@ -299,13 +310,13 @@ class Lattice:
             s = self.coord_sign(coeffs, i)
             if s < 0 or (s == 0 and not include_boundary):
                 return False
-            if not self.coord_abs_lt(coeffs, i, t, strict=True):
+            if not self.coord_abs_lt(coeffs, i, t):
                 return False
         return True
 
     def in_sym_box(self, coeffs, t):
         """All normalized coordinates have |x_i| < t (the box Q(t))."""
-        return all(self.coord_abs_lt(coeffs, i, t, strict=True) for i in range(self.n))
+        return all(self.coord_abs_lt(coeffs, i, t) for i in range(self.n))
 
     # -- phi -----------------------------------------------------------------------
 
@@ -385,31 +396,12 @@ class Lattice:
         return self._basis_iv
 
     def scale_root_interval(self):
-        """Certified rational bounds (lo, hi) for d^(1/n), cached."""
-        if self._scale_root_iv is not None:
-            return self._scale_root_iv
-        n = self.n
-        if self.is_unit_scale:
-            iv = (Fraction(1), Fraction(1))
-        elif self.scale_d is not None and _nth_root_fraction(self.scale_d, n):
-            r = _nth_root_fraction(self.scale_d, n)
-            iv = (r, r)
-        else:
-            # bisect y^(2n) = d^2 (always rational) to high precision
-            target = self.scale_d_sq
-            k = 2 * n
-            lo, hi = Fraction(0), Fraction(1)
-            while hi ** k < target:
-                hi *= 2
-            for _ in range(140):
-                mid = (lo + hi) / 2
-                if mid ** k < target:
-                    lo = mid
-                else:
-                    hi = mid
-            iv = (lo, hi)
-        self._scale_root_iv = iv
-        return iv
+        """Certified rational bounds (lo, hi) for d^(1/n) = (d^2)^(1/(2n)),
+        d^2 being always rational, to 2^-128 (cached)."""
+        if self._scale_root_iv is None:
+            lo, hi = _root_bounds(self.scale_d_sq, self.scale_d_sq, 2 * self.n, 128)
+            self._scale_root_iv = (Fraction(lo, 1 << 128), Fraction(hi, 1 << 128))
+        return self._scale_root_iv
 
     def raw_window_interval(self, t):
         """Certified rational bounds for t * d^(1/n)."""
@@ -585,7 +577,7 @@ def dual_lattice(lat):
     return lat.dual()
 
 
-def lattice_from_alpha(alpha, field=None, root_index=None):
+def lattice_from_alpha(alpha, root_index=None):
     """The Klein-polygon lattice of alpha in (0,1): columns (1, 1-alpha), (0, 1)."""
     if isinstance(alpha, FieldElement):
         fld = alpha.field
@@ -628,7 +620,7 @@ def evaluate_phi(x):
 @dataclass
 class IrrationalityReport:
     window: Fraction
-    witnesses: list  # LatticePoints with a zero ambient coordinate
+    witnesses: list  # sorted coefficient tuples with a zero ambient coordinate
 
     @property
     def ok(self):
@@ -686,14 +678,11 @@ def irrationality_check(lat, t):
     t = _fr(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    witnesses = {}
+    witnesses = set()
     for i in range(lat.n):
         kern = _zero_coordinate_sublattice(lat, i)
-        for pt in _kernel_points_in_box(lat, kern, t):
-            if any(c != 0 for c in pt):
-                witnesses[pt] = lat.point(pt)
-    ordered = sorted(witnesses)
-    return IrrationalityReport(window=t, witnesses=[witnesses[c] for c in ordered])
+        witnesses.update(pt for pt in _kernel_points_in_box(lat, kern, t) if any(pt))
+    return IrrationalityReport(window=t, witnesses=sorted(witnesses))
 
 
 def _kernel_points_in_box(lat, kernel_gens, t):

@@ -27,41 +27,19 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .determinants import det_report
-from .lattice import OrthantSign, irrationality_check
-from .numberfield import cmp_at, float_at
+from .lattice import OrthantSign, _root_bounds
+# the benchmark's tracer wraps `irrationality_check` under this module's name
+from .lattice import irrationality_check  # noqa: F401
+from .numberfield import cmp_at, interval_at
 from .sail import (
-    DEFAULT_POINT_BUDGET, _ENUM_SHIFT, _enumerate_core, _window_minima,
-    build_sail_patch,
+    DEFAULT_POINT_BUDGET, _ENUM_SHIFT, _box_filter, _enumerate_core, _window_bounds,
+    _window_minima, build_sail_patch,
 )
 
 __all__ = [
     "norm_minimum_estimate", "vertex_phi_inf", "T0Bound", "t0_bound",
     "check_t0_boxes", "theorem1_audit", "AuditReport", "audit_consistency",
 ]
-
-
-def _sym_box_filter(lat, t):
-    t = Fraction(t)
-    t_lo, t_hi = lat.raw_window_interval(t)
-    scale = 1 << _ENUM_SHIFT
-    t_lo_s = int((t_lo * scale).__floor__())
-    t_hi_s = int((t_hi * scale).__ceil__())
-    n = lat.n
-
-    def filt(c, partial):
-        if all(x == 0 for x in c):
-            return False
-        for i in range(n):
-            lo, hi = partial[i]
-            if -t_lo_s < lo and hi < t_lo_s:
-                continue
-            if hi < -t_hi_s or lo > t_hi_s:
-                return False
-            if not lat.coord_abs_lt(c, i, t):
-                return False
-        return True
-
-    return filt
 
 
 def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patches=None):
@@ -81,7 +59,8 @@ def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patche
     if not minimal:
         hi = lat.raw_window_enclosure(t)
         boxes = [(-hi, hi)] * lat.n
-        return list(_enumerate_core(lat, boxes, _sym_box_filter(lat, t), budget))
+        return list(_enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), -1),
+                                    budget))
     reps = orthant_representatives(lat.n)
     if patches is not None and set(patches) != {tuple(s) for s in reps}:
         raise ValueError("need one patch per orthant representative")
@@ -184,6 +163,8 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     normal coordinate product and d the tracked determinant scale.  It is
     decided exactly, never materialized: x is inside iff for every i
       x_i^(2n) * P^2 * n^n  <  (det F)^2 * d^4 * u_i^(2n).
+    The scan's search box is bounded by certified enclosures of the sides,
+    from the exact b_i^(2n) = (det F)^2 d^4 u_i^(2n) / (P^2 n^n).
     Violations are the box's lattice points in the open positive orthant;
     boundary points are its nonzero closed-orthant points with a zero
     coordinate, which the boundary policy leaves out.
@@ -202,39 +183,22 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     dual = lat.dual()
     u_raw = [dual.coord(w, i) for i in range(n)]
     rhs = [rhs_const * u ** (2 * n) for u in u_raw]
+    e = lat.embeddings
 
-    def inside(c):
-        for i in range(n):
-            x = lat.coord(c, i)
-            if cmp_at(x ** (2 * n) * lhs_const, rhs[i], lat.embeddings[i]) >= 0:
-                return False
-        return True
+    def below(c, i):
+        return cmp_at(lat.coord(c, i) ** (2 * n) * lhs_const, rhs[i], e[i]) < 0
 
-    # float bounds for candidate enumeration (exactness lives in `inside`)
-    u_f = [abs(float_at(u, e)) for u, e in zip(u_raw, lat.embeddings)]
-    p_f = abs(float_at(p_norm, lat.root_index))
-    d_f = float(lat.scale_d_sq) ** 0.5
-    t0_f = float(T0Bound(det_f, n))
     bounds = []
     for i in range(n):
-        r = t0_f * (d_f ** (2.0 / n)) * u_f[i] / (p_f ** (1.0 / n))
-        bounds.append(Fraction(r * 1.01 + 1e-9).limit_denominator(10**6))
-
-    boundary = []
-
-    def filt(c, partial):
-        if all(x == 0 for x in c):
-            return False
-        signs = [lat.coord_sign(c, i) for i in range(n)]
-        if min(signs) < 0 or not inside(c):
-            return False
-        if min(signs) == 0:
-            boundary.append(c)
-            return False
-        return True
-
-    boxes = [(Fraction(0), b) for b in bounds]
-    return list(_enumerate_core(lat, boxes, filt, budget)), boundary
+        q_lo, q_hi = interval_at(rhs[i] / lhs_const, e[i], Fraction(1, 2**96))
+        bounds.append(_root_bounds(q_lo, q_hi, 2 * n, _ENUM_SHIFT) + (below,))
+    boxes = [(Fraction(0), Fraction(b_hi, 1 << _ENUM_SHIFT)) for _, b_hi, _ in bounds]
+    pts = _enumerate_core(lat, boxes, _box_filter(lat, bounds, 0), budget)
+    violations, boundary = [], []
+    for c, partial in pts.items():
+        on_axis = any(partial[i][0] <= 0 and lat.coord_sign(c, i) == 0 for i in range(n))
+        (boundary if on_axis else violations).append(c)
+    return violations, boundary
 
 
 def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):
@@ -328,9 +292,7 @@ def theorem1_audit(lat, t, budget=DEFAULT_POINT_BUDGET):
     pos_fac = pos_star = 0
     pos_stars_n = pos_cert_n = 0
     for signs in orthant_representatives(lat.n):
-        refl = lat.reflect(signs)
-        rep = irrationality_check(refl, t)
-        patch = build_sail_patch(refl, t, budget=budget)
+        patch = build_sail_patch(lat.reflect(signs), t, budget=budget)
         patches[tuple(signs)] = patch
         dr = det_report(patch)
         entry = {
@@ -339,7 +301,7 @@ def theorem1_audit(lat, t, budget=DEFAULT_POINT_BUDGET):
             "max_det_star": dr.max_det_star,
             "certified_facets": len(patch.certified_facets()),
             "complete_stars": len(patch.complete_star_vertices()),
-            "irrationality_ok": rep.ok,
+            "irrationality_ok": patch.irrationality.ok,
         }
         orthants.append(entry)
         max_all = max(max_all, dr.max_det_facet)

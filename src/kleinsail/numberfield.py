@@ -22,7 +22,7 @@ from .linalg import solve
 
 __all__ = [
     "NumberField", "FieldElement", "NotTotallyRealError",
-    "sign_at", "cmp_at", "floor_at", "interval_at", "float_at", "mpf_at",
+    "sign_at", "cmp_at", "interval_at", "float_at", "mpf_at",
 ]
 
 
@@ -79,7 +79,7 @@ class NumberField:
     embedding used by single-embedding consumers.
     """
 
-    def __init__(self, minpoly_low, name="theta"):
+    def __init__(self, minpoly_low):
         coeffs = tuple(_as_fraction(c) for c in minpoly_low)
         self.degree = len(coeffs)
         if self.degree not in (2, 3):
@@ -88,7 +88,6 @@ class NumberField:
             if c.denominator != 1:
                 raise ValueError("minimal polynomial must have integer coefficients")
         self.coeffs = coeffs + (Fraction(1),)  # monic, low-to-high
-        self.name = name
         self._check_irreducible()
         self.disc = self._discriminant()
         if self.disc <= 0:
@@ -442,13 +441,6 @@ def sign_at(x, e):
 def cmp_at(a, b, e):
     """Exact sign of a - b (under embedding e)."""
     return sign_at(a - b, e)
-
-
-def floor_at(x, e):
-    """Exact floor of x (under embedding e)."""
-    if isinstance(x, FieldElement):
-        return x.floor_at(e)
-    return x.numerator // x.denominator
 
 
 def interval_at(x, e, width=None):

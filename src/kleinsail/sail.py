@@ -35,7 +35,7 @@ from functools import cmp_to_key
 from .hull import convex_hull_2d, convex_hull_3d
 from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
 from .lattice import Lattice, irrationality_check
-from .numberfield import cmp_at, floor_at, interval_at, sign_at
+from .numberfield import interval_at
 
 __all__ = [
     "PointBudgetError", "Facet", "EdgeStar", "SailPatch",
@@ -221,34 +221,47 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
     return out
 
 
-def _window_leaf_filter(lat, t, include_boundary):
-    """Interval-first window membership with exact fallback only at straddles."""
-    t = Fraction(t)
-    t_lo, t_hi = lat.raw_window_interval(t)
-    scale = 1 << _ENUM_SHIFT
-    t_lo_s = int((t_lo * scale).__floor__())
-    t_hi_s = int((t_hi * scale).__ceil__())
+def _box_filter(lat, bounds, min_sign):
+    """The leaf filter of every `_enumerate_core` scan: c != 0, and for every
+    coordinate i, sign(x_i) >= min_sign and, where bounds[i] is given,
+    |x_i| < b_i.
+
+    min_sign -1 allows any sign, 0 is the closed orthant and 1 the open one.
+    bounds[i] = (lo, hi, below): lo <= 2^64 b_i <= hi certainly, and
+    below(c, i) decides |x_i| < b_i exactly.  Each condition is decided on
+    the leaf's enclosure of x_i; the exact sign and `below` run only where
+    that enclosure straddles 0 or the bound.
+    """
     n = lat.n
 
     def filt(c, partial):
-        if all(x == 0 for x in c):
+        if not any(c):
             return False
         for i in range(n):
             lo, hi = partial[i]
-            if hi < 0:
+            # [lo, hi] encloses 2^64 x_i in integers: lo >= min_sign proves
+            # sign(x_i) >= min_sign, and hi < min_sign refutes it
+            if min_sign >= 0 and lo < min_sign and (
+                    hi < min_sign or lat.coord_sign(c, i) < min_sign):
                 return False
-            if not lo > 0:
-                s = lat.coord_sign(c, i)
-                if s < 0 or (s == 0 and not include_boundary):
-                    return False
-            if not hi < t_lo_s:
-                if lo > t_hi_s:
-                    return False
-                if not lat.coord_abs_lt(c, i, t):
+            if bounds[i] is not None:
+                b_lo, b_hi, below = bounds[i]
+                if (hi >= b_lo or -lo >= b_lo) and (
+                        lo > b_hi or -hi > b_hi or not below(c, i)):
                     return False
         return True
 
     return filt
+
+
+def _window_bounds(lat, t):
+    """`_box_filter` bounds for |x_i| < t in normalized coordinates, every i."""
+    t = Fraction(t)
+    t_lo, t_hi = lat.raw_window_interval(t)
+    scale = 1 << _ENUM_SHIFT
+    bound = (int((t_lo * scale).__floor__()), int((t_hi * scale).__ceil__()),
+             lambda c, i: lat.coord_abs_lt(c, i, t))
+    return [bound] * lat.n
 
 
 def _line_basis(lat, budget):
@@ -264,7 +277,7 @@ def _line_basis(lat, budget):
     t = Fraction(2)
     while True:
         boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * n
-        pts = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), budget)
+        pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 0), budget)
         if pts:
             v = min(pts, key=lambda c: (sum(lat.coord_float(c, i) for i in range(n)), c))
             return unimodular_completion(primitive_int_vector(v))
@@ -279,43 +292,14 @@ def _enumerate_window(lat, t, include_boundary, budget):
     Pareto-minimal points are theirs."""
     t = Fraction(t)
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    filt = _window_leaf_filter(lat, t, include_boundary)
+    filt = _box_filter(lat, _window_bounds(lat, t), 0 if include_boundary else 1)
     return _enumerate_core(lat, boxes, filt, budget, _line_basis(lat, budget),
                            first_per_line=True)
 
 
-def _enumerate_window_alpha(lat, t, include_boundary, budget):
-    """Column scan for alpha-shaped lattices: keeps, per column x1 = a, the
-    minimal-x2 point (all other column points are dominated) -- exactly the
-    candidates that can be hull vertices.  The scan solves for the product
-    r*b, since x2 = s*a + r*b, and returns b.  The library scans these
-    lattices with `_enumerate_window`, whose line vector here is (0, 1)."""
-    t = Fraction(t)
-    r = 1 if lat.basis[1][1] == 1 else -1
-    a_lo = 0 if include_boundary else 1
-    a_hi = int(t.__ceil__()) - (1 if t.denominator == 1 else 0)
-    out = []
-    count = 0
-    e = lat.embeddings[1]
-    for a in range(a_lo, a_hi + 1):
-        count += 1
-        if count > budget:
-            raise PointBudgetError(budget)
-        # the least b with x2 = s + b >= 0 (> 0 without the boundary)
-        s = lat.basis[1][0] * a
-        fl = floor_at(-s, e)
-        b = fl if cmp_at(-s, fl, e) == 0 else fl + 1
-        sgn = sign_at(s + b, e)
-        if sgn < 0 or (sgn == 0 and not include_boundary):
-            b += 1
-        if cmp_at(s + b, t, e) >= 0:
-            continue
-        if a == 0 and b == 0:
-            b = 1
-            if t <= 1:
-                continue
-        out.append((a, r * b))
-    return out
+# The benchmark's tracer still wraps this name; the benchmark-only change
+# (ROADMAP item 1) drops it there and here.
+_enumerate_window_alpha = _enumerate_window
 
 
 def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
@@ -324,7 +308,7 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
     if t <= 0:
         raise ValueError("window must be positive")
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    pts = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, False), budget)
+    pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 1), budget)
     return [lat.point(c) for c in sorted(pts)]
 
 
@@ -519,12 +503,10 @@ def _level_points(lat, w, d, budget):
     a = [tuple(m[j][k] for j in range(n)) for k in order]
     a_inv = [tuple(m_inv[k][j] for k in order) for j in range(n)]
 
+    orthant = _box_filter(lat, [None] * n, 0)
+
     def filt(c, partial):
-        for i in range(n):
-            lo, hi = partial[i]
-            if hi < 0 or (lo < 0 and lat.coord_sign(c, i) < 0):
-                return False
-        return 1 <= sum(x * y for x, y in zip(w, c)) <= d
+        return orthant(c, partial) and 1 <= sum(x * y for x, y in zip(w, c)) <= d
 
     return _enumerate_core(lat, boxes, filt, budget, (a_inv, a), (w, 1, d))
 
@@ -679,7 +661,7 @@ class SailPatch:
             ],
             "irrationality": {
                 "ok": self.irrationality.ok,
-                "witnesses": [list(w.coeffs) for w in self.irrationality.witnesses[:64]],
+                "witnesses": [list(w) for w in self.irrationality.witnesses[:64]],
             },
             "stats": {"enumerated": self.enumerated, "pruned": self.pruned,
                       "budget": self.budget},

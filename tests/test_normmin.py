@@ -207,3 +207,50 @@ def test_audit_json(cubic_lat):
     assert doc["schema"] == "kleinsail.audit/1"
     assert doc["norm_minimum_estimate"] == "1/7"
     assert len(doc["orthants"]) == 4
+
+
+def _t0_box_oracle(patch):
+    """`check_t0_boxes` by brute force: per certified facet, an exact scan
+    of Q(t') with t' above every side of its box, filtered by the box's
+    exact inequality and split at zero coordinates."""
+    from functools import cache
+    from kleinsail.determinants import det_facet
+    from kleinsail.numberfield import sign_at
+    lat = patch.lattice
+    n, e = lat.n, lat.embeddings
+    signs = cache(lambda c: [lat.coord_sign(c, i) for i in range(n)])
+    violations, boundary = [], set()
+    for fi, f in enumerate(patch.facets):
+        if not f.certified:
+            continue
+        w = f.support
+        lhs = lat.support_normal_product(w) ** 2 * Fraction(n) ** n
+        rhs = [Fraction(det_facet(f)) ** 2 * lat.scale_d_sq ** 2
+               * lat.dual().coord(w, i) ** (2 * n) for i in range(n)]
+        # |x_i| < t' d^(1/n) holds on the box once (t' d^(1/n))^(2n) * lhs > rhs_i
+        t = 1
+        while any(sign_at(t ** (2 * n) * lat.scale_d_sq * lhs - rhs[i], e[i]) <= 0
+                  for i in range(n)):
+            t += 1
+        inside = [c for c in enumerate_sym_box(lat, t) if min(signs(c)) >= 0
+                  and all(sign_at(lat.coord(c, i) ** (2 * n) * lhs - rhs[i], e[i]) < 0
+                          for i in range(n))]
+        axis = {c for c in inside if min(signs(c)) == 0}
+        boundary |= axis
+        bad = sorted(set(inside) - axis)
+        if bad:
+            violations.append((fi, bad[:8]))
+    return {"facets_checked": len(patch.certified_facets()), "violations": violations,
+            "boundary_points": sorted(boundary), "ok": not violations}
+
+
+@pytest.mark.parametrize("name, make, t, signs", [
+    ("cubic49", lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 6, s)
+    for s in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+] + [
+    ("rational3-0", lambda: random_rational_lattice(3, 0), 6, (1, 1, 1)),
+    ("alpha-13/34", lambda: lattice_from_alpha(Fraction(13, 34)), 20, (1, 1)),
+])
+def test_t0_boxes_match_brute_force(name, make, t, signs):
+    patch = build_sail_patch(make().reflect(signs), t)
+    assert check_t0_boxes(patch) == _t0_box_oracle(patch)

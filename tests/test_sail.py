@@ -128,9 +128,10 @@ def test_cubic_patch_certification_and_distances(cubic_patch):
 def _window_points(lat, t, closed=True):
     """Every window point, mapped to its enclosures (the window (0, t)^n
     without `closed`)."""
-    from kleinsail.sail import _enumerate_core, _window_leaf_filter
+    from kleinsail.sail import _box_filter, _enumerate_core, _window_bounds
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    return _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, closed), 10**6)
+    filt = _box_filter(lat, _window_bounds(lat, t), 0 if closed else 1)
+    return _enumerate_core(lat, boxes, filt, 10**6)
 
 
 def _pareto_oracle(lat, pts):
@@ -412,17 +413,26 @@ def test_pareto_prune_preserves_hull():
     assert hull_of(pts) == hull_of(kept)
 
 
-@pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
-def test_alpha_column_scan_matches_generic_enumeration(signs):
-    # reflecting the second axis gives the alpha shape rows (1, 0), (s, -1)
-    from kleinsail.sail import _enumerate_core, _enumerate_window_alpha, _window_leaf_filter
-    lat = lattice_from_alpha(Fraction(13, 34)).reflect(signs)
-    t = 30
-    scan = _enumerate_window_alpha(lat, t, True, 10**6)
-    assert all(lat.in_positive_window(c, t) for c in scan)
-    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * 2
-    full = _enumerate_core(lat, boxes, _window_leaf_filter(lat, t, True), 10**6)
-    assert sorted(_pareto_oracle(lat, scan)) == sorted(_pareto_oracle(lat, full))
+@pytest.mark.parametrize("name, make, t", [
+    ("golden", lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 30),
+    ("rational3-0", lambda: random_rational_lattice(3, 0), 5),
+    ("cubic49", lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 4),
+])
+def test_box_filter_exact_path_matches_enclosures(name, make, t):
+    # bounds widened to (0, 2^200) decide no leaf on the enclosures, so every
+    # leaf takes the exact test; the kept points must not change
+    from kleinsail.sail import _box_filter, _enumerate_core, _window_bounds
+    lat = make()
+    tight = _window_bounds(lat, t)
+    wide = [(0, 2**200, below) for _, _, below in tight]
+    hi = lat.raw_window_enclosure(t)
+    for min_sign in (-1, 0, 1):
+        boxes = [(-hi if min_sign < 0 else Fraction(0), hi)] * lat.n
+        got = [list(_enumerate_core(lat, boxes, _box_filter(lat, bounds, min_sign), 10**6))
+               for bounds in (tight, wide)]
+        assert got[0] and got[0] == got[1]
+        assert all(lat.in_sym_box(c, t) and all(lat.coord_sign(c, i) >= min_sign
+                                                for i in range(lat.n)) for c in got[0])
 
 
 def test_zero_window_rejected():
@@ -509,10 +519,10 @@ def test_scan_state_is_freed_on_return():
     # the scan's recursion refers to itself; the cycle must not outlive it
     import gc
     import weakref
-    from kleinsail.sail import _enumerate_core, _window_leaf_filter
+    from kleinsail.sail import _box_filter, _enumerate_core, _window_bounds
     lat = random_rational_lattice(3, 0)
     boxes = [(Fraction(0), lat.raw_window_enclosure(4))] * 3
-    filt = _window_leaf_filter(lat, 4, True)
+    filt = _box_filter(lat, _window_bounds(lat, 4), 0)
     ref = weakref.ref(filt)
     gc.disable()
     try:
