@@ -31,7 +31,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 
 from .linalg import det, mat_inverse, mat_mul, solve, transpose
 from .numberfield import (
@@ -51,6 +51,9 @@ SQRT2M1_MINPOLY = (-1, 2)     # x^2 + 2x - 1; positive root sqrt2 - 1
 CUBIC49_MINPOLY = (-1, -2, 1)  # x^3 + x^2 - 2x - 1; theta = 2cos(2pi/7), disc 49
 
 LATTICE_SCHEMA = "kleinsail.lattice/1"
+
+_ENUM_SHIFT = 64  # fixed-point scale of the certified integer enclosures
+_SCALE = 1 << _ENUM_SHIFT
 
 
 class DegenerateBasisError(ValueError):
@@ -90,6 +93,24 @@ def _root_bounds(q_lo, q_hi, k, shift):
     m = q_hi * scale
     hi = _iroot(ceil(m), k)
     return lo, hi if hi ** k >= m else hi + 1
+
+
+def _scale_out(lo, hi):
+    """A rational interval as integers (a, b), a <= 2^64 lo and 2^64 hi <= b:
+    scaled by 2^_ENUM_SHIFT and rounded outward."""
+    return floor(lo * _SCALE), ceil(hi * _SCALE)
+
+
+def _iv_dot(ivs, ks):
+    """Enclosure of sum_j ivs[j] * ks[j] for exact rationals ks (integers
+    mostly): the interval ends pair with each k by its sign."""
+    lo = hi = 0
+    for (a, b), k in zip(ivs, ks):
+        if k >= 0:
+            lo, hi = lo + a * k, hi + b * k
+        else:
+            lo, hi = lo + b * k, hi + a * k
+    return (lo, hi)
 
 
 def _nth_root_fraction(q, n):
@@ -146,6 +167,7 @@ class Lattice:
         self._coeff_iv = None
         self._basis_iv = None
         self._scale_root_iv = None
+        self._gen_mul = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -264,7 +286,7 @@ class Lattice:
             raise ValueError("module elements exist only for module lattices")
         acc = self.field.zero()
         for c, g in zip(coeffs, gens):
-            acc = acc + self.field.element((c,)) * g
+            acc = acc + g * c
         return acc
 
     # -- exact coordinate predicates ----------------------------------------------
@@ -326,13 +348,24 @@ class Lattice:
         Over one embedding, the product of the coordinate scalars.  For a
         module lattice the coordinates live in different embeddings, and
         their product is the module element's norm times the row signs: a
-        rational.
+        rational, the determinant of the element's multiplication matrix.
         """
         if not self._one_embedding:
+            # norm(sum_j c_j g_j) = det(sum_j c_j M(g_j)), as mul_matrix is
+            # linear; the M(g_j) are cached as integers over one denominator
+            if self._gen_mul is None:
+                mats = [g.mul_matrix() for g in self.gens]
+                den = lcm(*(x.denominator for m in mats for row in m for x in row))
+                self._gen_mul = den, [[[int(x * den) for x in row] for row in m]
+                                      for m in mats]
+            den, mats = self._gen_mul
+            n = self.n
+            m = [[sum(c * mj[r][s] for c, mj in zip(coeffs, mats)) for s in range(n)]
+                 for r in range(n)]
             sgn = 1
             for s in self.row_signs:
                 sgn *= s
-            return sgn * self.module_element(coeffs).norm()
+            return Fraction(sgn * det(m), den ** n)
         acc = self.coord(coeffs, 0)
         for i in range(1, self.n):
             acc = acc * self.coord(coeffs, i)
@@ -359,11 +392,18 @@ class Lattice:
 
     # -- functional geometry ---------------------------------------------------------
 
+    def normal_enclosures(self, w):
+        """Certified integer enclosures, at scale 2^_ENUM_SHIFT, of the raw
+        ambient normal B^-T w, coordinatewise: the coordinates of the
+        integer functional w in the dual lattice."""
+        inv = self.coeff_interval_matrix()
+        return [_iv_dot([row[i] for row in inv], w) for i in range(self.n)]
+
     def support_normal_signs(self, w):
-        """Signs of the normalized ambient normal B^-T w, coordinatewise: the
-        coordinates of w in the dual lattice."""
-        dual = self.dual()
-        return tuple(dual.coord_sign(w, i) for i in range(self.n))
+        """Signs of the normalized ambient normal B^-T w, coordinatewise: read
+        off `normal_enclosures`, exactly where an enclosure contains 0."""
+        return tuple(1 if lo > 0 else -1 if hi < 0 else self.dual().coord_sign(w, i)
+                     for i, (lo, hi) in enumerate(self.normal_enclosures(w)))
 
     def support_normal_product(self, w):
         """Product of the *normalized* ambient normal's coordinates, exact.
@@ -378,21 +418,26 @@ class Lattice:
     # -- coefficient range enclosures ---------------------------------------------------
 
     def coeff_interval_matrix(self):
-        """Rational interval enclosures of the raw inverse basis entries, from
-        root intervals of width <= 2^-80 (cached)."""
+        """Certified integer enclosures of the raw inverse basis entries at
+        scale 2^_ENUM_SHIFT, rounded outward from root intervals of width
+        <= 2^-80 (cached)."""
         if self._coeff_iv is None:
             width = Fraction(1, 2**80)
-            self._coeff_iv = [[interval_at(x, e, width) for x, e in zip(row, self.embeddings)]
-                              for row in self.inverse_rows()]
+            self._coeff_iv = tuple(
+                tuple(_scale_out(*interval_at(x, e, width))
+                      for x, e in zip(row, self.embeddings))
+                for row in self.inverse_rows())
         return self._coeff_iv
 
     def basis_interval_matrix(self):
-        """Rational interval enclosures of the raw basis entries, from root
-        intervals of width <= 2^-96 (cached)."""
+        """Certified integer enclosures of the raw basis entries at scale
+        2^_ENUM_SHIFT, rounded outward from root intervals of width <= 2^-96
+        (cached)."""
         if self._basis_iv is None:
             width = Fraction(1, 2**96)
-            self._basis_iv = [[interval_at(x, e, width) for x in row]
-                              for row, e in zip(self.basis, self.embeddings)]
+            self._basis_iv = tuple(
+                tuple(_scale_out(*interval_at(x, e, width)) for x in row)
+                for row, e in zip(self.basis, self.embeddings))
         return self._basis_iv
 
     def scale_root_interval(self):

@@ -27,7 +27,8 @@ from functools import cmp_to_key
 import mpmath
 
 from .determinants import det_SF
-from .numberfield import interval_at, mpf_at, sign_at
+from .lattice import _iv_dot
+from .numberfield import mpf_at, sign_at
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -52,11 +53,13 @@ def pi_log(values):
 
 def _coord_values(lat, coeffs):
     """A point's coordinates at _PREC bits, or None if one is not positive
-    (decided interval first, exactly where the enclosure straddles 0)."""
+    (decided on the lattice's cached basis enclosure first, exactly where it
+    straddles 0)."""
+    enc = lat.basis_interval_matrix()
     vals = []
     for i in range(lat.n):
         x, e = lat.coord(coeffs, i), lat.embeddings[i]
-        if not interval_at(x, e)[0] > 0 and sign_at(x, e) <= 0:
+        if _iv_dot(enc[i], coeffs)[0] <= 0 and sign_at(x, e) <= 0:
             return None
         vals.append(mpf_at(x, e, _PREC))
     return vals

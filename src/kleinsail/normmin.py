@@ -27,12 +27,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .determinants import det_report
-from .lattice import OrthantSign, _root_bounds
+from .lattice import _ENUM_SHIFT, OrthantSign, _root_bounds
 # the benchmark's tracer wraps `irrationality_check` under this module's name
 from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
 from .sail import (
-    DEFAULT_POINT_BUDGET, _ENUM_SHIFT, _box_filter, _enumerate_core, _window_bounds,
+    DEFAULT_POINT_BUDGET, _box_filter, _enumerate_core, _window_bounds,
     _window_minima, build_sail_patch,
 )
 

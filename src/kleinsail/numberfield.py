@@ -272,6 +272,8 @@ class FieldElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational scales the coordinates
+            return FieldElement(self.field, tuple(a * other for a in self.vec))
         o = self._coerce(other)
         d = self.field.degree
         prod = [Fraction(0)] * (2 * d - 1)

@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .determinants import det_edge_star
 from .linalg import affine_rank, det, solve, subset_det_sum, vec_dot
@@ -361,11 +362,11 @@ def _compare_2d_polar_sets(lat, dual, patch, dual_patch):
     if not (polar_set & dual_set):
         return {"equal": False, "overlap": 0}
 
-    def key(c):
-        return dual.coord_float(c, 0)
-
-    lo = max(min(key(c) for c in polar_set), min(key(c) for c in dual_set))
-    hi = min(max(key(c) for c in polar_set), max(key(c) for c in dual_set))
+    # both sets are points of the dual lattice, ordered exactly by their
+    # first coordinate there
+    key = cmp_to_key(lambda a, b: dual.coord_cmp_points(a, b, 0))
+    lo = key(max(min(polar_set, key=key), min(dual_set, key=key), key=key))
+    hi = key(min(max(polar_set, key=key), max(dual_set, key=key), key=key))
     mid_p = {c for c in polar_set if lo <= key(c) <= hi}
     mid_d = {c for c in dual_set if lo <= key(c) <= hi}
     return {

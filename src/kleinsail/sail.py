@@ -34,7 +34,7 @@ from functools import cmp_to_key
 
 from .hull import convex_hull_2d, convex_hull_3d
 from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
-from .lattice import Lattice, irrationality_check
+from .lattice import _ENUM_SHIFT, Lattice, _iv_dot, _scale_out, irrationality_check
 from .numberfield import interval_at
 
 __all__ = [
@@ -54,48 +54,29 @@ class PointBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# interval helpers (rational endpoints; exact containment everywhere)
+# the enumerator
 
-def _iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _iv_mul_iv(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
-
-
-def _iv_dot(ivs, ks):
-    """Enclosure of sum_j ivs[j] * ks[j] for integers ks."""
-    lo = hi = 0
-    for (a, b), k in zip(ivs, ks):
-        if k >= 0:
-            lo, hi = lo + a * k, hi + b * k
-        else:
-            lo, hi = lo + b * k, hi + a * k
-    return (lo, hi)
-
-
-def _coeff_outer_ranges(lat, row_boxes, u_inv=None):
-    """Integer ranges for coefficients compatible with raw coordinate boxes;
-    with `u_inv`, for the coefficients U^-1 c of the basis B U."""
+def _coeff_outer_ranges(lat, boxes, u_inv=None):
+    """Integer ranges enclosing each coefficient's range over the raw
+    coordinate box `boxes`, given per row as integer pairs at scale 2^64;
+    with `u_inv`, of the coefficients U^-1 c of the basis B U.  The products
+    of the two 2^64-scaled enclosures are exact at scale 2^128, and the sums
+    round outward to integers by shifts."""
     inv = lat.coeff_interval_matrix()
     n = lat.n
     if u_inv is not None:
         inv = [[_iv_dot([inv[j][i] for j in range(n)], u_inv[k]) for i in range(n)]
                for k in range(n)]
+    shift = 2 * _ENUM_SHIFT
     ranges = []
-    for j in range(n):
-        acc = (Fraction(0), Fraction(0))
-        for i in range(n):
-            acc = _iv_add(acc, _iv_mul_iv(inv[j][i], row_boxes[i]))
-        lo = acc[0]
-        hi = acc[1]
-        ranges.append((int(lo.__floor__()), int(hi.__ceil__())))
+    for row in inv:
+        lo = hi = 0
+        for (elo, ehi), (blo, bhi) in zip(row, boxes):
+            ps = (elo * blo, elo * bhi, ehi * blo, ehi * bhi)
+            lo += min(ps)
+            hi += max(ps)
+        ranges.append((lo >> shift, -(-hi >> shift)))
     return ranges
-
-
-_ENUM_SHIFT = 64  # fixed-point scale for the enumeration intervals
 
 
 def _ceil_div(a, b):
@@ -134,20 +115,17 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
     """
     n = lat.n
     u, u_inv = basis if basis is not None else (None, None)
-    outer = _coeff_outer_ranges(lat, row_boxes, u_inv)
-    scale = 1 << _ENUM_SHIFT
-    # scaled integer enclosures: floor/ceil keep them certain
-    enc = [[(int((e[0] * scale).__floor__()), int((e[1] * scale).__ceil__()))
-            for e in row] for row in lat.basis_interval_matrix()]
+    boxes = [_scale_out(lo, hi) for lo, hi in row_boxes]
+    outer = _coeff_outer_ranges(lat, boxes, u_inv)
+    enc = lat.basis_interval_matrix()
     if u is not None:
         enc = [[_iv_dot(row, [u[j][k] for j in range(n)]) for k in range(n)]
                for row in enc]
-    boxes = [(int((b[0] * scale).__floor__()), int((b[1] * scale).__ceil__()))
-             for b in row_boxes]
     if functional is not None:
         f, f_lo, f_hi = functional
         f_u = f if u is None else [sum(f[j] * u[j][k] for j in range(n)) for k in range(n)]
-        enc.append([(x * scale, x * scale) for x in f_u])
+        scale = 1 << _ENUM_SHIFT
+        enc = list(enc) + [[(x * scale, x * scale) for x in f_u]]
         boxes.append((f_lo * scale, f_hi * scale))
     rows = range(len(enc))
     # tail enclosures: sum over j > k of enc[i][j] * outer range j
@@ -257,10 +235,7 @@ def _box_filter(lat, bounds, min_sign):
 def _window_bounds(lat, t):
     """`_box_filter` bounds for |x_i| < t in normalized coordinates, every i."""
     t = Fraction(t)
-    t_lo, t_hi = lat.raw_window_interval(t)
-    scale = 1 << _ENUM_SHIFT
-    bound = (int((t_lo * scale).__floor__()), int((t_hi * scale).__ceil__()),
-             lambda c, i: lat.coord_abs_lt(c, i, t))
+    bound = _scale_out(*lat.raw_window_interval(t)) + (lambda c, i: lat.coord_abs_lt(c, i, t),)
     return [bound] * lat.n
 
 
@@ -488,11 +463,11 @@ def _level_points(lat, w, d, budget):
     leaves of the whole walk.
     """
     n = lat.n
-    inv = lat.coeff_interval_matrix()
     boxes = []
-    for i in range(n):
-        nu_lo = _iv_dot([inv[j][i] for j in range(n)], w)[0]
-        if nu_lo <= 0:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
+    for i, (nu_lo, _) in enumerate(lat.normal_enclosures(w)):
+        if nu_lo > 0:
+            nu_lo = Fraction(nu_lo, 1 << _ENUM_SHIFT)
+        else:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
             x, e, width = lat.dual().coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
             while (nu_lo := interval_at(x, e, width)[0]) <= 0:
                 width /= 2**40

@@ -214,6 +214,83 @@ def test_support_normal_signs_rational():
     assert lat.support_normal_signs((1, -1)) == (1, -1)
 
 
+def _exact_normal_signs(lat, w):
+    return tuple(lat.dual().coord_sign(w, i) for i in range(lat.n))
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 12),
+    (lambda: random_rational_lattice(3, 0), 10),
+    (lambda: random_rational_lattice(3, 1), 10),
+    (lambda: random_rational_lattice(3, 2), 10),
+], ids=["cubic49", "rational-0", "rational-1", "rational-2"])
+def test_support_normal_signs_match_exact_on_facet_supports(make, t):
+    from kleinsail.normmin import orthant_representatives
+    from kleinsail.sail import build_sail_patch
+    lat = make()
+    supports = 0
+    for signs in orthant_representatives(3):
+        refl = lat.reflect(signs)
+        for f in build_sail_patch(refl, t).facets:
+            if f.support:
+                supports += 1
+                assert refl.support_normal_signs(f.support) == _exact_normal_signs(refl, f.support)
+    assert supports > 20
+
+
+def _lattice_with_inverse(inv):
+    """The rational lattice whose raw inverse basis is exactly `inv`."""
+    from kleinsail.linalg import mat_inverse
+    return Lattice.rational(mat_inverse([tuple(Fraction(x) for x in row) for row in inv]))
+
+
+@pytest.mark.parametrize("e", [0, Fraction(1, 3**45), -Fraction(1, 3**45)],
+                         ids=["zero", "tiny", "minus-tiny"])
+@pytest.mark.parametrize("col, w0", [
+    ((1, -1), (1, 1)),
+    ((Fraction(1, 3), -Fraction(1, 3)), (1, 1)),
+    ((Fraction(1, 3), Fraction(2, 3)), (2, -1)),   # rounded ends not symmetric about 0
+], ids=["dyadic", "thirds", "uneven"])
+def test_support_normal_signs_straddling_rational(e, col, w0):
+    # the first dual column is col + (0, e/w0[1]); w = +-(w0, k) meets it in
+    # +-e: its enclosure holds 0, and only the exact fallback decides
+    lat = _lattice_with_inverse([(col[0], 0, 1), (col[1] + Fraction(e, w0[1]), 1, 0), (0, 2, 1)])
+    for k in (0, 1, -1, -3):
+        for s in (1, -1):
+            w = (s * w0[0], s * w0[1], s * k)
+            lo, hi = lat.normal_enclosures(w)[0]
+            assert lo <= 0 <= hi
+            got = lat.support_normal_signs(w)
+            assert got == _exact_normal_signs(lat, w)
+            assert got[0] == s * ((e > 0) - (e < 0))
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
+def test_support_normal_signs_straddling_cubic(signs):
+    # alpha = theta^k g*_0 is in the dual module, with coordinates w_j =
+    # Tr(alpha g_j); its second embedding, theta's of modulus 0.445, is tiny
+    base = lattice_from_cubic_field(CUBIC49_MINPOLY)
+    theta = base.field.gen()
+    g0_dual = base.inverse_rows()[0][0]
+    lat = base.reflect(signs)
+    for k in range(50, 71, 4):
+        alpha = theta ** k * g0_dual
+        for w in (tuple(int((alpha * g).trace()) for g in base.gens),
+                  tuple(-int((alpha * g).trace()) for g in base.gens)):
+            lo, hi = lat.normal_enclosures(w)[1]
+            assert lo <= 0 <= hi
+            assert lat.support_normal_signs(w) == _exact_normal_signs(lat, w)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
+def test_module_phi_raw_is_signed_norm(signs):
+    lat = lattice_from_cubic_field(CUBIC49_MINPOLY).reflect(signs)
+    sgn = signs[0] * signs[1] * signs[2]
+    for c in ((1, 0, 0), (0, 1, 0), (0, 0, 0), (2, -3, 5), (-7, 4, 1), (10**6, -3, 17),
+              (Fraction(1, 2), Fraction(-2, 3), 3)):
+        assert lat.phi_raw(c) == sgn * lat.module_element(c).norm()
+
+
 def test_support_normal_product_cubic():
     lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
     # w = (1,0,0): normalized normal product = Norm(g*_1) * 7

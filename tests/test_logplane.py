@@ -174,15 +174,15 @@ def test_cell_samples_match_exact_mixes(make, t):
     (_golden_alpha, 60, True),   # the axis-vertex facet
 ], ids=["cubic49", "golden"])
 def test_project_patch_straddling_enclosures_fall_back_to_exact(monkeypatch, make, t, skips):
-    # every coordinate enclosure widened by 1 straddles 0: only the exact
-    # sign test decides positivity and the orthant boundary
+    # every coordinate enclosure (2^64-scaled) widened by 2^200 straddles 0:
+    # only the exact sign test decides positivity and the orthant boundary
     import kleinsail.logplane as lp
 
     patch = build_sail_patch(make(), t)
     want = project_patch(patch)
-    exact = lp.interval_at
-    monkeypatch.setattr(lp, "interval_at",
-                        lambda x, e: tuple(v + d for v, d in zip(exact(x, e), (-1, 1))))
+    exact = lp._iv_dot
+    monkeypatch.setattr(lp, "_iv_dot", lambda ivs, ks: tuple(
+        v + d for v, d in zip(exact(ivs, ks), (-1 << 200, 1 << 200))))
     assert project_patch(patch) == want
     assert bool(want[1]) == skips
 

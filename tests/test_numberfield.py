@@ -126,3 +126,15 @@ def test_refine_root_returns_narrow_interval_without_evaluating(monkeypatch):
     # a single step (no width) still bisects once
     lo, hi = fld.refine_root(2)
     assert calls and hi - lo == (want[1] - want[0]) / 2
+
+
+@pytest.mark.parametrize("field", [GOLDEN, SQRT2M1, CUBIC49], ids=["golden", "sqrt2m1", "cubic49"])
+def test_rational_scalar_product_matches_field_product(field):
+    vecs = [(1,), (0, 1), (Fraction(-3, 7), 2, 5), (5, Fraction(1, 3), -2), (0, 0, Fraction(9, 4))]
+    for vec in vecs:
+        x = field.element(vec[:field.degree])
+        for k in (0, 1, -1, 7, -12, 10**20, Fraction(-5, 4), Fraction(2, 9)):
+            want = x * field.element((k,))
+            for got in (x * k, k * x):
+                assert got == want
+                assert all(isinstance(v, Fraction) for v in got.vec)

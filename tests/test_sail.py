@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -258,7 +259,9 @@ def test_certify_wide_normal_enclosure_falls_back_to_exact():
     # a normal enclosure too wide to bound the region is tightened exactly
     lat = random_rational_lattice(3, 0)
     wide = random_rational_lattice(3, 0)
-    wide._coeff_iv = [[(x - 1, x + 1) for x in row] for row in wide.inverse_rows()]
+    one = 1 << 64  # the enclosures' scale
+    wide._coeff_iv = [[(lo - one, hi + one) for lo, hi in row]
+                      for row in wide.coeff_interval_matrix()]
     for f in build_sail_patch(lat, 6).facets:
         if f.support:
             want = certify_facet(lat, f.support, f.dist)
@@ -433,6 +436,70 @@ def test_box_filter_exact_path_matches_enclosures(name, make, t):
         assert got[0] and got[0] == got[1]
         assert all(lat.in_sym_box(c, t) and all(lat.coord_sign(c, i) >= min_sign
                                                 for i in range(lat.n)) for c in got[0])
+
+
+def _real_coeff_range(lat, boxes, u_inv, k):
+    """Rational enclosures (lo, hi) of the least and of the greatest value of
+    coefficient k of U^-1 B^-1 x over the box, from inverse entries enclosed
+    to 2^-200."""
+    from kleinsail.lattice import _iv_dot
+    from kleinsail.numberfield import interval_at
+    n = lat.n
+    inv = [[interval_at(x, e, Fraction(1, 2**200)) for x, e in zip(row, lat.embeddings)]
+           for row in lat.inverse_rows()]
+    u_row = u_inv[k] if u_inv else [int(j == k) for j in range(n)]
+    least, greatest = [0, 0], [0, 0]
+    for i, (b_lo, b_hi) in enumerate(boxes):
+        p, q = _iv_dot([inv[j][i] for j in range(n)], u_row)
+        ends = [(min(p * x, q * x), max(p * x, q * x)) for x in (b_lo, b_hi)]
+        least = [least[0] + min(e[0] for e in ends), least[1] + min(e[1] for e in ends)]
+        greatest = [greatest[0] + max(e[0] for e in ends),
+                    greatest[1] + max(e[1] for e in ends)]
+    return least, greatest
+
+
+@pytest.mark.parametrize("make, boxes", [
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1),
+     [(Fraction(-7, 3), Fraction(11, 2)), (Fraction(1, 3), Fraction(37, 5))]),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY),
+     [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(17, 5)),
+      (Fraction(-3), Fraction(-1, 7))]),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY).reflect((1, -1, -1)),
+     [(Fraction(0), Fraction(4)), (Fraction(-9, 7), Fraction(2)), (Fraction(1, 5), Fraction(3))]),
+    (lambda: random_rational_lattice(3, 0),
+     [(Fraction(-2), Fraction(3, 2)), (Fraction(0), Fraction(10, 3)),
+      (Fraction(-1, 3), Fraction(2))]),
+    (lambda: random_rational_lattice(3, 1), None),
+], ids=["golden", "cubic49", "cubic49-reflected", "rational-0", "rational-corner"])
+@pytest.mark.parametrize("rebase", [False, True], ids=["basis", "u-basis"])
+def test_coeff_outer_ranges_enclose_the_box(make, boxes, rebase):
+    # the ranges must hold every lattice point of the box (a brute-force scan
+    # over a wider grid finds them) and the box's real coefficient range
+    from itertools import product
+    from kleinsail.linalg import unimodular_completion
+    from kleinsail.numberfield import cmp_at
+    from kleinsail.lattice import _scale_out
+    from kleinsail.sail import _coeff_outer_ranges
+    lat = make()
+    n = lat.n
+    if boxes is None:  # a box with a lattice point at its lower corner
+        corner = [lat.coord((1, -2, 3), i) for i in range(n)]
+        boxes = [(x, x + Fraction(5, 2)) for x in corner]
+    u, u_inv = unimodular_completion((2, 1, -1)[:n]) if rebase else (None, None)
+    ranges = _coeff_outer_ranges(lat, [_scale_out(lo, hi) for lo, hi in boxes], u_inv)
+    grid = []
+    for k in range(n):
+        least, greatest = _real_coeff_range(lat, boxes, u_inv, k)
+        assert ranges[k][0] <= least[1] and greatest[0] <= ranges[k][1]
+        grid.append(range(math.floor(least[0]) - 1, math.ceil(greatest[1]) + 2))
+    found = 0
+    for cp in product(*grid):
+        c = cp if u is None else tuple(sum(u[j][m] * cp[m] for m in range(n)) for j in range(n))
+        if all(cmp_at(lat.coord(c, i), lo, e) >= 0 and cmp_at(lat.coord(c, i), hi, e) <= 0
+               for i, ((lo, hi), e) in enumerate(zip(boxes, lat.embeddings))):
+            found += 1
+            assert all(lo <= x <= hi for x, (lo, hi) in zip(cp, ranges))
+    assert found >= 3
 
 
 def test_zero_window_rejected():
