@@ -4,11 +4,15 @@ Points of the open positive orthant are first scaled onto the surface
 {x1*...*xn = 1} and then mapped through coordinatewise logarithms to
 R^(n-1); a sail projects to a partition of the plane into curvilinear
 cells, one per facet.  Everything here is diagnostic: floats never flow
-back into the exact modules.  Vertex coordinates are exact, then read at
-113 bits; an edge sample's are lambda*x(a) + (1 - lambda)*x(b) from its
-vertices' values at 121 bits, lambda dyadic.  Both terms are positive, so
-samples are positive by convexity, with relative error at most their
-vertices' plus 2^-120.  Comparison tolerances are fixed constants.
+back into the exact modules.  A patch is projected in one pass: each
+vertex's coordinates are formed exactly and read at 113 bits once, and its
+image is shared by every cell that meets it; each edge is sampled once, and
+a cell that meets it the other way reads the same samples reversed.  A
+sample's coordinates are lambda*x(a) + (1 - lambda)*x(b) from its vertices'
+values, the products exact and the sum rounded once at 121 bits.  Both
+terms are positive, so samples are positive by convexity, with relative
+error at most their vertices' plus 2^-120.  Logarithms are taken at 113
+bits in mpmath's raw layer.  Comparison tolerances are fixed constants.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -25,6 +29,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import mpmath
+from mpmath.libmp import (
+    from_int, from_rational, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub, to_float,
+)
 
 from .determinants import det_SF
 from .lattice import _iv_dot
@@ -33,22 +40,37 @@ from .numberfield import mpf_at, sign_at
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
     "cell_covering_radius", "check_phi_bounds", "PhiBoundReport",
-    "CONSISTENCY_TOL", "TRANSLATION_TOL", "EDGE_SAMPLES",
+    "TRANSLATION_TOL", "EDGE_SAMPLES",
 ]
 
-CONSISTENCY_TOL = 1e-9     # shared-vertex agreement across adjacent cells
 TRANSLATION_TOL = 1e-6     # cell matching under diagonal rescales
 EDGE_SAMPLES = 16          # sample points per curvilinear cell edge
 _PREC = 113                # working precision in bits before ln
+_MIX_PREC = _PREC + 8      # edge samples: exact products, one rounding
+_make_mpf = mpmath.mp.make_mpf
 
 
 def pi_log(values):
-    """ln(x_i) - (1/n) ln(x_1...x_n) for i < n, from positive numbers."""
-    n = len(values)
+    """ln(x_i) - (1/n) ln(x_1...x_n) for i < n, from positive numbers, at
+    _PREC bits and rounded to the nearest floats.
+
+    Works on mpmath's raw values.  An mpf is read at its own precision, so a
+    121-bit edge sample is not rounded before its logarithm; any other
+    number is converted at _PREC bits.
+    """
+    logs = [mpf_log(_raw(v), _PREC, "n") for v in values]
+    total = logs[0]
+    for l in logs[1:]:
+        total = mpf_add(total, l, _PREC, "n")
+    mean = mpf_div(total, from_int(len(logs)), _PREC, "n")
+    return tuple(to_float(mpf_sub(l, mean, _PREC, "n"), rnd="n") for l in logs[:-1])
+
+
+def _raw(v):
+    if isinstance(v, mpmath.mpf):
+        return v._mpf_
     with mpmath.workprec(_PREC):
-        logs = [mpmath.log(v) for v in values]
-        mean = sum(logs) / n
-        return tuple(float(l - mean) for l in logs[:-1])
+        return mpmath.mp.convert(v)._mpf_
 
 
 def _coord_values(lat, coeffs):
@@ -88,33 +110,55 @@ class LogCell:
 
 
 def project_patch(patch, edge_samples=EDGE_SAMPLES):
-    """One log-plane cell per certified facet, from one pass over its
-    vertices.  A facet with a zero vertex coordinate (patches lie in the
-    closed orthant) touches its boundary and is skipped and reported, under
-    `build_sail_patch`'s policy.  Edge samples are convex mixes of the
-    vertex values and take no exact arithmetic."""
+    """One log-plane cell per certified facet, from one pass over the patch.
+
+    Each vertex's values and image are computed once, and every cell that
+    meets the vertex reads them.  A vertex with a zero coordinate (patches
+    lie in the closed orthant) touches the boundary: its facets are skipped
+    and reported, under `build_sail_patch`'s policy.  Each edge is sampled
+    once.  Sample s of a -> b mixes the vertex values with weights s/k and
+    (k - s)/k, k = `edge_samples`; the products are exact and their sum is
+    rounded once, so it is bit for bit sample k - s of b -> a, and a cell
+    that meets the edge the other way reads the same list reversed.  Samples
+    take no exact arithmetic."""
     lat = patch.lattice
+    verts, edges = {}, {}    # vertex -> (values, image) or None; (a, b) -> samples
+    weights = [(from_rational(s, edge_samples, _MIX_PREC, "n"),
+                from_rational(edge_samples - s, edge_samples, _MIX_PREC, "n"))
+               for s in range(1, edge_samples)]
+
+    def vertex(c):
+        if c not in verts:
+            vals = _coord_values(lat, c)
+            verts[c] = None if vals is None else (vals, pi_log(vals))
+        return verts[c]
+
+    def edge(a, b):
+        if (b, a) in edges:
+            return edges[b, a][::-1]
+        if (a, b) not in edges:
+            xa = [x._mpf_ for x in verts[a][0]]
+            xb = [x._mpf_ for x in verts[b][0]]
+            edges[a, b] = [
+                pi_log([_make_mpf(mpf_add(mpf_mul(wa, x), mpf_mul(wb, y), _MIX_PREC, "n"))
+                        for x, y in zip(xa, xb)])
+                for wa, wb in weights]
+        return edges[a, b]
+
     cells = []
     skipped = []
     for fi, f in enumerate(patch.facets):
         if not f.certified:
             continue
         ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
-        vals = [_coord_values(lat, c) for c in ring]
-        if None in vals:
+        if any(vertex(c) is None for c in ring):
             skipped.append(fi)
             continue
-        imgs = [pi_log(v) for v in vals]
+        imgs = [verts[c][1] for c in ring]
         samples = list(imgs)
         m = len(ring)
-        pair_count = m if (lat.n == 3 and m > 2) else m - 1
-        with mpmath.workprec(_PREC + 8):
-            for k in range(pair_count):
-                a, b = vals[k], vals[(k + 1) % m]
-                for s in range(1, edge_samples):
-                    lam = mpmath.mpf(s) / edge_samples
-                    samples.append(pi_log([lam * x + (1 - lam) * y
-                                           for x, y in zip(a, b)]))
+        for k in range(m if (lat.n == 3 and m > 2) else m - 1):
+            samples.extend(edge(ring[k], ring[(k + 1) % m]))
         dim = len(imgs[0])
         centroid = tuple(sum(p[d] for p in imgs) / len(imgs) for d in range(dim))
         radius = max(math.dist(centroid, p) for p in samples)
@@ -123,22 +167,7 @@ def project_patch(patch, edge_samples=EDGE_SAMPLES):
         cells.append(LogCell(facet_index=fi, vertex_images=tuple(imgs),
                              edge_samples=tuple(samples), centroid=centroid,
                              radius=radius, interior=interior))
-    _check_shared_vertices(patch, cells)
     return cells, skipped
-
-
-def _check_shared_vertices(patch, cells):
-    # adjacent cells must agree on the images of shared facet vertices
-    seen = {}
-    for cell in cells:
-        f = patch.facets[cell.facet_index]
-        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
-        for c, img in zip(ring, cell.vertex_images):
-            if c in seen:
-                if math.dist(seen[c], img) > CONSISTENCY_TOL:
-                    raise AssertionError("inconsistent shared cell vertex image")
-            else:
-                seen[c] = img
 
 
 def cell_covering_radius(cells, grid_pitch_factor=0.25):

@@ -32,7 +32,7 @@ from .lattice import _ENUM_SHIFT, OrthantSign, _root_bounds
 from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
 from .sail import (
-    DEFAULT_POINT_BUDGET, _box_filter, _enumerate_core, _window_bounds,
+    DEFAULT_POINT_BUDGET, PointBudgetError, _box_filter, _enumerate_core, _window_bounds,
     _window_minima, build_sail_patch,
 )
 
@@ -216,7 +216,10 @@ def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):
     for fi, f in enumerate(patch.facets):
         if not f.certified:
             continue
-        bad, edge = _rotated_box_violations(patch.lattice, f, budget)
+        try:
+            bad, edge = _rotated_box_violations(patch.lattice, f, budget)
+        except PointBudgetError as exc:
+            raise exc.at("t0_box", patch.lattice, patch.t) from exc
         boundary.update(edge)
         if bad:
             violations.append((fi, bad[:8]))

@@ -347,7 +347,8 @@ def _compare_2d_polar_sets(lat, dual, patch, dual_patch):
     stand-ins never are (the lattice of alpha always meets one axis, its
     dual the other).  Facets incident to a boundary vertex and boundary
     vertices of the dual sail are therefore excluded: they carry exactly the
-    axis artifacts, and the interior structure must agree.
+    axis artifacts, and the interior structure must agree.  With no vertex
+    in common there is nothing to compare, and `equal` is None, not False.
     """
     def interior_vertex(lt, c):
         return all(lt.coord_sign(c, i) > 0 for i in range(lt.n))
@@ -360,7 +361,7 @@ def _compare_2d_polar_sets(lat, dual, patch, dual_patch):
             polar_set.add(f.support)
     dual_set = set(dual_patch.interior_certified_vertices())
     if not (polar_set & dual_set):
-        return {"equal": False, "overlap": 0}
+        return {"equal": None, "overlap": 0, "only_polar": [], "only_dual": []}
 
     # both sets are points of the dual lattice, ordered exactly by their
     # first coordinate there

@@ -48,9 +48,24 @@ PATCH_SCHEMA = "kleinsail.patch/1"
 
 
 class PointBudgetError(RuntimeError):
-    def __init__(self, budget):
-        super().__init__(f"point budget exceeded (budget={budget})")
+    """A lattice-point scan visited more leaves than its budget.  Where it
+    leaves `build_sail_patch`, `theorem1_audit` or `check_t0_boxes`, it also
+    names its site: the stage ("window" or "t0_box"), the lattice's
+    provenance and the window."""
+
+    def __init__(self, budget, stage=None, provenance=None, window=None):
+        msg = f"point budget exceeded (budget={budget})"
+        if stage is not None:
+            msg += f" in stage {stage!r}, lattice {provenance!r}, window {window}"
+        super().__init__(msg)
         self.budget = budget
+        self.stage = stage
+        self.provenance = provenance
+        self.window = window
+
+    def at(self, stage, lat, t):
+        """The same error, naming its site."""
+        return PointBudgetError(self.budget, stage, lat.provenance, t)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +687,10 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET, include_boundary=True)
         raise ValueError("patches are built for n = 2 or 3")
     report = irrationality_check(lat, t)
 
-    enumerated, kept = _window_minima(lat, t, include_boundary, budget)
+    try:
+        enumerated, kept = _window_minima(lat, t, include_boundary, budget)
+    except PointBudgetError as exc:
+        raise exc.at("window", lat, t) from exc
     pruned = enumerated - len(kept)
     if not kept:
         raise ValueError("window contains no lattice points")

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from kleinsail.lattice import (
@@ -8,11 +9,11 @@ from kleinsail.lattice import (
     lattice_from_cubic_field, random_rational_lattice,
 )
 from kleinsail.logplane import (
-    EDGE_SAMPLES, TRANSLATION_TOL, cell_covering_radius, cells_csv, check_phi_bounds,
-    pi_log, pi_log_point, project_patch,
+    EDGE_SAMPLES, TRANSLATION_TOL, LogCell, cell_covering_radius, cells_csv,
+    check_phi_bounds, pi_log, pi_log_point, project_patch,
 )
 from kleinsail.normmin import orthant_representatives
-from kleinsail.numberfield import NumberField
+from kleinsail.numberfield import NumberField, mpf_at
 from kleinsail.sail import build_sail_patch
 
 
@@ -58,7 +59,6 @@ def test_pi_log_point_rejects_boundary():
 
 def test_pi1_lands_on_unit_phi_surface(cubic_patch):
     lat = cubic_patch.lattice
-    import mpmath
     for c in cubic_patch.interior_certified_vertices()[:6]:
         vals = [mpmath.mpf(lat.coord_float(c, i)) for i in range(3)]
         phi = vals[0] * vals[1] * vals[2]
@@ -219,3 +219,118 @@ def test_cells_csv(cubic_patch):
     text = cells_csv(cells)
     assert text.splitlines()[0].startswith("cell,facet")
     assert len(text.splitlines()) == len(cells) + 1
+
+
+def _ring(f):
+    return list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 20),
+    (lambda: random_rational_lattice(3, 0), 10),
+], ids=["cubic49", "rational3-0"])
+def test_shared_vertices_and_edges_agree_across_cells(make, t):
+    # a vertex shared by two cells has one image; an edge shared by two cells
+    # has one sample list, read reversed by the cell that meets it the other way
+    patch = build_sail_patch(make(), t)
+    cells, _ = project_patch(patch)
+    k = EDGE_SAMPLES - 1
+    images, edges = {}, {}
+    shared_vertices = shared_edges = reversed_edges = 0
+    for cell in cells:
+        ring = _ring(patch.facets[cell.facet_index])
+        m = len(ring)
+        for c, img in zip(ring, cell.vertex_images):
+            if c in images:
+                shared_vertices += 1
+                assert images[c] == img
+            images[c] = img
+        for j in range(m):
+            a, b = ring[j], ring[(j + 1) % m]
+            got = cell.edge_samples[m + j * k:m + (j + 1) * k]
+            assert len(got) == k
+            if (a, b) in edges:
+                shared_edges += 1
+                assert edges[a, b] == got
+            elif (b, a) in edges:
+                shared_edges += 1
+                reversed_edges += 1
+                assert edges[b, a] == got[::-1]
+            edges[a, b] = got
+    assert shared_vertices and reversed_edges and shared_edges >= reversed_edges
+
+
+def _pi_log_reference(values):
+    # the logarithm and mean under mpmath's 113-bit context, as mpf values
+    with mpmath.workprec(113):
+        logs = [mpmath.log(v) for v in values]
+        mean = sum(logs) / len(logs)
+        return tuple(float(l - mean) for l in logs[:-1])
+
+
+def _pi_log_inputs(prec):
+    with mpmath.workprec(prec):
+        return [
+            [mpmath.sqrt(2), mpmath.pi],
+            [mpmath.mpf(1) / 3, mpmath.e, mpmath.sqrt(7)],
+            [mpmath.cbrt(49) / 5, mpmath.mpf(10) ** 20 / 7, mpmath.ln(3)],
+            [1 + mpmath.mpf(2) ** -100, mpmath.mpf(1), 1 - mpmath.mpf(2) ** -90],
+            [1 + mpmath.mpf(2) ** -(prec - 5), mpmath.mpf(1)],
+        ]
+
+
+@pytest.mark.parametrize("prec", [113, 121])
+def test_pi_log_reads_mpf_at_its_own_precision(prec):
+    # values made inside workprec and passed in outside it: bit for bit the
+    # 113-bit mpmath.log of the unrounded value
+    for vals in _pi_log_inputs(prec):
+        assert pi_log(vals) == _pi_log_reference(vals)
+    # the last two cases only differ from 1 below 53 bits
+    for vals in _pi_log_inputs(prec)[-2:]:
+        assert pi_log(vals) != pi_log([mpmath.mpf(v) for v in vals])
+        assert all(x != 0 for x in pi_log(vals))
+
+
+def _project_patch_reference(patch):
+    # the per-facet algorithm: every facet forms its own vertex values and
+    # samples each of its edges, with mpf arithmetic under workprec
+    lat = patch.lattice
+    cells, skipped = [], []
+    for fi, f in enumerate(patch.facets):
+        if not f.certified:
+            continue
+        ring = _ring(f)
+        if any(lat.coord_sign(c, i) <= 0 for c in ring for i in range(lat.n)):
+            skipped.append(fi)
+            continue
+        vals = [[mpf_at(lat.coord(c, i), lat.embeddings[i], 113) for i in range(lat.n)]
+                for c in ring]
+        imgs = [_pi_log_reference(v) for v in vals]
+        samples = list(imgs)
+        m = len(ring)
+        with mpmath.workprec(121):
+            for k in range(m if (lat.n == 3 and m > 2) else m - 1):
+                a, b = vals[k], vals[(k + 1) % m]
+                for s in range(1, EDGE_SAMPLES):
+                    lam = mpmath.mpf(s) / EDGE_SAMPLES
+                    samples.append(_pi_log_reference([lam * x + (1 - lam) * y
+                                                      for x, y in zip(a, b)]))
+        centroid = tuple(sum(p[d] for p in imgs) / m for d in range(lat.n - 1))
+        cells.append(LogCell(
+            facet_index=fi, vertex_images=tuple(imgs), edge_samples=tuple(samples),
+            centroid=centroid, radius=max(math.dist(centroid, p) for p in samples),
+            interior=all(patch.stars.get(c) is not None and patch.stars[c].complete
+                         for c in f.vertices)))
+    return cells, skipped
+
+
+@pytest.mark.parametrize("make, t", [
+    *[(lambda k=k: _cubic49_orthants()[k], 6) for k in range(4)],
+    (_golden_alpha, 60),
+    (lambda: random_rational_lattice(3, 0), 10),
+], ids=["cubic49-o0", "cubic49-o1", "cubic49-o2", "cubic49-o3", "golden", "rational3-0"])
+def test_project_patch_equals_per_facet_reference(make, t):
+    patch = build_sail_patch(make(), t)
+    want = _project_patch_reference(patch)
+    assert want[0]
+    assert project_patch(patch) == want

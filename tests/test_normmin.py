@@ -12,7 +12,7 @@ from kleinsail.normmin import (
     T0Bound, audit_consistency, check_t0_boxes, enumerate_sym_box,
     norm_minimum_estimate, t0_bound, theorem1_audit, vertex_phi_inf,
 )
-from kleinsail.sail import build_sail_patch
+from kleinsail.sail import PointBudgetError, build_sail_patch
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +254,16 @@ def _t0_box_oracle(patch):
 def test_t0_boxes_match_brute_force(name, make, t, signs):
     patch = build_sail_patch(make().reflect(signs), t)
     assert check_t0_boxes(patch) == _t0_box_oracle(patch)
+
+
+def test_audit_and_t0_box_budget_errors_name_their_site(cubic_lat):
+    with pytest.raises(PointBudgetError) as exc:
+        theorem1_audit(cubic_lat, 10, budget=50)
+    assert (exc.value.stage, exc.value.provenance, exc.value.window) == (
+        "window", "cubic-field", 10)
+    patch = build_sail_patch(cubic_lat, 10)
+    with pytest.raises(PointBudgetError) as exc:
+        check_t0_boxes(patch, budget=0)
+    assert (exc.value.stage, exc.value.provenance, exc.value.window) == (
+        "t0_box", "cubic-field", 10)
+    assert "budget=0" in str(exc.value) and "'t0_box'" in str(exc.value)

@@ -107,6 +107,16 @@ def test_kast_in_kcirc_2d_equality():
     assert eq["overlap"] >= 3
 
 
+def test_kast_in_kcirc_2d_no_overlap_is_not_compared():
+    # alpha 5/12 at T = 5: the polar and dual vertex sets share no vertex, so
+    # the equality is not compared, rather than failed
+    golden = check_Kast_in_Kcirc(lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(),
+                                                    root_index=1), 60, 60)
+    eq = check_Kast_in_Kcirc(lattice_from_alpha(Fraction(5, 12)), 5, 5)["vertex_sets_equal"]
+    assert eq == {"equal": None, "overlap": 0, "only_polar": [], "only_dual": []}
+    assert eq.keys() == golden["vertex_sets_equal"].keys()
+
+
 def test_kast_in_kcirc_cubic(cubic_patch):
     lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
     res = check_Kast_in_Kcirc(lat, 15, 15)

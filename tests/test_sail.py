@@ -59,6 +59,17 @@ def test_enumerate_budget():
     assert "17" in str(exc.value)
 
 
+def test_patch_budget_error_names_stage_lattice_and_window():
+    lat = random_rational_lattice(3, 0)
+    with pytest.raises(PointBudgetError) as exc:
+        build_sail_patch(lat, 10, budget=20)
+    err = exc.value
+    assert (err.budget, err.stage, err.provenance, err.window) == (
+        20, "window", "rational-random", 10)
+    for part in ("budget=20", "'window'", "'rational-random'", "window 10"):
+        assert part in str(err)
+
+
 def test_golden_patch_all_edge_dets_one(golden_patch):
     from kleinsail.determinants import det_facet
 
