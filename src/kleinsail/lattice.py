@@ -5,7 +5,13 @@ over Q, elements of one real quadratic or cubic field otherwise.  Row i is
 ambient coordinate i, read under its own real embedding ``embeddings[i]``
 (None over Q); an orthant reflection multiplies rows by +-1.  Every exact
 predicate reads its scalars through the ordered-scalar operations of
-`numberfield` (sign, compare, interval, float), whatever the ring.
+`numberfield` (sign, compare, interval), whatever the ring.
+
+The one numeric view of a lattice is the certified integer enclosure of its
+basis at scale 2^64, cached once per lattice; the inverse basis is the
+dual's.  A predicate decides on the enclosure, and exactly only where it
+straddles 0.  No float decides anything here: the only floats are the
+random draws of `random_rational_lattice`, made exact convergents at once.
 
 Only two decisions depend on how the rows relate, and both read it from the
 data:
@@ -34,9 +40,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .linalg import det, mat_inverse, mat_mul, solve, transpose
-from .numberfield import (
-    FieldElement, NumberField, cmp_at, float_at, interval_at, sign_at,
-)
+from .numberfield import FieldElement, NumberField, cmp_at, interval_at, sign_at
 
 __all__ = [
     "Lattice", "LatticePoint", "OrthantSign", "DegenerateBasisError",
@@ -161,10 +165,8 @@ class Lattice:
         self.provenance = provenance
         self.seed = seed
         self._one_embedding = len(set(self.embeddings)) == 1
-        self._float_basis = None
         self._inv_basis = None
         self._dual = None
-        self._coeff_iv = None
         self._basis_iv = None
         self._scale_root_iv = None
         self._gen_mul = None
@@ -234,13 +236,6 @@ class Lattice:
     def is_unit_scale(self):
         return self.scale_d == 1
 
-    def basis_float(self):
-        """Float approximation of the raw basis (search hints only)."""
-        if self._float_basis is None:
-            self._float_basis = [[float_at(x, e) for x in row]
-                                 for row, e in zip(self.basis, self.embeddings)]
-        return self._float_basis
-
     def inverse_rows(self):
         """The raw inverse basis, exact; entry [j][i] is read under row i's
         embedding.
@@ -300,12 +295,14 @@ class Lattice:
         return acc
 
     def coord_sign(self, coeffs, i):
-        """Sign of ambient coordinate i (raw = normalized sign)."""
+        """Sign of ambient coordinate i (raw = normalized sign): read off the
+        cached basis enclosure, exactly only where it contains 0."""
+        lo, hi = _iv_dot(self.basis_interval_matrix()[i], coeffs)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         return sign_at(self.coord(coeffs, i), self.embeddings[i])
-
-    def coord_float(self, coeffs, i):
-        fb = self.basis_float()
-        return sum(fb[i][j] * coeffs[j] for j in range(self.n))
 
     def coord_abs_lt(self, coeffs, i, bound):
         """|normalized coordinate i| < bound, exact."""
@@ -326,15 +323,10 @@ class Lattice:
         diff = tuple(x - y for x, y in zip(coeffs_a, coeffs_b))
         return self.coord_sign(diff, i)
 
-    def in_positive_window(self, coeffs, t, include_boundary=True):
-        """All normalized coordinates in [0, t) (or (0, t) if not include_boundary)."""
-        for i in range(self.n):
-            s = self.coord_sign(coeffs, i)
-            if s < 0 or (s == 0 and not include_boundary):
-                return False
-            if not self.coord_abs_lt(coeffs, i, t):
-                return False
-        return True
+    def in_positive_window(self, coeffs, t):
+        """All normalized coordinates in [0, t)."""
+        return all(self.coord_sign(coeffs, i) >= 0 and self.coord_abs_lt(coeffs, i, t)
+                   for i in range(self.n))
 
     def in_sym_box(self, coeffs, t):
         """All normalized coordinates have |x_i| < t (the box Q(t))."""
@@ -392,18 +384,11 @@ class Lattice:
 
     # -- functional geometry ---------------------------------------------------------
 
-    def normal_enclosures(self, w):
-        """Certified integer enclosures, at scale 2^_ENUM_SHIFT, of the raw
-        ambient normal B^-T w, coordinatewise: the coordinates of the
-        integer functional w in the dual lattice."""
-        inv = self.coeff_interval_matrix()
-        return [_iv_dot([row[i] for row in inv], w) for i in range(self.n)]
-
     def support_normal_signs(self, w):
-        """Signs of the normalized ambient normal B^-T w, coordinatewise: read
-        off `normal_enclosures`, exactly where an enclosure contains 0."""
-        return tuple(1 if lo > 0 else -1 if hi < 0 else self.dual().coord_sign(w, i)
-                     for i, (lo, hi) in enumerate(self.normal_enclosures(w)))
+        """Signs of the normalized ambient normal B^-T w, coordinatewise: the
+        coordinate signs of the integer functional w in the dual lattice."""
+        dual = self.dual()
+        return tuple(dual.coord_sign(w, i) for i in range(self.n))
 
     def support_normal_product(self, w):
         """Product of the *normalized* ambient normal's coordinates, exact.
@@ -417,22 +402,11 @@ class Lattice:
 
     # -- coefficient range enclosures ---------------------------------------------------
 
-    def coeff_interval_matrix(self):
-        """Certified integer enclosures of the raw inverse basis entries at
-        scale 2^_ENUM_SHIFT, rounded outward from root intervals of width
-        <= 2^-80 (cached)."""
-        if self._coeff_iv is None:
-            width = Fraction(1, 2**80)
-            self._coeff_iv = tuple(
-                tuple(_scale_out(*interval_at(x, e, width))
-                      for x, e in zip(row, self.embeddings))
-                for row in self.inverse_rows())
-        return self._coeff_iv
-
     def basis_interval_matrix(self):
         """Certified integer enclosures of the raw basis entries at scale
         2^_ENUM_SHIFT, rounded outward from root intervals of width <= 2^-96
-        (cached)."""
+        (cached).  The dual's are the inverse basis's, transposed: row i
+        encloses column i of B^-1."""
         if self._basis_iv is None:
             width = Fraction(1, 2**96)
             self._basis_iv = tuple(
@@ -730,21 +704,40 @@ def irrationality_check(lat, t):
     return IrrationalityReport(window=t, witnesses=sorted(witnesses))
 
 
+_UNRESOLVED = "a coordinate kernel is finer than its 2^-64 enclosures resolve"
+
+
+def _abs_lo(iv):
+    """The least |x| over the interval iv = (lo, hi)."""
+    lo, hi = iv
+    return lo if lo > 0 else -hi if hi < 0 else 0
+
+
+def _abs_hi(iv):
+    """The greatest |x| over the interval iv = (lo, hi)."""
+    return max(-iv[0], iv[1])
+
+
 def _kernel_points_in_box(lat, kernel_gens, t):
     """Nonzero integer combinations of kernel generators inside Q(t).
 
     Q(t) is convex and symmetric, and so are the in-box multipliers: one
     interval [-K, K] for a rank-1 kernel; for rank 2, one interval of k2 per
-    row k1, row -k1 mirroring row k1, over the rows a float bound on |k1|
-    allows.  Floats seed each end; exact `in_sym_box` tests step it until
-    the test flips.
+    row k1, row -k1 mirroring row k1, over the rows |k1| <= k1_top.  K,
+    k1_top and each row's interval are bounded on the generators' integer
+    enclosures (scale 2^64), rounded outward; exact `in_sym_box` tests step
+    each end from there until the test flips.  A kernel the enclosures
+    cannot resolve -- every coordinate enclosure of a rank-1 generator, or
+    every 2 x 2 determinant enclosure of a rank-2 pair, holds 0 -- is
+    refused with DegenerateBasisError.
     """
     if not kernel_gens:
         return []
     n = lat.n
-    fb = lat.basis_float()
-    tf = float(lat.raw_window_enclosure(t))
-    g = [[sum(fb[i][j] * gen[j] for j in range(n)) for i in range(n)] for gen in kernel_gens]
+    enc = lat.basis_interval_matrix()
+    t_hi = _scale_out(*lat.raw_window_interval(t))[1]
+    # g[m][i] encloses 2^64 times ambient coordinate i of generator m
+    g = [[_iv_dot(enc[i], gen) for i in range(n)] for gen in kernel_gens]
 
     def point(ks):
         return tuple(sum(k * gen[j] for k, gen in zip(ks, kernel_gens)) for j in range(n))
@@ -753,30 +746,44 @@ def _kernel_points_in_box(lat, kernel_gens, t):
         return lat.in_sym_box(point(ks), t)
 
     if len(kernel_gens) == 1:
-        seed = int(tf / max(1e-12, max(abs(x) for x in g[0])))
-        top = _last_inside(lambda k: inside((k,)), 0, seed)
+        # |k x_i| < t for every i
+        mag = max(_abs_lo(iv) for iv in g[0])
+        if not mag:
+            raise DegenerateBasisError(_UNRESOLVED)
+        top = _last_inside(lambda k: inside((k,)), 0, t_hi // mag)
         return [point((k,)) for k in range(-top, top + 1) if k]
     if len(kernel_gens) > 2:
         raise DegenerateBasisError("an ambient coordinate vanishes on the whole lattice")
-    # rank 2: the best-conditioned pair of coordinates alone bounds |k1|
+    # rank 2: two coordinates r, q alone bound k1 and k2, by Cramer's rule on
+    # (x_r, x_q) = k1 g0 + k2 g1 with |x_r|, |x_q| < t; the pair with the
+    # largest certified |det| bounds them best
     g0, g1 = g
+
+    def det_lo(r, q):  # a lower bound of |g0_r g1_q - g0_q g1_r|, at scale 2^128
+        (a, b), (c, d) = g0[r], g1[q]
+        (e, f), (h, k) = g0[q], g1[r]
+        p1, p2 = (a * c, a * d, b * c, b * d), (e * h, e * k, f * h, f * k)
+        return _abs_lo((min(p1) - max(p2), max(p1) - min(p2)))
+
     r, q = max(((r, q) for r in range(n) for q in range(r + 1, n)),
-               key=lambda rq: abs(g0[rq[0]] * g1[rq[1]] - g0[rq[1]] * g1[rq[0]]))
-    dt = abs(g0[r] * g1[q] - g0[q] * g1[r])
-    k1_top = int(tf * (abs(g1[r]) + abs(g1[q])) / dt * (1 + 1e-9)) + 1
+               key=lambda rq: det_lo(*rq))
+    dt = det_lo(r, q)
+    if not dt:
+        raise DegenerateBasisError(_UNRESOLVED)
+    k1_top = t_hi * (_abs_hi(g1[r]) + _abs_hi(g1[q])) // dt
+    k2_top = t_hi * (_abs_hi(g0[r]) + _abs_hi(g0[q])) // dt
     out = []
     for k1 in range(k1_top + 1):
-        lo_f, hi_f = -float("inf"), float("inf")
-        for a, b in zip(g0, g1):
-            a *= k1
-            if b == 0:
-                if abs(a) >= tf * (1 + 1e-9):
-                    lo_f, hi_f = 1.0, 0.0
+        lo_c, hi_c = -k2_top, k2_top
+        for (alo, ahi), (blo, bhi) in zip(g0, g1):
+            # -t < k1 a + k2 b < t, with k2 b in (res_lo, res_hi)
+            res_lo, res_hi = -t_hi - k1 * ahi, t_hi - k1 * alo
+            if bhi < 0:  # k2 (-b) in (-res_hi, -res_lo)
+                blo, bhi, res_lo, res_hi = -bhi, -blo, -res_hi, -res_lo
+            elif blo <= 0:
                 continue
-            e1, e2 = (-tf - a) / b, (tf - a) / b
-            lo_f, hi_f = max(lo_f, min(e1, e2)), min(hi_f, max(e1, e2))
-        slack = 1e-9 * (1 + abs(lo_f) + abs(hi_f)) if lo_f <= hi_f else 0.0
-        lo_c, hi_c = ceil(lo_f - slack), floor(hi_f + slack)
+            lo_c = max(lo_c, -(-res_lo // (bhi if res_lo > 0 else blo)))
+            hi_c = min(hi_c, res_hi // (blo if res_hi > 0 else bhi))
         if lo_c > hi_c:
             continue
         known = (lo_c + hi_c) // 2

@@ -206,19 +206,22 @@ def _row_rank(rows):
     return rank
 
 
-def subset_det_sum(vectors, n, max_vectors=24):
+_MAX_SUBSET_VECTORS = 24  # C(24, 3) = 2024 determinants
+
+
+def subset_det_sum(vectors, n):
     """Sum over all n-subsets of |det| of the chosen vectors.
 
-    The vectors must be exact (int/Fraction entries).  This is the shared
-    kernel behind facet determinants, edge-star determinants and mixed
-    volumes of segments.
+    The vectors must be exact (int/Fraction entries), at most
+    _MAX_SUBSET_VECTORS of them.  This is the shared kernel behind facet
+    determinants, edge-star determinants and mixed volumes of segments.
     """
     vecs = [tuple(v) for v in vectors]
     m = len(vecs)
     if m < n:
         raise ValueError(f"need at least {n} vectors, got {m}")
-    if m > max_vectors:
-        raise ValueError(f"subset enumeration capped at {max_vectors} vectors, got {m}")
+    if m > _MAX_SUBSET_VECTORS:
+        raise ValueError(f"subset enumeration capped at {_MAX_SUBSET_VECTORS} vectors, got {m}")
     total = Fraction(0)
     for idx in combinations(range(m), n):
         d = det([vecs[i] for i in idx])

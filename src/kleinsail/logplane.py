@@ -34,8 +34,7 @@ from mpmath.libmp import (
 )
 
 from .determinants import det_SF
-from .lattice import _iv_dot
-from .numberfield import mpf_at, sign_at
+from .numberfield import mpf_at
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -47,6 +46,8 @@ TRANSLATION_TOL = 1e-6     # cell matching under diagonal rescales
 EDGE_SAMPLES = 16          # sample points per curvilinear cell edge
 _PREC = 113                # working precision in bits before ln
 _MIX_PREC = _PREC + 8      # edge samples: exact products, one rounding
+_GRID_PITCH = 0.25         # covering-radius grid pitch, in units of the largest cell radius
+_INTERIOR_SAMPLES = 4      # phi samples per certified facet beyond its vertices
 _make_mpf = mpmath.mp.make_mpf
 
 
@@ -74,17 +75,10 @@ def _raw(v):
 
 
 def _coord_values(lat, coeffs):
-    """A point's coordinates at _PREC bits, or None if one is not positive
-    (decided on the lattice's cached basis enclosure first, exactly where it
-    straddles 0)."""
-    enc = lat.basis_interval_matrix()
-    vals = []
-    for i in range(lat.n):
-        x, e = lat.coord(coeffs, i), lat.embeddings[i]
-        if _iv_dot(enc[i], coeffs)[0] <= 0 and sign_at(x, e) <= 0:
-            return None
-        vals.append(mpf_at(x, e, _PREC))
-    return vals
+    """A point's coordinates at _PREC bits, or None if one is not positive."""
+    if any(lat.coord_sign(coeffs, i) <= 0 for i in range(lat.n)):
+        return None
+    return [mpf_at(lat.coord(coeffs, i), lat.embeddings[i], _PREC) for i in range(lat.n)]
 
 
 def pi_log_point(lat, coeffs):
@@ -170,12 +164,12 @@ def project_patch(patch, edge_samples=EDGE_SAMPLES):
     return cells, skipped
 
 
-def cell_covering_radius(cells, grid_pitch_factor=0.25):
+def cell_covering_radius(cells):
     """Covering-radius estimate for the cell partition.
 
     Interior cells are uniformly bounded; the estimate D' = 2 max r keeps a
     whole cell inside any ball of radius D' centered in the covered region,
-    which is verified on a grid of centers (pitch r_max * factor).
+    which is verified on a grid of centers (pitch r_max * _GRID_PITCH).
     """
     interior = [c for c in cells if c.interior]
     if not interior:
@@ -187,13 +181,13 @@ def cell_covering_radius(cells, grid_pitch_factor=0.25):
         los = [min(s[0] for s in c.edge_samples) for c in interior]
         his = [max(s[0] for s in c.edge_samples) for c in interior]
         lo, hi = min(los), max(his)
-        centers = [lo + k * r_max * grid_pitch_factor
-                   for k in range(int((hi - lo) / (r_max * grid_pitch_factor)) + 1)]
+        centers = [lo + k * r_max * _GRID_PITCH
+                   for k in range(int((hi - lo) / (r_max * _GRID_PITCH)) + 1)]
         centers = [(c,) for c in centers]
     else:
         xs = [p[0] for c in interior for p in c.edge_samples]
         ys = [p[1] for c in interior for p in c.edge_samples]
-        pitch = r_max * grid_pitch_factor
+        pitch = r_max * _GRID_PITCH
         centers = []
         x = min(xs)
         while x <= max(xs):
@@ -235,7 +229,7 @@ class PhiBoundReport:
         }
 
 
-def check_phi_bounds(patch, interior_samples=4):
+def check_phi_bounds(patch):
     """Exact phi statistics over the certified patch.
 
     For every certified facet, phi is evaluated exactly at its vertices and
@@ -259,8 +253,8 @@ def check_phi_bounds(patch, interior_samples=4):
         m = len(f.vertices)
         centroid = tuple(sum(col) / m for col in zip(*samples))
         mixes = [centroid]
-        for k in range(1, interior_samples):
-            lam = Fraction(k, interior_samples + 1)
+        for k in range(1, _INTERIOR_SAMPLES):
+            lam = Fraction(k, _INTERIOR_SAMPLES + 1)
             mixes.append(tuple(lam * a + (1 - lam) * b
                                for a, b in zip(samples[0], centroid)))
         for x in samples + mixes:

@@ -71,8 +71,7 @@ def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patche
             pts.extend(_window_minima(refl, t, budget=budget)[1])
             continue
         p = patches[tuple(signs)]
-        if (p.t != t or not p.include_boundary
-                or p.lattice.to_json() != refl.to_json()):
+        if p.t != t or p.lattice.to_json() != refl.to_json():
             raise ValueError(f"patch for {tuple(signs)} is not this lattice's closed "
                              f"window at {t}")
         pts.extend(p.minima)

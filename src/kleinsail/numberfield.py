@@ -8,9 +8,10 @@ refine the isolating interval until interval evaluation of the element's
 polynomial is sign-definite.  The element is exactly zero iff its coordinate
 vector is zero, so the refinement loop terminates.
 
-No floating point enters any predicate; floats appear only as search hints
-for the initial root bracketing, and every bracket is verified by exact sign
-changes of the polynomial.
+No float enters this module: roots are bracketed by exact sign changes of
+the polynomial on a dyadic grid.  A lattice reads its scalars once, as
+certified integer enclosures of its basis (`interval_at`); the only floats
+downstream are the log plane's and `T0Bound.__float__`, both diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import solve
 
 __all__ = [
     "NumberField", "FieldElement", "NotTotallyRealError",
-    "sign_at", "cmp_at", "interval_at", "float_at", "mpf_at",
+    "sign_at", "cmp_at", "interval_at", "mpf_at",
 ]
 
 
@@ -183,10 +184,6 @@ class NumberField:
                 break
         self._roots[i] = [lo, hi]
         return lo, hi
-
-    def root_float(self, i):
-        lo, hi = self.refine_root(i, Fraction(1, 10**17))
-        return float((lo + hi) / 2)
 
     # -- elements --------------------------------------------------------------
 
@@ -450,13 +447,6 @@ def interval_at(x, e, width=None):
     if isinstance(x, FieldElement):
         return x.interval_at(e, width)
     return (x, x)
-
-
-def float_at(x, e):
-    """Float value of x (under embedding e); search hints only."""
-    if isinstance(x, FieldElement):
-        return float(x.to_mpf_at(e, 60))
-    return float(x)
 
 
 def mpf_at(x, e, prec=113):

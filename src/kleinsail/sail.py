@@ -20,8 +20,10 @@ A patch is computed inside the window [0, T)^n:
    vertex set, so a certified facet carries the vertices of the *infinite*
    polyhedron's facet even when they fall outside the window.
 
-Everything in the trusted path is exact; floats only seed search ranges and
-are always followed by exact verification.
+Everything in the trusted path is exact.  Search ranges and rankings read
+the lattice's one numeric view, its cached integer enclosures (scale 2^64)
+of the basis and, through the dual, of the inverse basis; no float enters
+this module.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .hull import convex_hull_2d, convex_hull_3d
-from .linalg import det, mat_inverse, primitive_int_vector, unimodular_completion
+from .linalg import det, primitive_int_vector, unimodular_completion
 from .lattice import _ENUM_SHIFT, Lattice, _iv_dot, _scale_out, irrationality_check
 from .numberfield import interval_at
 
@@ -77,11 +79,9 @@ def _coeff_outer_ranges(lat, boxes, u_inv=None):
     with `u_inv`, of the coefficients U^-1 c of the basis B U.  The products
     of the two 2^64-scaled enclosures are exact at scale 2^128, and the sums
     round outward to integers by shifts."""
-    inv = lat.coeff_interval_matrix()
-    n = lat.n
-    if u_inv is not None:
-        inv = [[_iv_dot([inv[j][i] for j in range(n)], u_inv[k]) for i in range(n)]
-               for k in range(n)]
+    dual = lat.dual().basis_interval_matrix()  # row i encloses column i of B^-1
+    inv = list(zip(*dual)) if u_inv is None else [
+        [_iv_dot(col, u_row) for col in dual] for u_row in u_inv]
     shift = 2 * _ENUM_SHIFT
     ranges = []
     for row in inv:
@@ -261,7 +261,8 @@ def _line_basis(lat, budget):
     v is the point of least coordinate sum in the smallest closed window
     [0, t)^n, t = 2, 4, ..., that holds a lattice point; the number of lines
     that cross a window grows with that sum.  The window filter decides
-    membership exactly, so floats only rank the candidates.
+    membership exactly; the sums of the scan's enclosure midpoints only rank
+    the candidates, ties broken by c.
     """
     n = lat.n
     t = Fraction(2)
@@ -269,12 +270,12 @@ def _line_basis(lat, budget):
         boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * n
         pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 0), budget)
         if pts:
-            v = min(pts, key=lambda c: (sum(lat.coord_float(c, i) for i in range(n)), c))
+            v = min(pts, key=lambda c: (sum(lo + hi for lo, hi in pts[c]), c))
             return unimodular_completion(primitive_int_vector(v))
         t *= 2
 
 
-def _enumerate_window(lat, t, include_boundary, budget):
+def _enumerate_window(lat, t, budget):
     """The window's line minima, as `_enumerate_core` returns them: on every
     line along `_line_basis`'s vector v, the window point nearest the origin,
     with its enclosures.  Every window point is one of them plus a
@@ -282,7 +283,7 @@ def _enumerate_window(lat, t, include_boundary, budget):
     Pareto-minimal points are theirs."""
     t = Fraction(t)
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    filt = _box_filter(lat, _window_bounds(lat, t), 0 if include_boundary else 1)
+    filt = _box_filter(lat, _window_bounds(lat, t), 0)
     return _enumerate_core(lat, boxes, filt, budget, _line_basis(lat, budget),
                            first_per_line=True)
 
@@ -302,15 +303,15 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
     return [lat.point(c) for c in sorted(pts)]
 
 
-def _window_minima(lat, t, include_boundary=True, budget=DEFAULT_POINT_BUDGET):
+def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
     """(number of line minima, the window's Pareto-minimal points).
 
-    Every nonzero lattice point of the window [0, t)^n (or (0, t)^n) is
+    Every nonzero lattice point of the window [0, t)^n is
     dominated componentwise by one of the returned points.  The count is of
     the line minima of `_enumerate_window`, not of all window points; it is
     what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
     """
-    window_pts = _enumerate_window(lat, t, include_boundary, budget)
+    window_pts = _enumerate_window(lat, t, budget)
     return len(window_pts), _pareto_minimal(lat, window_pts)
 
 
@@ -395,20 +396,24 @@ _pareto_minimal_fast = _pareto_minimal
 
 def _closure_rays(lat):
     """Integer coefficient vectors with verified strictly positive ambient
-    images, one near each ambient axis (slightly tilted into the orthant)."""
+    images, one near each ambient axis (slightly tilted into the orthant).
+
+    The candidate for axis i is B^-1 (e_i + 2^-b (1 - e_i)), read on the
+    midpoints of the cached inverse enclosure and rounded to the nearest
+    integers at scale 2^24; the bias b runs 4, ..., 12, then 2, until the
+    exact signs accept it.
+    """
     n = lat.n
-    # the float basis inverted exactly, then read as floats
-    binv = [[float(x) for x in row]
-            for row in mat_inverse([[Fraction(x) for x in row] for row in lat.basis_float()])]
+    inv = list(zip(*lat.dual().basis_interval_matrix()))  # inv[j] encloses row j of B^-1
     rays = []
     for i in range(n):
-        for bias_exp in range(4, 14):
-            bias = 2.0 ** -bias_exp if bias_exp < 13 else 0.25
-            target = [1.0 if k == i else bias for k in range(n)]
-            c = [sum(binv[j][k] * target[k] for k in range(n)) for j in range(n)]
-            scale = 2**24
-            cand = tuple(int(round(x * scale)) for x in c)
-            if all(x == 0 for x in cand):
+        for b in (*range(4, 13), 2):
+            # 2^b times the target, in integers; an enclosure's two ends sum
+            # to twice its midpoint at scale 2^64, and cand is at scale 2^24
+            target = [1 << b if k == i else 1 for k in range(n)]
+            shift = _ENUM_SHIFT + 1 + b - 24
+            cand = tuple(round(Fraction(sum(_iv_dot(row, target)), 1 << shift)) for row in inv)
+            if not any(cand):
                 continue
             cand = primitive_int_vector(cand)
             if all(lat.coord_sign(cand, k) > 0 for k in range(n)):
@@ -478,12 +483,14 @@ def _level_points(lat, w, d, budget):
     leaves of the whole walk.
     """
     n = lat.n
+    dual = lat.dual()
     boxes = []
-    for i, (nu_lo, _) in enumerate(lat.normal_enclosures(w)):
+    for i, row in enumerate(dual.basis_interval_matrix()):
+        nu_lo = _iv_dot(row, w)[0]
         if nu_lo > 0:
             nu_lo = Fraction(nu_lo, 1 << _ENUM_SHIFT)
         else:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
-            x, e, width = lat.dual().coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
+            x, e, width = dual.coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
             while (nu_lo := interval_at(x, e, width)[0]) <= 0:
                 width /= 2**40
         boxes.append((Fraction(0), d / nu_lo))
@@ -577,7 +584,6 @@ class SailPatch:
     enumerated: int           # line minima of the window scan, not all window points
     pruned: int
     budget: int
-    include_boundary: bool = True
     minima: tuple = ()        # Pareto-minimal window points (coeff tuples)
 
     @property
@@ -625,7 +631,7 @@ class SailPatch:
             "schema": PATCH_SCHEMA,
             "lattice": self.lattice.to_json(),
             "window": str(self.t),
-            "includes_orthant_boundary": self.include_boundary,
+            "includes_orthant_boundary": True,
             "vertices": [list(c) for c in all_pts],
             "facets": [
                 {
@@ -665,7 +671,7 @@ class SailPatch:
 # ---------------------------------------------------------------------------
 # patch construction
 
-def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET, include_boundary=True):
+def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
     """Certified sail patch of the positive orthant inside the window [0, t)^n.
 
     Boundary policy: lattice points with a zero coordinate break the paper's
@@ -688,7 +694,7 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET, include_boundary=True)
     report = irrationality_check(lat, t)
 
     try:
-        enumerated, kept = _window_minima(lat, t, include_boundary, budget)
+        enumerated, kept = _window_minima(lat, t, budget)
     except PointBudgetError as exc:
         raise exc.at("window", lat, t) from exc
     pruned = enumerated - len(kept)
@@ -752,8 +758,7 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET, include_boundary=True)
         lattice=lat, t=t, facets=facets,
         hull_vertices=sorted(hull_vertex_set),
         edges=[], stars={}, irrationality=report,
-        enumerated=enumerated, pruned=pruned, budget=budget,
-        include_boundary=include_boundary, minima=tuple(kept),
+        enumerated=enumerated, pruned=pruned, budget=budget, minima=tuple(kept),
     )
     _attach_edges_and_stars(patch)
     return patch
@@ -830,8 +835,7 @@ def detect_periodicity(patch, u_matrix):
     by_vertices = {f.vertices: f for f in patch.certified_facets()}
     for f in patch.certified_facets():
         img = tuple(sorted(apply(c) for c in f.vertices))
-        if not all(lat.in_positive_window(c, patch.t, include_boundary=True)
-                   for c in img):
+        if not all(lat.in_positive_window(c, patch.t) for c in img):
             continue
         checked += 1
         g = by_vertices.get(img)

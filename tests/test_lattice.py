@@ -215,7 +215,15 @@ def test_support_normal_signs_rational():
 
 
 def _exact_normal_signs(lat, w):
-    return tuple(lat.dual().coord_sign(w, i) for i in range(lat.n))
+    from kleinsail.numberfield import sign_at
+    dual = lat.dual()
+    return tuple(sign_at(dual.coord(w, i), dual.embeddings[i]) for i in range(lat.n))
+
+
+def _dual_coord_enclosure(lat, w, i):
+    """The enclosure coord_sign reads first: coordinate i of w in the dual."""
+    from kleinsail.lattice import _iv_dot
+    return _iv_dot(lat.dual().basis_interval_matrix()[i], w)
 
 
 @pytest.mark.parametrize("make, t", [
@@ -258,7 +266,7 @@ def test_support_normal_signs_straddling_rational(e, col, w0):
     for k in (0, 1, -1, -3):
         for s in (1, -1):
             w = (s * w0[0], s * w0[1], s * k)
-            lo, hi = lat.normal_enclosures(w)[0]
+            lo, hi = _dual_coord_enclosure(lat, w, 0)
             assert lo <= 0 <= hi
             got = lat.support_normal_signs(w)
             assert got == _exact_normal_signs(lat, w)
@@ -277,7 +285,7 @@ def test_support_normal_signs_straddling_cubic(signs):
         alpha = theta ** k * g0_dual
         for w in (tuple(int((alpha * g).trace()) for g in base.gens),
                   tuple(-int((alpha * g).trace()) for g in base.gens)):
-            lo, hi = lat.normal_enclosures(w)[1]
+            lo, hi = _dual_coord_enclosure(lat, w, 1)
             assert lo <= 0 <= hi
             assert lat.support_normal_signs(w) == _exact_normal_signs(lat, w)
 
@@ -313,8 +321,9 @@ def _sweep_kernel_points(lat, kernel_gens, t):
     """Reference: one exact in_sym_box test per multiplier of a float-bounded box."""
     if not kernel_gens:
         return []
+    from kleinsail.numberfield import mpf_at
     n = lat.n
-    fb = lat.basis_float()
+    fb = [[float(mpf_at(x, e, 60)) for x in row] for row, e in zip(lat.basis, lat.embeddings)]
     tf = float(lat.raw_window_enclosure(t)) * 1.01 + 1e-9
     bounds = [max(1, int(tf / max(1e-12, max(abs(sum(fb[i][j] * g[j] for j in range(n)))
                                             for i in range(n)))) + 2)
@@ -355,12 +364,27 @@ def test_kernel_points_match_per_multiplier_sweep(make, t):
         assert sorted(pts) == sorted(_sweep_kernel_points(lat, kern, t))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 4])
-def test_irrationality_witnesses_match_box_enumeration(seed):
+@pytest.mark.parametrize("rows", [
+    [(10**40, 0), (0, Fraction(1, 10**40))],
+    [(10**40, 0, 0), (0, Fraction(1, 10**20), 0), (0, 0, Fraction(1, 10**20))],
+], ids=["rank1", "rank2"])
+def test_kernel_finer_than_enclosures_is_refused(rows):
+    # the kernel of x_0 = 0 meets the other axes at 10^-40 and 10^-20: below
+    # the enclosures' 2^-64, the walk cannot bound it, and a box of side 2
+    # would hold some 10^40 of its points
+    lat = Lattice.rational(rows)
+    with pytest.raises(DegenerateBasisError, match="finer than its 2"):
+        irrationality_check(lat, 1)
+
+
+@pytest.mark.parametrize("seed, signs", [
+    pytest.param(seed, signs, id=f"{seed}-reflected" if signs[2] < 0 else f"{seed}")
+    for seed in range(8) for signs in ((1, 1, 1), (1, 1, -1))])
+def test_irrationality_witnesses_match_box_enumeration(seed, signs):
     # small denominators give rank-2 kernels whose generators are far from
-    # orthogonal; a float-bounded multiplier box misses some of their points
+    # orthogonal; a loose bound on the multiplier rows misses some points
     from kleinsail.normmin import enumerate_sym_box
-    lat = random_rational_lattice(3, seed, denom_limit=7)
+    lat = random_rational_lattice(3, seed, denom_limit=7).reflect(signs)
     t = 12
     want = sorted(c for c in enumerate_sym_box(lat, t)
                   if any(lat.coord_sign(c, i) == 0 for i in range(3)))

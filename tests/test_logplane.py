@@ -60,7 +60,7 @@ def test_pi_log_point_rejects_boundary():
 def test_pi1_lands_on_unit_phi_surface(cubic_patch):
     lat = cubic_patch.lattice
     for c in cubic_patch.interior_certified_vertices()[:6]:
-        vals = [mpmath.mpf(lat.coord_float(c, i)) for i in range(3)]
+        vals = [mpf_at(lat.coord(c, i), lat.embeddings[i]) for i in range(3)]
         phi = vals[0] * vals[1] * vals[2]
         scaled = [v / phi ** (mpmath.mpf(1) / 3) for v in vals]
         prod = scaled[0] * scaled[1] * scaled[2]
@@ -173,16 +173,16 @@ def test_cell_samples_match_exact_mixes(make, t):
     (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 6, False),
     (_golden_alpha, 60, True),   # the axis-vertex facet
 ], ids=["cubic49", "golden"])
-def test_project_patch_straddling_enclosures_fall_back_to_exact(monkeypatch, make, t, skips):
-    # every coordinate enclosure (2^64-scaled) widened by 2^200 straddles 0:
-    # only the exact sign test decides positivity and the orthant boundary
-    import kleinsail.logplane as lp
-
+def test_project_patch_straddling_enclosures_fall_back_to_exact(make, t, skips):
+    # every basis enclosure (2^64-scaled) widened by 2^200 or more, the
+    # dual's too: each coordinate enclosure straddles 0, with its midpoint
+    # far below it, and only the exact sign test decides positivity and the
+    # orthant boundary
     patch = build_sail_patch(make(), t)
     want = project_patch(patch)
-    exact = lp._iv_dot
-    monkeypatch.setattr(lp, "_iv_dot", lambda ivs, ks: tuple(
-        v + d for v, d in zip(exact(ivs, ks), (-1 << 200, 1 << 200))))
+    for lat in (patch.lattice, patch.lattice.dual()):
+        lat._basis_iv = [[(lo - (1 << 201), hi + (1 << 200)) for lo, hi in row]
+                         for row in lat.basis_interval_matrix()]
     assert project_patch(patch) == want
     assert bool(want[1]) == skips
 

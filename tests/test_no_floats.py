@@ -1,0 +1,50 @@
+"""The trusted modules hold no floats.
+
+Every decision outside the log plane is exact, and the one numeric view of a
+lattice is its certified integer enclosures.  This test parses the modules
+and fails on any float literal or `float(...)` call, except inside methods
+named `__float__` (`T0Bound.__float__` is a diagnostic).  `logplane` is
+diagnostic by design and is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kleinsail
+
+MODULES = ["lattice", "sail", "numberfield", "normmin", "hull", "linalg", "polar",
+           "determinants", "contfrac"]
+
+
+def _float_sites(tree):
+    """(line, what) for every float literal and float(...) call outside
+    __float__ methods."""
+    sites = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__float__":
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            sites.append((node.lineno, f"float literal {node.value!r}"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"):
+            sites.append((node.lineno, "float(...) call"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sites
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_floats(module):
+    path = Path(kleinsail.__file__).parent / f"{module}.py"
+    assert _float_sites(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_guard_sees_floats():
+    tree = ast.parse("x = 0.5\ny = float(3)\n"
+                     "class T:\n    def __float__(self):\n        return 1.0\n")
+    assert _float_sites(tree) == [(1, "float literal 0.5"), (2, "float(...) call")]

@@ -20,7 +20,7 @@ def test_root_isolation_counts_and_order():
 
 
 def test_cubic_roots_match_known_values():
-    vals = [CUBIC49.root_float(i) for i in range(3)]
+    vals = [float(CUBIC49.gen().to_mpf_at(i)) for i in range(3)]
     known = [-1.8019377358, -0.4450418679, 1.2469796037]
     for v, k in zip(vals, known):
         assert abs(v - k) < 1e-9

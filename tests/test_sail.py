@@ -153,6 +153,7 @@ def _pareto_oracle(lat, pts):
     while q's coordinates are exactly <= p's in every coordinate seen so
     far, so p is minimal iff below[p] ends with its own bit alone."""
     from functools import cmp_to_key
+    from kleinsail.lattice import _iv_dot
     pts = list(pts)
     m = len(pts)
     below = [(1 << m) - 1] * m
@@ -160,8 +161,9 @@ def _pareto_oracle(lat, pts):
         def cmp(a, b):
             return lat.coord_cmp_points(pts[a], pts[b], i)
 
-        # sort by floats, then check each neighbouring pair exactly
-        order = sorted(range(m), key=lambda a: lat.coord_float(pts[a], i))
+        # sort by enclosure midpoints, then check each neighbouring pair exactly
+        row = lat.basis_interval_matrix()[i]
+        order = sorted(range(m), key=lambda a: sum(_iv_dot(row, pts[a])))
         steps = [cmp(a, b) for a, b in zip(order, order[1:])]
         if any(s > 0 for s in steps):
             order.sort(key=cmp_to_key(cmp))
@@ -271,8 +273,9 @@ def test_certify_wide_normal_enclosure_falls_back_to_exact():
     lat = random_rational_lattice(3, 0)
     wide = random_rational_lattice(3, 0)
     one = 1 << 64  # the enclosures' scale
-    wide._coeff_iv = [[(lo - one, hi + one) for lo, hi in row]
-                      for row in wide.coeff_interval_matrix()]
+    for m in (wide, wide.dual()):
+        m._basis_iv = [[(lo - 2 * one, hi + one) for lo, hi in row]
+                       for row in m.basis_interval_matrix()]
     for f in build_sail_patch(lat, 6).facets:
         if f.support:
             want = certify_facet(lat, f.support, f.dist)
@@ -292,7 +295,11 @@ def _bruteforce_region(lat, w, d):
     """
     import math
     from itertools import product
-    from kleinsail.numberfield import float_at
+    from kleinsail.numberfield import mpf_at
+
+    def float_at(x, e):
+        return float(mpf_at(x, e, 60))
+
     n = lat.n
     inv = lat.inverse_rows()
     nu = [float_at(lat.dual().coord(w, i), lat.embeddings[i]) for i in range(n)]
@@ -559,14 +566,12 @@ def test_line_minima_match_full_window(name, make, t, seed):
     lat0 = _rebased(base, _seeded_unimodular(base.n, seed))
     for signs in product((1, -1), repeat=lat0.n):
         lat = lat0.reflect(signs)
-        for closed in (True, False):
-            minima = _enumerate_window(lat, t, closed, 10**6)
-            assert minima and len(set(minima)) == len(minima)
-            assert all(lat.in_positive_window(c, t, include_boundary=closed) for c in minima)
-            full = _window_points(lat, t) if closed else [
-                p.coeffs for p in enumerate_orthant_points(lat, t)]
-            assert len(minima) < len(full)
-            assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_oracle(lat, full))
+        minima = _enumerate_window(lat, t, 10**6)
+        assert minima and len(set(minima)) == len(minima)
+        assert all(lat.in_positive_window(c, t) for c in minima)
+        full = _window_points(lat, t)
+        assert len(minima) < len(full)
+        assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_oracle(lat, full))
 
 
 @pytest.mark.parametrize("name, make, t", [
@@ -589,8 +594,9 @@ def test_pareto_sweep_matches_oracle(name, make, t):
             assert sorted(got) == want
             # in the exact lexicographic order of the (rational) coordinates
             assert got == sorted(got, key=lambda c: [lat.coord(c, i) for i in range(3)])
-            minima = _enumerate_window(lat, t, closed, 10**6)
-            assert sorted(_pareto_minimal(lat, minima)) == want
+            if closed:  # the line scan covers the closed window
+                minima = _enumerate_window(lat, t, 10**6)
+                assert sorted(_pareto_minimal(lat, minima)) == want
 
 
 def test_scan_state_is_freed_on_return():
@@ -629,3 +635,43 @@ def test_golden_non_alpha_basis_certifies_t1000():
               for f in p_skew.certified_facets()}
     want = {(f.vertices, f.support, f.dist) for f in p_alpha.certified_facets()}
     assert len(want) >= 8 and mapped == want
+
+
+
+def _alpha_lattice(minpoly):
+    return lattice_from_alpha(NumberField(minpoly).gen(), root_index=1)
+
+
+def _cubic49(signs):
+    return lattice_from_cubic_field(CUBIC49_MINPOLY).reflect(signs)
+
+
+@pytest.mark.parametrize("make, rays, v", [
+    (lambda: _cubic49((1, 1, 1)), [(-1061311, -3048875, 3801885), (3288419, -760377, -1370152),
+                                   (3493584, 6850760, 3048875)], (1, 0, 0)),
+    (lambda: _cubic49((1, 1, -1)), [(-1387312, -3962310, 3395369),
+                                    (16116094, -4715320, -7257277),
+                                    (-1722433, -7764195, -3455392)], (0, -1, 0)),
+    (lambda: _cubic49((1, -1, 1)), [(-3113780, -2541957, 4715320),
+                                    (-16397412, 4308803, 7764195),
+                                    (1441115, 7357678, 3962310)], (-1, 1, 1)),
+    (lambda: _cubic49((1, -1, -1)), [(-3439781, -3455392, 4308803),
+                                     (-16723413, 3395369, 7357678),
+                                     (-3774902, -7257277, -2541957)], (-2, 0, 1)),
+    (lambda: _alpha_lattice(GOLDEN_MINPOLY), [(8388608, -2679875), (131072, 2047087)], (0, 1)),
+    (lambda: _alpha_lattice(SQRT2M1_MINPOLY), [(8388608, -4389645), (524288, 8081487)], (0, 1)),
+    (lambda: random_rational_lattice(3, 0), [(16543247, 27176873, -42302178),
+                                             (-32554612, 10394397, 49123441),
+                                             (12533106, -31962261, 34931707)], (0, -1, 2)),
+    (lambda: _rebased(_alpha_lattice(GOLDEN_MINPOLY), ((1, 1), (0, 1))),
+     [(11068483, -2679875), (-1916015, 2047087)], (-1, 1)),
+], ids=["cubic49+++", "cubic49++-", "cubic49+-+", "cubic49+--", "golden", "sqrt2m1",
+        "rational3-0", "golden-skew"])
+def test_closure_rays_and_line_vector_are_pinned(make, rays, v):
+    # the closure rays set the cycles of the artificial facets, and the line
+    # vector v the patch JSON's stats.enumerated; no other test checks them
+    from kleinsail.sail import DEFAULT_POINT_BUDGET, _closure_rays, _line_basis
+    lat = make()
+    assert _closure_rays(lat) == rays
+    u, _ = _line_basis(lat, DEFAULT_POINT_BUDGET)
+    assert tuple(row[-1] for row in u) == v
