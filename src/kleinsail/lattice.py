@@ -636,14 +636,29 @@ def evaluate_phi(x):
     return acc
 
 
-@dataclass
 class IrrationalityReport:
-    window: Fraction
-    witnesses: list  # sorted coefficient tuples with a zero ambient coordinate
+    """The nonzero lattice points of the box Q(window) with a zero ambient
+    coordinate.
+
+    `ok` (there is none) is decided on the coordinate kernels' multiplier
+    rows, as `_kernel_rows` gives them.  `witnesses`, the points themselves
+    as sorted coefficient tuples, is built from those rows on first read and
+    cached: an alpha lattice has 2T of them.
+    """
+
+    def __init__(self, window, kernels):
+        self.window = window
+        self.kernels = kernels  # per coordinate kernel: (generator pair, rows)
+        # a row k1 = 0 runs through k2 = 0, the origin, which is no witness
+        self.ok = not any(k1 or lo or hi for _, rows in kernels for k1, lo, hi in rows)
+        self._witnesses = None
 
     @property
-    def ok(self):
-        return not self.witnesses
+    def witnesses(self):
+        if self._witnesses is None:
+            self._witnesses = sorted({c for gens, rows in self.kernels
+                                      for c in _row_points(gens, rows)})
+        return self._witnesses
 
 
 def _zero_coordinate_sublattice(lat, i):
@@ -689,19 +704,18 @@ def _intersect_kernels(gens, introw):
 
 
 def irrationality_check(lat, t):
-    """All nonzero lattice points of the box Q(t) with a zero ambient coordinate.
+    """The nonzero lattice points of the box Q(t) with a zero ambient
+    coordinate, as an `IrrationalityReport`.
 
-    The zero set of each coordinate is a sublattice, so the search walks the
-    (at most (n-1)-dimensional) kernels directly instead of enumerating Q(t).
+    The zero set of each coordinate is a sublattice, so the search bounds
+    the multipliers of its (at most (n-1)-dimensional) kernel directly
+    instead of enumerating Q(t); the points are listed only when read.
     """
     t = _fr(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    witnesses = set()
-    for i in range(lat.n):
-        kern = _zero_coordinate_sublattice(lat, i)
-        witnesses.update(pt for pt in _kernel_points_in_box(lat, kern, t) if any(pt))
-    return IrrationalityReport(window=t, witnesses=sorted(witnesses))
+    kernels = [_kernel_rows(lat, _zero_coordinate_sublattice(lat, i), t) for i in range(lat.n)]
+    return IrrationalityReport(window=t, kernels=kernels)
 
 
 _UNRESOLVED = "a coordinate kernel is finer than its 2^-64 enclosures resolve"
@@ -718,12 +732,27 @@ def _abs_hi(iv):
     return max(-iv[0], iv[1])
 
 
-def _kernel_points_in_box(lat, kernel_gens, t):
-    """Nonzero integer combinations of kernel generators inside Q(t).
+def _row_points(gens, rows):
+    """The nonzero points of multiplier rows (k1, lo, hi) over the generator
+    pair (g0, g1): k1 g0 + k2 g1 for lo <= k2 <= hi and, where k1 != 0,
+    their negatives."""
+    for k1, lo, hi in rows:
+        for k2 in range(lo, hi + 1):
+            if k1 or k2:
+                c = tuple(k1 * a + k2 * b for a, b in zip(*gens))
+                yield c
+                if k1:
+                    yield tuple(-x for x in c)
+
+
+def _kernel_rows(lat, kernel_gens, t):
+    """The multipliers of the kernel points inside Q(t), as (generator pair,
+    rows); `_row_points` lists the points.
 
     Q(t) is convex and symmetric, and so are the in-box multipliers: one
-    interval [-K, K] for a rank-1 kernel; for rank 2, one interval of k2 per
-    row k1, row -k1 mirroring row k1, over the rows |k1| <= k1_top.  K,
+    interval [-K, K] for a rank-1 kernel (g,), given as the one row (0, -K,
+    K) of the pair (0, g); for rank 2, one interval of k2 per row k1, row -k1
+    mirroring row k1, over the rows 0 <= k1 <= k1_top that hold a point.  K,
     k1_top and each row's interval are bounded on the generators' integer
     enclosures (scale 2^64), rounded outward; exact `in_sym_box` tests step
     each end from there until the test flips.  A kernel the enclosures
@@ -732,7 +761,7 @@ def _kernel_points_in_box(lat, kernel_gens, t):
     refused with DegenerateBasisError.
     """
     if not kernel_gens:
-        return []
+        return ((), ()), []
     n = lat.n
     enc = lat.basis_interval_matrix()
     t_hi = _scale_out(*lat.raw_window_interval(t))[1]
@@ -751,7 +780,7 @@ def _kernel_points_in_box(lat, kernel_gens, t):
         if not mag:
             raise DegenerateBasisError(_UNRESOLVED)
         top = _last_inside(lambda k: inside((k,)), 0, t_hi // mag)
-        return [point((k,)) for k in range(-top, top + 1) if k]
+        return ((0,) * n, kernel_gens[0]), [(0, -top, top)]
     if len(kernel_gens) > 2:
         raise DegenerateBasisError("an ambient coordinate vanishes on the whole lattice")
     # rank 2: two coordinates r, q alone bound k1 and k2, by Cramer's rule on
@@ -772,7 +801,7 @@ def _kernel_points_in_box(lat, kernel_gens, t):
         raise DegenerateBasisError(_UNRESOLVED)
     k1_top = t_hi * (_abs_hi(g1[r]) + _abs_hi(g1[q])) // dt
     k2_top = t_hi * (_abs_hi(g0[r]) + _abs_hi(g0[q])) // dt
-    out = []
+    rows = []
     for k1 in range(k1_top + 1):
         lo_c, hi_c = -k2_top, k2_top
         for (alo, ahi), (blo, bhi) in zip(g0, g1):
@@ -793,13 +822,8 @@ def _kernel_points_in_box(lat, kernel_gens, t):
             continue
         lo = -_last_inside(lambda k: inside((k1, -k)), -known, -lo_c)
         hi = _last_inside(lambda k: inside((k1, k)), known, hi_c)
-        for k2 in range(lo, hi + 1):
-            if k1 or k2:
-                c = point((k1, k2))
-                out.append(c)
-                if k1:
-                    out.append(tuple(-x for x in c))
-    return out
+        rows.append((k1, lo, hi))
+    return tuple(kernel_gens), rows
 
 
 def _last_inside(test, known, seed):

@@ -7,7 +7,12 @@ A patch is computed inside the window [0, T)^n:
 1. enumerate the window's line minima: for a short lattice vector v with
    ambient image >= 0, keep on each line parallel to v only its window point
    nearest the origin (exact interval-propagated ranges, exact membership
-   filters); the line's other window points add multiples of v to it,
+   filters); the line's other window points add multiples of v to it.
+   For n = 2 only a small seed window is scanned: the window's Pareto set
+   is a run of the sail's boundary lattice points, and the rest of the run
+   follows from two of them by the minus continued fraction of the cone,
+   one exact step per point (Klein's construction; Karpenkov, *Geometry of
+   Continued Fractions*, ch. 1-2),
 2. prune points dominated in the componentwise order -- they are never
    vertices of the hull of points plus the orthant's recession cone; the
    line minima dominate the whole window, so they have its Pareto set,
@@ -304,15 +309,98 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
 
 
 def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
-    """(number of line minima, the window's Pareto-minimal points).
+    """(work count, the window's Pareto-minimal points in exact
+    lexicographic order).
 
-    Every nonzero lattice point of the window [0, t)^n is
-    dominated componentwise by one of the returned points.  The count is of
-    the line minima of `_enumerate_window`, not of all window points; it is
-    what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
+    Every nonzero lattice point of the window [0, t)^n is dominated
+    componentwise by one of the returned points.  n = 3: the line minima of
+    `_enumerate_window`, pruned; the count is of those line minima.  n = 2:
+    the Pareto-minimal points of the closed quadrant are the boundary lattice
+    points of its sail, and the window's are those of them inside it, a
+    contiguous run.  The window path finds two of them in the smallest
+    window t0 = 2, 4, ... that holds two, and `_sail_walk` goes on from the
+    run's two ends; the window path at t itself answers when t0 reaches t.
+    The count is of the seed scans' line minima plus the walk's steps, and
+    both count against `budget`.  The count is what `SailPatch.enumerated`
+    and the patch JSON's `stats.enumerated` hold.
     """
-    window_pts = _enumerate_window(lat, t, budget)
-    return len(window_pts), _pareto_minimal(lat, window_pts)
+    if lat.n == 3:
+        window_pts = _enumerate_window(lat, t, budget)
+        return len(window_pts), _pareto_minimal(lat, window_pts)
+    used, t0 = 0, Fraction(2)
+    while True:
+        window_pts = _enumerate_window(lat, min(t0, t), budget)
+        used += len(window_pts)
+        kept = _pareto_minimal(lat, window_pts)
+        if t0 >= t:
+            return used, kept
+        if len(kept) >= 2:
+            break
+        t0 *= 2
+    if used > budget:
+        raise PointBudgetError(budget)
+    head, used = _sail_walk(lat, kept[1], kept[0], 0, t, budget, used)
+    tail, used = _sail_walk(lat, kept[-2], kept[-1], 1, t, budget, used)
+    return used, head[::-1] + kept + tail
+
+
+def _sail_walk(lat, prev, cur, i, t, budget, used):
+    """(the boundary points past cur, `used` plus the steps taken) of a 2D
+    sail, walked from consecutive boundary points prev, cur toward the axis
+    x_i = 0, while the other coordinate x_j stays below t.
+
+    Consecutive boundary points are a lattice basis: the triangle 0, prev,
+    cur holds no other lattice point.  The next point keeps that orientation,
+    so it is a cur - prev for an integer a, and the least a with
+    x_i(a cur - prev) >= 0 -- the minus (Hirzebruch-Jung) continued fraction
+    of the cone.  a = 1 gives x_i(cur) - x_i(prev) < 0, so a >= 2, and x_j
+    grows at every step.  The walk stops at an axis point, x_i = 0 exactly,
+    or when x_j reaches t.  The ratio of the cached enclosures of x_i(prev)
+    and x_i(cur) guesses a, the last a where they cannot; exact `coord_sign`
+    tests decide it.  Each step counts against `budget`, after the `used`
+    of the stages before.
+    """
+    j = 1 - i
+    enc = lat.basis_interval_matrix()
+    b_lo, b_hi, below = _window_bounds(lat, t)[j]
+    out, a = [], 2
+
+    def point(m):
+        return tuple(m * x - y for x, y in zip(cur, prev))
+
+    while lat.coord_sign(cur, i) > 0:
+        used += 1
+        if used > budget:
+            raise PointBudgetError(budget)
+        p_lo, p_hi = _iv_dot(enc[i], prev)
+        c_lo, c_hi = _iv_dot(enc[i], cur)
+        if c_lo > 0:
+            a = max(2, _ceil_div(p_lo + p_hi, c_lo + c_hi))
+        a = _least_nonnegative(lambda m: lat.coord_sign(point(m), i), a)
+        prev, cur = cur, point(a)
+        lo, hi = _iv_dot(enc[j], cur)
+        if hi >= b_lo and (lo > b_hi or not below(cur, j)):
+            break
+        out.append(cur)
+    return out, used
+
+
+def _least_nonnegative(sign_of, a):
+    """The least integer m with sign_of(m) >= 0, for sign_of nondecreasing
+    with sign_of(1) < 0: from the guess a >= 2, test a and its neighbour,
+    then gallop up to a bracket and bisect it."""
+    lo, hi = 1, None  # sign_of(lo) < 0 <= sign_of(hi)
+    if sign_of(a) >= 0:
+        hi, a = a, a - 1
+    else:
+        lo, a = a, a + 1
+    while hi is None or hi - lo > 1:
+        if sign_of(a) >= 0:
+            hi = a
+        else:
+            lo = a
+        a = 2 * lo if hi is None else (lo + hi) // 2
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +669,8 @@ class SailPatch:
     edges: list               # sorted coeff-tuple pairs with >= 1 certified facet
     stars: dict               # coeff tuple -> EdgeStar (hull vertices on certified facets)
     irrationality: object
-    enumerated: int           # line minima of the window scan, not all window points
+    enumerated: int           # line minima of the window scan (n = 2: of the seed
+                              # scans, plus the sail walk's steps), not all window points
     pruned: int
     budget: int
     minima: tuple = ()        # Pareto-minimal window points (coeff tuples)

@@ -16,6 +16,7 @@ from kleinsail.lattice import (
 from kleinsail.linalg import mat_mul, mat_inverse
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import EdgeStar, build_sail_patch
+from test_sail import _golden_module
 
 
 def test_det_facet_trivial():
@@ -133,7 +134,11 @@ def _golden_scaled():
     (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 4),
     (lambda: random_rational_lattice(3, 0), 6),
     (lambda: _golden_scaled(), 40),
-], ids=["alpha-5/12", "golden", "cubic49", "rational3-0", "golden-scaled"])
+    (lambda: lattice_from_alpha(NumberField(SQRT2M1_MINPOLY).gen(), root_index=1), 40),
+    (lambda: random_rational_lattice(2, 1), 40),
+    (_golden_module, 40),
+], ids=["alpha-5/12", "golden", "cubic49", "rational3-0", "golden-scaled", "sqrt2m1",
+        "rational2-1", "golden-module"])
 def test_det_invariance_under_unimodular_basis_change(make, t):
     # the same lattice in the basis B U, in every orthant: certified facets,
     # their determinants and integer distances, and the complete edge stars
@@ -211,6 +216,17 @@ def test_cf_correspondence_sqrt2m1():
     assert rep.all_match
     assert rep.aligned >= 5
     assert all(r[1] == 2 for r in rep.edge_rows + rep.star_rows)
+
+
+@pytest.mark.parametrize("minpoly, aligned", [(GOLDEN_MINPOLY, 50), (SQRT2M1_MINPOLY, 30)],
+                         ids=["golden", "sqrt2m1"])
+def test_cf_correspondence_at_window_1e12(minpoly, aligned):
+    # the patch's 2D minima come from the sail walk, a minus continued
+    # fraction; the regular continued fraction of alpha cross-checks it
+    fld = NumberField(minpoly)
+    rep = cf_correspondence(fld.gen(), 10**12, root_index=1)
+    assert rep.all_match
+    assert rep.aligned >= aligned
 
 
 def test_cf_correspondence_finite_rational():

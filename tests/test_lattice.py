@@ -11,6 +11,7 @@ from kleinsail.lattice import (
 )
 from kleinsail.linalg import det, mat_mul, transpose
 from kleinsail.numberfield import NumberField
+from test_sail import _golden_module
 
 
 def test_normalize_identity():
@@ -355,11 +356,11 @@ def _golden_skew():
     (lambda: normalize_lattice([(1, 2, 0), (0, 1, 3), (5, 0, 1)]), 9),
 ])
 def test_kernel_points_match_per_multiplier_sweep(make, t):
-    from kleinsail.lattice import _kernel_points_in_box, _zero_coordinate_sublattice
+    from kleinsail.lattice import _kernel_rows, _row_points, _zero_coordinate_sublattice
     lat = make()
     for i in range(lat.n):
         kern = _zero_coordinate_sublattice(lat, i)
-        pts = _kernel_points_in_box(lat, kern, t)
+        pts = list(_row_points(*_kernel_rows(lat, kern, t)))
         assert len(pts) == len(set(pts))
         assert sorted(pts) == sorted(_sweep_kernel_points(lat, kern, t))
 
@@ -388,5 +389,31 @@ def test_irrationality_witnesses_match_box_enumeration(seed, signs):
     t = 12
     want = sorted(c for c in enumerate_sym_box(lat, t)
                   if any(lat.coord_sign(c, i) == 0 for i in range(3)))
-    got = irrationality_check(lat, t).witnesses
+    rep = irrationality_check(lat, t)
+    got = rep.witnesses
     assert want and got == want
+    assert rep.ok == (not got)
+
+
+@pytest.mark.parametrize("make, t, ok", [
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 100, False),
+    (_golden_module, 100, True),
+    (lambda: random_rational_lattice(3, 0), 30, True),
+    (lambda: random_rational_lattice(3, 1, denom_limit=7), 12, False),
+], ids=["golden", "golden-module", "rational3-0", "rational3-d7-1"])
+def test_irrationality_ok_is_decided_before_the_witness_list(make, t, ok):
+    # ok comes from the kernels' multiplier rows; the list is built on first read
+    rep = irrationality_check(make(), t)
+    assert rep._witnesses is None
+    assert rep.ok is ok
+    assert rep.ok == (not rep.witnesses)
+    assert rep.witnesses is rep.witnesses
+
+
+def test_window_1e12_patch_leaves_the_witness_list_unbuilt():
+    # the golden alpha lattice has 2 * 10^12 witnesses (0, b) in Q(10^12)
+    from kleinsail.sail import build_sail_patch
+    lat = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    rep = build_sail_patch(lat, 10**12).irrationality
+    assert rep.ok is False
+    assert rep._witnesses is None

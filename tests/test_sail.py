@@ -59,14 +59,19 @@ def test_enumerate_budget():
     assert "17" in str(exc.value)
 
 
-def test_patch_budget_error_names_stage_lattice_and_window():
-    lat = random_rational_lattice(3, 0)
+@pytest.mark.parametrize("make, t, budget, provenance", [
+    (lambda: random_rational_lattice(3, 0), 10, 20, "rational-random"),
+    # the seed window [0, 2)^2 scans 7 leaves; the walk to T = 10^4 takes 10 steps more
+    (lambda: _alpha_lattice(GOLDEN_MINPOLY), 10**4, 10, "from-alpha"),
+], ids=["rational3-0", "golden-walk"])
+def test_patch_budget_error_names_stage_lattice_and_window(make, t, budget, provenance):
+    lat = make()
     with pytest.raises(PointBudgetError) as exc:
-        build_sail_patch(lat, 10, budget=20)
+        build_sail_patch(lat, t, budget=budget)
     err = exc.value
     assert (err.budget, err.stage, err.provenance, err.window) == (
-        20, "window", "rational-random", 10)
-    for part in ("budget=20", "'window'", "'rational-random'", "window 10"):
+        budget, "window", provenance, t)
+    for part in (f"budget={budget}", "'window'", f"'{provenance}'", f"window {t}"):
         assert part in str(err)
 
 
@@ -675,3 +680,40 @@ def test_closure_rays_and_line_vector_are_pinned(make, rays, v):
     assert _closure_rays(lat) == rays
     u, _ = _line_basis(lat, DEFAULT_POINT_BUDGET)
     assert tuple(row[-1] for row in u) == v
+
+
+def _golden_module():
+    """The module [1, theta] of the golden field: no lattice point on an axis."""
+    fld = NumberField(GOLDEN_MINPOLY)
+    return Lattice.module(fld, [fld.one(), fld.gen()])
+
+
+# the golden lattice's bases in the quad2d-skew benchmark, at seeds 1 and 2026
+_GOLDEN_SKEW_BASES = [((1, -1), (-2, 1)), ((1, -1), (1, -2)), ((-1, 1), (-2, 1)),
+                      ((1, -1), (2, -1)), ((-2, 1), (-1, 1)), ((1, 1), (1, 0))]
+
+_WALK_LATTICES = [
+    ("golden", lambda: _alpha_lattice(GOLDEN_MINPOLY)),
+    ("sqrt2m1", lambda: _alpha_lattice(SQRT2M1_MINPOLY)),
+] + [(f"golden-skew-{k}", lambda u=u: _rebased(_alpha_lattice(GOLDEN_MINPOLY), u))
+     for k, u in enumerate(_GOLDEN_SKEW_BASES)] + [
+    (f"rational2-{k}", lambda k=k: random_rational_lattice(2, k)) for k in range(8)] + [
+    (f"alpha-{a}", lambda a=a: lattice_from_alpha(Fraction(a)))
+    for a in ("5/12", "13/34", "7/16", "16/113", "1/2", "1/1000")] + [
+    ("golden-module", _golden_module),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _WALK_LATTICES],
+                         ids=[name for name, _ in _WALK_LATTICES])
+def test_sail_walk_matches_window_pareto(make):
+    # the 2D minima come from a short window scan and the sail walk; the
+    # full window scan and the Pareto sweep are the oracle, in every orthant
+    # representative, at windows below the seed window too
+    from kleinsail.sail import _enumerate_window, _pareto_minimal, _window_minima
+    base = make()
+    for signs in ((1, 1), (1, -1)):
+        lat = base.reflect(signs)
+        for t in (3, 5, 10, 20, 60, 100, 600, 10**4):
+            want = _pareto_minimal(lat, _enumerate_window(lat, t, 10**7))
+            assert _window_minima(lat, t)[1] == want, (signs, t)
