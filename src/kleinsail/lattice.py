@@ -648,7 +648,7 @@ class IrrationalityReport:
 
     def __init__(self, window, kernels):
         self.window = window
-        self.kernels = kernels  # per coordinate kernel: (generator pair, rows)
+        self._kernels = kernels  # per coordinate kernel: (generator pair, rows)
         # a row k1 = 0 runs through k2 = 0, the origin, which is no witness
         self.ok = not any(k1 or lo or hi for _, rows in kernels for k1, lo, hi in rows)
         self._witnesses = None
@@ -656,7 +656,7 @@ class IrrationalityReport:
     @property
     def witnesses(self):
         if self._witnesses is None:
-            self._witnesses = sorted({c for gens, rows in self.kernels
+            self._witnesses = sorted({c for gens, rows in self._kernels
                                       for c in _row_points(gens, rows)})
         return self._witnesses
 

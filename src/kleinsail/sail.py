@@ -309,7 +309,7 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
 
 
 def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
-    """(work count, the window's Pareto-minimal points in exact
+    """(candidate count, the window's Pareto-minimal points in exact
     lexicographic order).
 
     Every nonzero lattice point of the window [0, t)^n is dominated
@@ -320,32 +320,32 @@ def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
     contiguous run.  The window path finds two of them in the smallest
     window t0 = 2, 4, ... that holds two, and `_sail_walk` goes on from the
     run's two ends; the window path at t itself answers when t0 reaches t.
-    The count is of the seed scans' line minima plus the walk's steps, and
-    both count against `budget`.  The count is what `SailPatch.enumerated`
-    and the patch JSON's `stats.enumerated` hold.
+    Each seed scan's leaves are bounded by `budget`, as every window scan's
+    are; the walk's points count against it after the last seed scan's line
+    minima.  The count is of those line minima plus the walk's points, so
+    the count less the Pareto set is what the last seed scan pruned.  It is
+    what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
     """
     if lat.n == 3:
         window_pts = _enumerate_window(lat, t, budget)
         return len(window_pts), _pareto_minimal(lat, window_pts)
-    used, t0 = 0, Fraction(2)
+    t0 = Fraction(2)
     while True:
         window_pts = _enumerate_window(lat, min(t0, t), budget)
-        used += len(window_pts)
         kept = _pareto_minimal(lat, window_pts)
         if t0 >= t:
-            return used, kept
+            return len(window_pts), kept
         if len(kept) >= 2:
             break
         t0 *= 2
-    if used > budget:
-        raise PointBudgetError(budget)
+    used = len(window_pts)
     head, used = _sail_walk(lat, kept[1], kept[0], 0, t, budget, used)
     tail, used = _sail_walk(lat, kept[-2], kept[-1], 1, t, budget, used)
     return used, head[::-1] + kept + tail
 
 
 def _sail_walk(lat, prev, cur, i, t, budget, used):
-    """(the boundary points past cur, `used` plus the steps taken) of a 2D
+    """(the boundary points past cur, `used` plus their number) of a 2D
     sail, walked from consecutive boundary points prev, cur toward the axis
     x_i = 0, while the other coordinate x_j stays below t.
 
@@ -357,8 +357,8 @@ def _sail_walk(lat, prev, cur, i, t, budget, used):
     grows at every step.  The walk stops at an axis point, x_i = 0 exactly,
     or when x_j reaches t.  The ratio of the cached enclosures of x_i(prev)
     and x_i(cur) guesses a, the last a where they cannot; exact `coord_sign`
-    tests decide it.  Each step counts against `budget`, after the `used`
-    of the stages before.
+    tests decide it.  Each point found counts against `budget`, after the
+    `used` of the stages before.
     """
     j = 1 - i
     enc = lat.basis_interval_matrix()
@@ -369,9 +369,6 @@ def _sail_walk(lat, prev, cur, i, t, budget, used):
         return tuple(m * x - y for x, y in zip(cur, prev))
 
     while lat.coord_sign(cur, i) > 0:
-        used += 1
-        if used > budget:
-            raise PointBudgetError(budget)
         p_lo, p_hi = _iv_dot(enc[i], prev)
         c_lo, c_hi = _iv_dot(enc[i], cur)
         if c_lo > 0:
@@ -381,6 +378,9 @@ def _sail_walk(lat, prev, cur, i, t, budget, used):
         lo, hi = _iv_dot(enc[j], cur)
         if hi >= b_lo and (lo > b_hi or not below(cur, j)):
             break
+        used += 1
+        if used > budget:
+            raise PointBudgetError(budget)
         out.append(cur)
     return out, used
 
@@ -669,8 +669,8 @@ class SailPatch:
     edges: list               # sorted coeff-tuple pairs with >= 1 certified facet
     stars: dict               # coeff tuple -> EdgeStar (hull vertices on certified facets)
     irrationality: object
-    enumerated: int           # line minima of the window scan (n = 2: of the seed
-                              # scans, plus the sail walk's steps), not all window points
+    enumerated: int           # line minima of the window scan (n = 2: of the last
+                              # seed scan, plus the sail walk's points), not all window points
     pruned: int
     budget: int
     minima: tuple = ()        # Pareto-minimal window points (coeff tuples)

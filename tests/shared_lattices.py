@@ -1,0 +1,10 @@
+"""Lattices that several test modules build."""
+
+from kleinsail.lattice import GOLDEN_MINPOLY, Lattice
+from kleinsail.numberfield import NumberField
+
+
+def golden_module():
+    """The module [1, theta] of the golden field: no lattice point on an axis."""
+    fld = NumberField(GOLDEN_MINPOLY)
+    return Lattice.module(fld, [fld.one(), fld.gen()])

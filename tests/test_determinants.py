@@ -16,7 +16,7 @@ from kleinsail.lattice import (
 from kleinsail.linalg import mat_mul, mat_inverse
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import EdgeStar, build_sail_patch
-from test_sail import _golden_module
+from shared_lattices import golden_module
 
 
 def test_det_facet_trivial():
@@ -136,7 +136,7 @@ def _golden_scaled():
     (lambda: _golden_scaled(), 40),
     (lambda: lattice_from_alpha(NumberField(SQRT2M1_MINPOLY).gen(), root_index=1), 40),
     (lambda: random_rational_lattice(2, 1), 40),
-    (_golden_module, 40),
+    (golden_module, 40),
 ], ids=["alpha-5/12", "golden", "cubic49", "rational3-0", "golden-scaled", "sqrt2m1",
         "rational2-1", "golden-module"])
 def test_det_invariance_under_unimodular_basis_change(make, t):

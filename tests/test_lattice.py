@@ -11,7 +11,7 @@ from kleinsail.lattice import (
 )
 from kleinsail.linalg import det, mat_mul, transpose
 from kleinsail.numberfield import NumberField
-from test_sail import _golden_module
+from shared_lattices import golden_module
 
 
 def test_normalize_identity():
@@ -193,7 +193,7 @@ def test_json_roundtrip_field_and_module():
     assert [g.vec for g in back.gens] == [g.vec for g in cub.gens]
     assert cub.to_json()["field"]["kind"] == "cubic-embedding"
 
-    quad = Lattice.module(fld, [fld.one(), fld.gen()])
+    quad = golden_module()
     doc = quad.to_json()
     assert doc["field"]["kind"] == "quadratic-embedding"
     back = Lattice.from_json(doc)
@@ -397,7 +397,7 @@ def test_irrationality_witnesses_match_box_enumeration(seed, signs):
 
 @pytest.mark.parametrize("make, t, ok", [
     (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 100, False),
-    (_golden_module, 100, True),
+    (golden_module, 100, True),
     (lambda: random_rational_lattice(3, 0), 30, True),
     (lambda: random_rational_lattice(3, 1, denom_limit=7), 12, False),
 ], ids=["golden", "golden-module", "rational3-0", "rational3-d7-1"])

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice, lattice_from_alpha,
-    lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
+    CUBIC49_MINPOLY, SQRT2M1_MINPOLY, lattice_from_alpha, lattice_from_cubic_field,
+    normalize_lattice, random_rational_lattice,
 )
 from kleinsail.contfrac import cf_value
 from kleinsail.numberfield import NumberField
@@ -13,6 +13,7 @@ from kleinsail.normmin import (
     norm_minimum_estimate, t0_bound, theorem1_audit, vertex_phi_inf,
 )
 from kleinsail.sail import PointBudgetError, build_sail_patch
+from shared_lattices import golden_module
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,7 @@ def test_estimate_matches_bruteforce_quadratic():
 @pytest.mark.parametrize("run", [norm_minimum_estimate, theorem1_audit])
 def test_module_2d_non_square_discriminant_is_refused(run):
     # Z[theta] for the golden field has d^2 = 5: phi is irrational
-    fld = NumberField(GOLDEN_MINPOLY)
-    lat = Lattice.module(fld, [fld.one(), fld.gen()])
+    lat = golden_module()
     assert lat.scale_d is None
     with pytest.raises(NotImplementedError, match="non-square module discriminant"):
         run(lat, 10)

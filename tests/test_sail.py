@@ -13,6 +13,7 @@ from kleinsail.sail import (
     PointBudgetError, build_sail_patch, certify_facet, detect_periodicity,
     edge_star, enumerate_orthant_points, facet_support,
 )
+from shared_lattices import golden_module
 
 
 @pytest.fixture(scope="module")
@@ -682,12 +683,6 @@ def test_closure_rays_and_line_vector_are_pinned(make, rays, v):
     assert tuple(row[-1] for row in u) == v
 
 
-def _golden_module():
-    """The module [1, theta] of the golden field: no lattice point on an axis."""
-    fld = NumberField(GOLDEN_MINPOLY)
-    return Lattice.module(fld, [fld.one(), fld.gen()])
-
-
 # the golden lattice's bases in the quad2d-skew benchmark, at seeds 1 and 2026
 _GOLDEN_SKEW_BASES = [((1, -1), (-2, 1)), ((1, -1), (1, -2)), ((-1, 1), (-2, 1)),
                       ((1, -1), (2, -1)), ((-2, 1), (-1, 1)), ((1, 1), (1, 0))]
@@ -700,7 +695,7 @@ _WALK_LATTICES = [
     (f"rational2-{k}", lambda k=k: random_rational_lattice(2, k)) for k in range(8)] + [
     (f"alpha-{a}", lambda a=a: lattice_from_alpha(Fraction(a)))
     for a in ("5/12", "13/34", "7/16", "16/113", "1/2", "1/1000")] + [
-    ("golden-module", _golden_module),
+    ("golden-module", golden_module),
 ]
 
 
