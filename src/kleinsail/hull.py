@@ -2,18 +2,31 @@
 
 Points are tuples of ints or Fractions; all predicates are exact sign
 computations of small determinants, so the hulls are certified combinatorial
-objects.  The 3D hull is incremental with conflict lists; coplanar triangles
-are merged afterwards into polygon facets (facets may have more than n
-vertices).  Points lying on a facet's plane but not extreme never become
-hull vertices.
+objects.
+
+The 3D hull is randomized incremental with a conflict graph (Clarkson and
+Shor, Discrete Comput. Geom. 4, 1989).  Points are inserted in a fixed
+seeded shuffle.  Each triangle stores its integer plane, so a conflict test
+is one dot product, and keeps the points strictly outside it; each point
+keeps the triangles it is strictly outside of.  Those are exactly the
+triangles a point removes when it is inserted, and a directed-edge map
+finds the horizon across their edges.  A new triangle on horizon edge
+(u, v) tests only the points outside the two old triangles on that edge: a
+point strictly outside the new one was strictly outside one of them, so the
+lists stay exact.  Coplanar triangles are merged afterwards into polygon
+facets (facets may have more than n vertices).  Points lying on a facet's
+plane but not extreme never become hull vertices.  Every facet cycle is
+ccw seen from outside and starts at its least vertex index, so the output
+does not depend on the insertion order.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
-from .linalg import primitive_int_vector
+from .linalg import gcd_vector
 
 __all__ = [
     "orient2", "orient3", "convex_hull_2d", "convex_hull_3d", "HullFacet",
@@ -93,120 +106,119 @@ def _plane_of_triangle(points, a, b, c):
     return n
 
 
+# the 3D hull inserts its points in this seeded shuffle of their order; on
+# the 3D sail patches of the benchmark, a sorted insertion made six times
+# the conflict tests
+_INSERTION_SEED = 0
+
+
 def convex_hull_3d(points):
     """Merged-facet hull of integer 3D points.
 
-    Returns (facets, vertex_ids): HullFacet list and the set of hull vertex
-    indices.  Requires the point set to span 3 dimensions.
+    Returns (facets, vertex_ids): the HullFacet list, sorted by plane, and
+    the set of hull vertex indices.  Equal points count once, under their
+    least index.  Requires the point set to span 3 dimensions.
     """
     for p in points:
         for x in p:
             if not isinstance(x, int):
                 raise TypeError("convex_hull_3d expects integer coordinates")
-    n_pts = len(points)
-    order = sorted(range(n_pts), key=lambda i: points[i])
-    uniq = []
-    seen = set()
-    for i in order:
-        if points[i] not in seen:
-            seen.add(points[i])
-            uniq.append(i)
-    if len(uniq) < 4:
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(p, i)
+    if len(first) < 4:
         raise ValueError("need at least 4 distinct points")
+    order = list(first.values())
+    random.Random(_INSERTION_SEED).shuffle(order)
 
-    seed = _initial_simplex(points, uniq)
+    seed = _initial_simplex(points, order)
     if seed is None:
         raise ValueError("point set is degenerate (coplanar)")
     a, b, c, d = seed
     if orient3(points[a], points[b], points[c], points[d]) > 0:
         a, b = b, a
 
-    # triangles as (v0, v1, v2), ccw seen from outside
-    tris = {}
-    tri_id = 0
+    tris = []       # triangle id -> (v0, v1, v2), ccw seen from outside
+    planes = []     # triangle id -> (normal, offset): normal . q > offset outside
+    conflicts = []  # triangle id -> points strictly outside it; None once deleted
+    edge_tri = {}   # directed edge -> the triangle it bounds (newest write is live)
+    sees = {q: set() for q in order}  # point -> live triangles it is outside of
 
     def add_tri(v0, v1, v2, candidates):
-        nonlocal tri_id
+        nx, ny, nz = n = _plane_of_triangle(points, v0, v1, v2)
+        x, y, z = points[v0]
+        off = nx * x + ny * y + nz * z
+        tid = len(tris)
         outside = []
-        for p in candidates:
-            if p in (v0, v1, v2):
-                continue
-            if orient3(points[v0], points[v1], points[v2], points[p]) > 0:
-                outside.append(p)
-        tris[tri_id] = [(v0, v1, v2), outside]
-        tri_id += 1
-        return tri_id - 1
+        for q in candidates:
+            x, y, z = points[q]
+            if nx * x + ny * y + nz * z > off:
+                outside.append(q)
+                sees[q].add(tid)
+        tris.append((v0, v1, v2))
+        planes.append((n, off))
+        conflicts.append(outside)
+        edge_tri[v0, v1] = edge_tri[v1, v2] = edge_tri[v2, v0] = tid
 
-    rest = [i for i in uniq if i not in (a, b, c, d)]
+    rest = [i for i in order if i not in (a, b, c, d)]
     add_tri(a, b, c, rest)
     add_tri(a, c, d, rest)
     add_tri(a, d, b, rest)
     add_tri(b, d, c, rest)
 
-    while True:
-        live = None
-        for tid, (tri, outside) in tris.items():
-            if outside:
-                live = tid
-                break
-        if live is None:
-            break
-        tri, outside = tris[live]
-        # take the farthest-ish conflict point (any works; pick max by the
-        # exact predicate chain to keep determinism)
-        p = outside[0]
-        # find all triangles visible from p; adjacency isn't tracked, so scan
-        visible = {tid for tid, (t, _) in tris.items()
-                   if orient3(points[t[0]], points[t[1]], points[t[2]], points[p]) > 0}
-        # horizon = directed edges of visible triangles whose reverse is not visible
-        edge_count = {}
-        for tid in visible:
-            t = tris[tid][0]
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edge_count[e] = edge_count.get(e, 0) + 1
+    for p in rest:
+        visible = sees.pop(p)
+        if not visible:
+            continue  # inside the hull so far, or on its boundary
         horizon = []
-        for tid in visible:
-            t = tris[tid][0]
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                if (e[1], e[0]) not in edge_count:
-                    horizon.append(e)
-        pool = set()
-        for tid in visible:
-            pool.update(tris[tid][1])
-        pool.discard(p)
-        for tid in visible:
-            del tris[tid]
-        for (u, v) in horizon:
-            add_tri(u, v, p, pool)
+        for t in visible:
+            t0, t1, t2 = tris[t]
+            for u, v in ((t0, t1), (t1, t2), (t2, t0)):
+                nb = edge_tri[v, u]
+                if nb not in visible:
+                    horizon.append((u, v, t, nb))
+        for t in visible:
+            for q in conflicts[t]:
+                if q != p:
+                    sees[q].discard(t)
+        for u, v, t, nb in horizon:
+            candidates = set(conflicts[t])
+            candidates.update(conflicts[nb])
+            candidates.discard(p)
+            add_tri(u, v, p, candidates)
+        for t in visible:
+            conflicts[t] = None
 
     # merge coplanar triangles into polygon facets
     groups = {}
-    for tri, _ in tris.values():
-        n = _plane_of_triangle(points, *tri)
-        w = primitive_int_vector(n)
-        off = sum(w[k] * points[tri[0]][k] for k in range(3))
-        groups.setdefault((w, off), set()).update(tri)
+    for t, tri in enumerate(tris):
+        if conflicts[t] is None:
+            continue
+        n, off = planes[t]
+        g = gcd_vector(n)
+        w = tuple(x // g for x in n)
+        groups.setdefault((w, off // g), (tri, set()))[1].update(tri)
 
     facets = []
     hull_vertices = set()
-    for (w, off), verts in groups.items():
-        cycle = _order_facet_cycle(points, list(verts), w)
+    for (w, off), (tri, verts) in groups.items():
+        cycle = list(tri) if len(verts) == 3 else _order_facet_cycle(points, list(verts), w)
+        k = cycle.index(min(cycle))
+        cycle = cycle[k:] + cycle[:k]
         facets.append(HullFacet(w, off, cycle))
         hull_vertices.update(cycle)
     facets.sort(key=lambda f: (f.normal_out, f.offset))
     return facets, hull_vertices
 
 
-def _initial_simplex(points, uniq):
-    a = uniq[0]
-    b = next((i for i in uniq if points[i] != points[a]), None)
-    if b is None:
-        return None
-    c = next((i for i in uniq
+def _initial_simplex(points, order):
+    a = order[0]
+    b = order[1]
+    c = next((i for i in order
               if _noncollinear(points[a], points[b], points[i])), None)
     if c is None:
         return None
-    d = next((i for i in uniq
+    d = next((i for i in order
               if orient3(points[a], points[b], points[c], points[i]) != 0), None)
     if d is None:
         return None
@@ -223,24 +235,16 @@ def _noncollinear(a, b, c):
 
 
 def _order_facet_cycle(points, verts, normal):
-    """Order coplanar extreme points into a convex cycle (ccw from outside)."""
-    if len(verts) == 3:
-        a, b, c = verts
-        n = _plane_of_triangle(points, a, b, c)
-        if all(x == y for x, y in zip(primitive_int_vector(n), normal)):
-            return [a, b, c]
-        return [a, c, b]
+    """Order coplanar points into the convex cycle of their strictly extreme
+    ones, ccw seen from outside (along `normal`)."""
     # project out the largest normal coordinate
     k = max(range(3), key=lambda i: abs(normal[i]))
     keep = [i for i in range(3) if i != k]
     proj = [(points[v][keep[0]], points[v][keep[1]]) for v in verts]
-    order = convex_hull_2d(proj)
-    cycle = [verts[i] for i in order]
+    cycle = [verts[i] for i in convex_hull_2d(proj)]
     # enforce ccw as seen along the outward normal
-    a, b, c = cycle[0], cycle[1], cycle[2]
-    n = _plane_of_triangle(points, a, b, c)
-    dot = sum(x * y for x, y in zip(n, normal))
-    if dot < 0:
+    n = _plane_of_triangle(points, *cycle[:3])
+    if sum(x * y for x, y in zip(n, normal)) < 0:
         cycle.reverse()
     return cycle
 

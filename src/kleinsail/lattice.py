@@ -37,6 +37,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from itertools import combinations, groupby, islice
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .linalg import det, mat_inverse, mat_mul, solve, transpose
@@ -461,14 +463,32 @@ class Lattice:
     # -- transforms ------------------------------------------------------------------------
 
     def reflect(self, signs):
+        """The lattice with ambient axis i negated where signs[i] = -1.
+
+        It inherits every cache this lattice has filled, exactly: row i's
+        basis enclosures (lo, hi) become (-hi, -lo), column i of the inverse
+        basis is negated, and the dual is this dual reflected by the same
+        signs.  The scale root and a module's generators do not change.
+        """
         signs = tuple(signs.signs if isinstance(signs, OrthantSign) else signs)
         if len(signs) != self.n or not all(s in (1, -1) for s in signs):
             raise ValueError("bad orthant sign vector")
         rows = [tuple(x if s > 0 else -x for x in row) for s, row in zip(signs, self.basis)]
-        return Lattice(rows, self.embeddings, self.field,
-                       row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
-                       scale_d=self.scale_d, scale_d_sq=self.scale_d_sq,
-                       provenance=self.provenance, seed=self.seed)
+        out = Lattice(rows, self.embeddings, self.field,
+                      row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
+                      scale_d=self.scale_d, scale_d_sq=self.scale_d_sq,
+                      provenance=self.provenance, seed=self.seed)
+        if self._basis_iv is not None:
+            out._basis_iv = tuple(row if s > 0 else tuple((-hi, -lo) for lo, hi in row)
+                                  for s, row in zip(signs, self._basis_iv))
+        if self._inv_basis is not None:
+            out._inv_basis = [tuple(x if s > 0 else -x for x, s in zip(row, signs))
+                              for row in self._inv_basis]
+        if self._dual is not None:
+            out._dual = self._dual.reflect(signs)
+        out._scale_root_iv = self._scale_root_iv
+        out._gen_mul = self._gen_mul
+        return out
 
     def diagonal_rescale(self, factors):
         """Rescale ambient axes by exact rationals with product 1."""
@@ -643,15 +663,18 @@ class IrrationalityReport:
     `ok` (there is none) is decided on the coordinate kernels' multiplier
     rows, as `_kernel_rows` gives them.  `witnesses`, the points themselves
     as sorted coefficient tuples, is built from those rows on first read and
-    cached: an alpha lattice has 2T of them.
+    cached: an alpha lattice has 2T of them.  `witness_sample(k)` and
+    `witness_count` read the rows without building that list.
     """
 
-    def __init__(self, window, kernels):
+    def __init__(self, lattice, window, kernels):
+        self.lattice = lattice
         self.window = window
         self._kernels = kernels  # per coordinate kernel: (generator pair, rows)
         # a row k1 = 0 runs through k2 = 0, the origin, which is no witness
         self.ok = not any(k1 or lo or hi for _, rows in kernels for k1, lo, hi in rows)
         self._witnesses = None
+        self._count = None
 
     @property
     def witnesses(self):
@@ -660,9 +683,30 @@ class IrrationalityReport:
                                       for c in _row_points(gens, rows)})
         return self._witnesses
 
+    def witness_sample(self, k):
+        """witnesses[:k], merged from the rows' increasing runs."""
+        runs = [run for gens, rows in self._kernels for run in _row_runs(gens, rows)]
+        return [c for c, _ in islice(groupby(merge(*runs)), k)]
 
-def _zero_coordinate_sublattice(lat, i):
-    """Integer kernel of 'ambient coordinate i = 0', as basis vectors.
+    @property
+    def witness_count(self):
+        """len(witnesses), counted on the rows.  A nonzero point lies in at
+        most two coordinate kernels, and in two exactly when it lies on an
+        axis (n = 3); those points are counted once more on the rows of each
+        pair of kernels' intersection, and subtracted."""
+        if self._count is None:
+            lat, t = self.lattice, self.window
+            axes = [_kernel_rows(lat, _zero_coordinate_sublattice(
+                lat, j, _zero_coordinate_sublattice(lat, i)), t)
+                for i, j in combinations(range(lat.n), 2)]
+            self._count = (sum(_row_count(rows) for _, rows in self._kernels)
+                           - sum(_row_count(rows) for _, rows in axes))
+        return self._count
+
+
+def _zero_coordinate_sublattice(lat, i, kernels=None):
+    """Integer kernel of 'ambient coordinate i = 0', as basis vectors; within
+    the sublattice spanned by `kernels` if given.
 
     The coordinate sum_j B[i][j] c_j vanishes iff each of its rational
     power-basis coordinates does (a Fraction is its own single coordinate):
@@ -671,7 +715,8 @@ def _zero_coordinate_sublattice(lat, i):
     """
     n = lat.n
     vecs = [x.vec if isinstance(x, FieldElement) else (x,) for x in lat.basis[i]]
-    kernels = [tuple(1 if a == j else 0 for a in range(n)) for j in range(n)]
+    if kernels is None:
+        kernels = [tuple(1 if a == j else 0 for a in range(n)) for j in range(n)]
     for k in range(len(vecs[0])):
         row = [v[k] for v in vecs]
         if all(v == 0 for v in row):
@@ -715,7 +760,7 @@ def irrationality_check(lat, t):
     if t <= 0:
         raise ValueError("window must be positive")
     kernels = [_kernel_rows(lat, _zero_coordinate_sublattice(lat, i), t) for i in range(lat.n)]
-    return IrrationalityReport(window=t, kernels=kernels)
+    return IrrationalityReport(lat, t, kernels)
 
 
 _UNRESOLVED = "a coordinate kernel is finer than its 2^-64 enclosures resolve"
@@ -736,13 +781,33 @@ def _row_points(gens, rows):
     """The nonzero points of multiplier rows (k1, lo, hi) over the generator
     pair (g0, g1): k1 g0 + k2 g1 for lo <= k2 <= hi and, where k1 != 0,
     their negatives."""
+    for run in _row_runs(gens, rows):
+        yield from run
+
+
+def _row_runs(gens, rows):
+    """The points of `_row_points` as runs, each increasing in the
+    lexicographic order: one per row (k1, lo, hi), and one for its negatives
+    where k1 != 0.  Along a run the point moves by +-g1, so the run goes up
+    or down k2 by the sign of that step."""
+    g0, g1 = gens
+    up = g1 > (0,) * len(g1)
     for k1, lo, hi in rows:
-        for k2 in range(lo, hi + 1):
-            if k1 or k2:
-                c = tuple(k1 * a + k2 * b for a, b in zip(*gens))
-                yield c
-                if k1:
-                    yield tuple(-x for x in c)
+        for s in ((1, -1) if k1 else (1,)):
+            k2s = range(lo, hi + 1) if up == (s > 0) else range(hi, lo - 1, -1)
+            yield _run(g0, g1, k1, s, k2s)
+
+
+def _run(g0, g1, k1, s, k2s):
+    for k2 in k2s:
+        if k1 or k2:
+            yield tuple(s * (k1 * a + k2 * b) for a, b in zip(g0, g1))
+
+
+def _row_count(rows):
+    """The number of points `_row_points` lists for `rows`."""
+    return sum((hi - lo + 1 - (k1 == 0 and lo <= 0 <= hi)) * (2 if k1 else 1)
+               for k1, lo, hi in rows)
 
 
 def _kernel_rows(lat, kernel_gens, t):

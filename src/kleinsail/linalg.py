@@ -15,7 +15,7 @@ from math import gcd
 __all__ = [
     "det", "mat_inverse", "mat_vec", "mat_mul", "transpose", "solve",
     "identity", "vec_dot", "vec_sub", "primitive_int_vector", "gcd_vector",
-    "affine_rank", "unimodular_completion",
+    "affine_rank", "unimodular_completion", "lll_reduce",
 ]
 
 
@@ -168,6 +168,48 @@ def unimodular_completion(v):
         for row in u:
             row[last] = -row[last]
     return [tuple(row) for row in u], [tuple(row) for row in w]
+
+
+def lll_reduce(vectors, delta=Fraction(3, 4)):
+    """(U, U^-1): integer matrices of determinant +-1 such that the vectors
+    sum_j U[j][k] vectors[j], k = 0, ..., n-1, are an LLL-reduced basis of
+    the lattice the independent integer `vectors` span (Lenstra, Lenstra
+    and Lovasz, Math. Ann. 261, 1982).  The Gram-Schmidt data are exact
+    Fractions, recomputed after each step; n stays small."""
+    n = len(vectors)
+    b = [list(v) for v in vectors]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def gram_schmidt():
+        star, mu, norm = [], [[Fraction(0)] * n for _ in range(n)], []
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = vec_dot(b[i], star[j]) / norm[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norm.append(vec_dot(v, v))
+        return mu, norm
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(gram_schmidt()[0][k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for row in u:
+                    row[k] -= q * row[j]
+        mu, norm = gram_schmidt()
+        if norm[k] >= (delta - mu[k][k - 1] ** 2) * norm[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for row in u:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            k = max(k - 1, 1)
+    u_inv = [tuple(int(x) for x in row)
+             for row in mat_inverse([[Fraction(x) for x in row] for row in u])]
+    return [tuple(row) for row in u], u_inv
 
 
 def affine_rank(points):

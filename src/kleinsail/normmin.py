@@ -28,6 +28,7 @@ from itertools import product as iproduct
 
 from .determinants import det_report
 from .lattice import _ENUM_SHIFT, OrthantSign, _root_bounds
+from .linalg import lll_reduce
 # the benchmark's tracer wraps `irrationality_check` under this module's name
 from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
@@ -164,9 +165,10 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
       x_i^(2n) * P^2 * n^n  <  (det F)^2 * d^4 * u_i^(2n).
     The scan's search box is bounded by certified enclosures of the sides,
     from the exact b_i^(2n) = (det F)^2 d^4 u_i^(2n) / (P^2 n^n).
-    Violations are the box's lattice points in the open positive orthant;
-    boundary points are its nonzero closed-orthant points with a zero
-    coordinate, which the boundary policy leaves out.
+    The scan runs in the box-reduced basis of `_box_basis`.  Violations are
+    the box's lattice points in the open positive orthant; boundary points
+    are its nonzero closed-orthant points with a zero coordinate, which the
+    boundary policy leaves out.  Both are sorted coefficient tuples.
     """
     from .determinants import det_facet
 
@@ -192,12 +194,29 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
         q_lo, q_hi = interval_at(rhs[i] / lhs_const, e[i], Fraction(1, 2**96))
         bounds.append(_root_bounds(q_lo, q_hi, 2 * n, _ENUM_SHIFT) + (below,))
     boxes = [(Fraction(0), Fraction(b_hi, 1 << _ENUM_SHIFT)) for _, b_hi, _ in bounds]
-    pts = _enumerate_core(lat, boxes, _box_filter(lat, bounds, 0), budget)
+    pts = _enumerate_core(lat, boxes, _box_filter(lat, bounds, 0), budget,
+                          _box_basis(lat, [b_hi for _, b_hi, _ in bounds]))
     violations, boundary = [], []
-    for c, partial in pts.items():
+    for c, partial in sorted(pts.items()):
         on_axis = any(partial[i][0] <= 0 and lat.coord_sign(c, i) == 0 for i in range(n))
         (boundary if on_axis else violations).append(c)
     return violations, boundary
+
+
+def _box_basis(lat, sides):
+    """(U, U^-1) for the scan of a box whose side i is sides[i] > 0: U
+    LLL-reduces the basis in the metric that divides axis i by sides[i], read
+    on the midpoints of the cached basis enclosures.
+
+    A box far thinner along one axis than along the others holds few points,
+    but in the lattice's own basis each coefficient still sweeps a long
+    range; in the reduced basis the coefficients of the box's points stay
+    small.  Any unimodular U keeps the scan exact, since the enumerator's
+    bounds are certified in every basis; this one only keeps it short.
+    """
+    enc = lat.basis_interval_matrix()
+    return lll_reduce([[Fraction(enc[i][j][0] + enc[i][j][1], side)
+                        for i, side in enumerate(sides)] for j in range(lat.n)])
 
 
 def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):
@@ -210,7 +229,7 @@ def check_t0_boxes(patch, budget=DEFAULT_POINT_BUDGET):
     tuples) in `boundary_points`, so `ok` never hides that the hypothesis
     failed.
     """
-    violations = []
+    violations = []  # (facet index, its 8 least violations)
     boundary = set()
     for fi, f in enumerate(patch.facets):
         if not f.certified:

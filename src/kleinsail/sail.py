@@ -34,7 +34,7 @@ this module.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -413,65 +413,74 @@ def _pareto_minimal(lat, enclosures):
     `enclosures` maps distinct coefficient tuples to the certified scaled
     enclosures of their coordinates, as `_enumerate_core` returns them.
     Dominated points are never vertices of hull(points) + positive cone, so
-    the sail hull is unchanged.  Coordinates are compared on the enclosures,
-    exactly only where two of them overlap.
+    the sail hull is unchanged.
 
-    The sweep is the maxima algorithm of Kung, Luccio and Preparata (J. ACM
-    22, 1975): points in ascending order of their x enclosure midpoints, and
-    a staircase over the (y, z) midpoints of the kept points (z = 0 for
-    n = 2).  A point is dropped only after an exact dominance test by a kept
-    point, so no Pareto-minimal point is lost.  Midpoints misorder points
-    whose enclosures overlap, exact ties included, so the sweep can keep a
-    dominated point; a last exact pass over the k kept points, O(k^2) tests,
-    removes every one that another kept point dominates.  The survivors are
-    sorted exactly, so their order, and the hull cycles built from it, do not
+    Each coordinate is first keyed by its exact dense rank
+    (`_coordinate_ranks`): equal coordinates share a key, and a smaller
+    coordinate has a smaller key.  The sweep is the maxima algorithm of Kung,
+    Luccio and Preparata (J. ACM 22, 1975) on those integer keys alone:
+    points in lexicographic key order, and a staircase over the (y, z) keys
+    of the kept points (z = 0 for n = 2).  A point is dropped iff a kept
+    point has y and z keys at most its own.  Only a point earlier in that
+    order can dominate a later one, and the keys order ties exactly, so every
+    dominance the staircase finds is real and none is missed: no exact pass
+    over the kept points follows.  They come out in key order, which is the
+    exact lexicographic order, so the hull cycles built from them do not
     depend on the enclosures.
     """
     n = lat.n
-
-    def cmp(p, q, i):
-        # exact sign of coordinate i of p minus that of q
-        plo, phi = enclosures[p][i]
-        qlo, qhi = enclosures[q][i]
-        if phi < qlo:
-            return -1
-        if plo > qhi:
-            return 1
-        return lat.coord_cmp_points(p, q, i)
-
-    def dominates(q, p):  # for distinct points q and p
-        for i in range(n):
-            if cmp(q, p, i) > 0:
-                return False
-        return True
-
-    def lex(p, q):
-        for i in range(n):
-            s = cmp(p, q, i)
-            if s:
-                return s
-        return 0
-
-    def mid(p, i):  # twice the midpoint of coordinate i's enclosure
-        lo, hi = enclosures[p][i]
-        return lo + hi
-
+    ranks = [_coordinate_ranks(lat, enclosures, i) for i in range(n)]
+    keys = {c: tuple(r[c] for r in ranks) for c in enclosures}
     kept = []
-    stair = []  # (y, z, point) of kept points: y ascending, z strictly descending
-    for p in sorted(enclosures, key=lambda c: mid(c, 0)):
-        y, z = mid(p, 1), mid(p, 2) if n == 3 else 0
-        i = bisect_right(stair, (y, z, p))
-        covered = i > 0 and stair[i - 1][1] <= z
-        if covered and dominates(stair[i - 1][2], p):
-            continue
-        kept.append(p)
-        if not covered:
-            j = i
-            while j < len(stair) and stair[j][1] >= z:
-                j += 1
-            stair[i:j] = [(y, z, p)]
-    kept = [p for p in kept if not any(q != p and dominates(q, p) for q in kept)]
-    return sorted(kept, key=cmp_to_key(lex))
+    ys, zs = [], []  # the staircase: y ascending, z strictly descending
+    for c in sorted(enclosures, key=keys.__getitem__):
+        y, z = keys[c][1], keys[c][2] if n == 3 else 0
+        i = bisect_right(ys, y)
+        if i and zs[i - 1] <= z:
+            continue  # a kept point is at most c in every coordinate
+        kept.append(c)
+        i = j = bisect_left(ys, y)
+        while j < len(ys) and zs[j] >= z:
+            j += 1
+        ys[i:j] = [y]
+        zs[i:j] = [z]
+    return kept
+
+
+def _coordinate_ranks(lat, enclosures, i):
+    """Dense exact ranks of coordinate i over the points of `enclosures`:
+    equal coordinates share a rank, and a smaller coordinate has a smaller
+    one.
+
+    Sorted by the lower ends of their enclosures, the points fall into runs
+    whose enclosures chain by overlaps.  Enclosures of different runs are
+    disjoint, so the runs are in order, and a run of one point takes no exact
+    arithmetic.  The points of a longer run are grouped by their exact
+    coordinate, `lat.coord`, and the groups ordered by `coord_cmp_points`.
+    """
+    pts = sorted(enclosures, key=lambda c: enclosures[c][i][0])
+    before = cmp_to_key(lambda a, b: lat.coord_cmp_points(a[0], b[0], i))
+    ranks = {}
+    rank = k = 0
+    m = len(pts)
+    while k < m:
+        j, top = k + 1, enclosures[pts[k]][i][1]
+        while j < m and enclosures[pts[j]][i][0] <= top:
+            top = max(top, enclosures[pts[j]][i][1])
+            j += 1
+        if j == k + 1:
+            ranks[pts[k]] = rank
+            rank += 1
+        else:
+            groups = {}
+            for c in pts[k:j]:
+                groups.setdefault(lat.coord(c, i), []).append(c)
+            for group in sorted(groups.values(), key=before):
+                for c in group:
+                    ranks[c] = rank
+                rank += 1
+        k = j
+    return ranks
 
 
 # The benchmark's tracer still wraps this name; the benchmark-only change
@@ -705,6 +714,12 @@ class SailPatch:
         return out
 
     def to_json(self):
+        """The patch as a JSON document (schema `PATCH_SCHEMA`).
+
+        Its "irrationality" part holds `ok`, the first 64 witnesses in
+        sorted order and `witness_count`, the exact number of all of them; an
+        alpha lattice has 2T, and the full list is never built here.
+        """
         vid = {c: i for i, c in enumerate(self.hull_vertices)}
         extra = []
         seen = set(vid)
@@ -746,7 +761,8 @@ class SailPatch:
             ],
             "irrationality": {
                 "ok": self.irrationality.ok,
-                "witnesses": [list(w) for w in self.irrationality.witnesses[:64]],
+                "witnesses": [list(w) for w in self.irrationality.witness_sample(64)],
+                "witness_count": self.irrationality.witness_count,
             },
             "stats": {"enumerated": self.enumerated, "pruned": self.pruned,
                       "budget": self.budget},

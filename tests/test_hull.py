@@ -8,6 +8,7 @@ from kleinsail.hull import (
     convex_hull_2d, convex_hull_3d, orient2, orient3, polygon_area,
     polytope_volume,
 )
+from kleinsail.lattice import CUBIC49_MINPOLY, lattice_from_cubic_field, random_rational_lattice
 
 
 def test_orientation_predicates():
@@ -103,3 +104,125 @@ def test_hull_3d_random_certification():
 def test_degenerate_3d_rejected():
     with pytest.raises(ValueError):
         convex_hull_3d([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def _dot(w, p):
+    return w[0] * p[0] + w[1] * p[1] + w[2] * p[2]
+
+
+def _cross(a, b, c):
+    u = [b[k] - a[k] for k in range(3)]
+    v = [c[k] - a[k] for k in range(3)]
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _hull_oracle(points):
+    """The hull's facets by brute force, as {(outward primitive normal,
+    offset, frozenset of vertex ids)}, ids the least index of equal points;
+    None if the points do not span 3 dimensions.
+
+    A facet plane passes through three points and has every point on one
+    side.  A point of the plane is a vertex unless it lies on a segment or in
+    a triangle of the plane's other points (Caratheodory)."""
+    from math import gcd
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(p, i)
+    ids = sorted(first.values())
+    out = {}
+    for a, b, c in combinations(ids, 3):
+        n = _cross(points[a], points[b], points[c])
+        if not any(n):
+            continue
+        g = gcd(gcd(n[0], n[1]), n[2])
+        w = tuple(x // g for x in n)
+        side = {(_dot(w, points[i]) > _dot(w, points[a])) - (_dot(w, points[i]) < _dot(w, points[a]))
+                for i in ids}
+        if side == {0}:
+            return None
+        if side == {-1, 0, 1}:
+            continue
+        if 1 in side:
+            w = tuple(-x for x in w)
+        off = _dot(w, points[a])
+        if (w, off) in out:
+            continue
+        on = [i for i in ids if _dot(w, points[i]) == off]
+
+        def orient(r, s, q):  # sign of the turn r -> s -> q seen along w
+            d = _dot(w, _cross(points[r], points[s], points[q]))
+            return (d > 0) - (d < 0)
+
+        def covered(q):
+            rest = [r for r in on if r != q]
+            for r, s in combinations(rest, 2):
+                if orient(r, s, q) == 0 and all(
+                        min(points[r][k], points[s][k]) <= points[q][k] <= max(points[r][k], points[s][k])
+                        for k in range(3)):
+                    return True
+            for r, s, t in combinations(rest, 3):
+                o = orient(r, s, t)
+                if o and orient(r, s, q) * o >= 0 and orient(s, t, q) * o >= 0 \
+                        and orient(t, r, q) * o >= 0:
+                    return True
+            return False
+
+        out[w, off] = frozenset(q for q in on if not covered(q))
+    return {(w, off, verts) for (w, off), verts in out.items()} if out else None
+
+
+def _check_against_oracle(points):
+    want = _hull_oracle(points)
+    if want is None:
+        with pytest.raises(ValueError):
+            convex_hull_3d(points)
+        return
+    facets, verts = convex_hull_3d(points)
+    assert {(f.normal_out, f.offset, frozenset(f.cycle)) for f in facets} == want
+    assert facets == sorted(facets, key=lambda f: (f.normal_out, f.offset))
+    assert verts == set().union(*(f.cycle for f in facets))
+    for f in facets:
+        cyc = f.cycle
+        assert cyc[0] == min(cyc) and len(set(cyc)) == len(cyc)
+        m = len(cyc)
+        for i in range(m):  # strictly convex, ccw seen from outside
+            n = _cross(points[cyc[i]], points[cyc[(i + 1) % m]], points[cyc[(i + 2) % m]])
+            assert _dot(f.normal_out, n) > 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hull_3d_matches_bruteforce_on_degenerate_sets(seed):
+    # a small grid, so most sets hold coplanar, collinear and equal points;
+    # some seeds add runs along a line, a plane patch or copies on purpose
+    rng = random.Random(seed)
+    pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(3, 24))]
+    kind = seed % 4
+    if kind == 1:  # a run of collinear points
+        p, d = pts[0], (rng.randint(-1, 1), rng.randint(-1, 1), 1)
+        pts += [tuple(p[k] + j * d[k] for k in range(3)) for j in range(1, 5)]
+    elif kind == 2:  # a patch of one plane, and sometimes nothing else
+        z = rng.randint(-3, 3)
+        plane = [(x, y, z) for x in range(-2, 3) for y in range(-2, 3) if rng.random() < 0.6]
+        pts = plane if seed % 8 == 2 else pts + plane
+    elif kind == 3:  # copies of some points
+        pts += [rng.choice(pts) for _ in range(6)]
+    rng.shuffle(pts)
+    _check_against_oracle(pts)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 16),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY).reflect((1, -1, 1)), 16),
+    (lambda: random_rational_lattice(3, 0), 8),
+    (lambda: random_rational_lattice(3, 2), 16),
+], ids=["cubic49+++", "cubic49+-+", "rational3-0", "rational3-2"])
+def test_hull_3d_matches_bruteforce_on_sail_inputs(make, t):
+    # the patch's hull input: the window's Pareto points, and three far
+    # points of 10^18 to 10^19 along the closure rays
+    from kleinsail.sail import _closure_rays, _window_minima
+    lat = make()
+    kept = _window_minima(lat, t)[1]
+    mu = 10**6 * (1 + max(abs(x) for c in kept for x in c)) ** 4
+    far = [tuple(mu * x for x in r) for r in _closure_rays(lat)]
+    assert max(abs(x) for c in far for x in c) > 10**18
+    _check_against_oracle(kept + far)

@@ -417,3 +417,59 @@ def test_window_1e12_patch_leaves_the_witness_list_unbuilt():
     rep = build_sail_patch(lat, 10**12).irrationality
     assert rep.ok is False
     assert rep._witnesses is None
+
+
+def _encloses(lat, row_ivs):
+    """Every scaled enclosure (lo, hi) of `row_ivs` holds its exact basis entry."""
+    from kleinsail.numberfield import cmp_at
+    one = 1 << 64
+    return all(cmp_at(x, Fraction(lo, one), e) >= 0 and cmp_at(x, Fraction(hi, one), e) <= 0
+               for row, ivs, e in zip(lat.basis, row_ivs, lat.embeddings)
+               for x, (lo, hi) in zip(row, ivs))
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 8),
+    (golden_module, 60),
+] + [(lambda k=k: random_rational_lattice(3, k), 8) for k in range(3)],
+    ids=["cubic49", "golden-module", "rational3-0", "rational3-1", "rational3-2"])
+def test_reflect_inherits_exact_caches(make, t):
+    # a reflection copies its parent's enclosures, inverse and dual instead of
+    # computing them again; the copies must enclose the reflected entries, and
+    # the patches must be those of a lattice that computed its own
+    from itertools import product
+    from kleinsail.sail import build_sail_patch
+    parent = make()
+    parent.dual().basis_interval_matrix()
+    parent.basis_interval_matrix()
+    for signs in product((1, -1), repeat=parent.n):
+        lat = parent.reflect(signs)
+        assert lat._basis_iv is not None and lat._inv_basis is not None
+        assert _encloses(lat, lat._basis_iv)
+        assert _encloses(lat.dual(), lat.dual()._basis_iv)
+        fresh = Lattice.from_json(lat.to_json())
+        assert fresh._basis_iv is None and fresh._dual is None
+        assert lat.inverse_rows() == fresh.inverse_rows()
+        assert lat.dual().basis == fresh.dual().basis
+        assert build_sail_patch(lat, t).to_json() == build_sail_patch(fresh, t).to_json()
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 10),
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 10**4),
+    (lambda: normalize_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 5),
+    (lambda: random_rational_lattice(3, 2, denom_limit=7), 12),
+    (lambda: random_rational_lattice(3, 3, denom_limit=7).reflect((1, -1, 1)), 12),
+    (golden_module, 100),
+], ids=["golden-10", "golden-1e4", "identity", "rational3-d7-2", "rational3-d7-3-reflected",
+        "golden-module"])
+def test_witness_sample_and_count_read_the_rows(make, t):
+    # the sample and the count come from the kernel rows, never from the
+    # list; the identity and rational3-d7-3 have points on the axes, which
+    # lie in two kernels and count once
+    rep = irrationality_check(make(), t)
+    sample, count = rep.witness_sample(64), rep.witness_count
+    assert rep._witnesses is None
+    assert sample == rep.witnesses[:64]
+    assert count == len(rep.witnesses)
+    assert rep.witness_sample(64) == sample

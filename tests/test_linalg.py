@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from kleinsail import linalg
 from kleinsail.linalg import (
-    affine_rank, det, mat_inverse, mat_mul, mat_vec, primitive_int_vector,
+    affine_rank, det, lll_reduce, mat_inverse, mat_mul, mat_vec, primitive_int_vector,
     solve, subset_det_sum, unimodular_completion,
 )
 
@@ -91,3 +91,29 @@ def test_unimodular_completion():
         assert mat_mul(u, u_inv) == [tuple(int(i == j) for j in range(n)) for i in range(n)]
     with pytest.raises(ValueError):
         unimodular_completion((2, 4))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lll_reduce_gives_a_reduced_unimodular_basis(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 2
+    while True:
+        vecs = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        if det([[Fraction(x) for x in v] for v in vecs]):
+            break
+    if seed % 4 == 3:  # rational entries, as the box metric gives them
+        vecs = [[Fraction(x, rng.randint(1, 99)) for x in v] for v in vecs]
+    u, u_inv = lll_reduce(vecs)
+    assert mat_mul(u, u_inv) == [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    b = [[sum(u[j][k] * vecs[j][i] for j in range(n)) for i in range(n)] for k in range(n)]
+    star, norm = [], []
+    for k in range(n):  # Gram-Schmidt: size-reduced, and the Lovasz condition
+        v = [Fraction(x) for x in b[k]]
+        for j in range(k):
+            mu = sum(x * y for x, y in zip(b[k], star[j])) / norm[j]
+            assert abs(mu) <= Fraction(1, 2)
+            v = [x - mu * y for x, y in zip(v, star[j])]
+            if j == k - 1:
+                assert norm[k - 1] * (Fraction(3, 4) - mu ** 2) <= sum(x * x for x in v)
+        star.append(v)
+        norm.append(sum(x * x for x in v))

@@ -267,3 +267,39 @@ def test_audit_and_t0_box_budget_errors_name_their_site(cubic_lat):
     assert (exc.value.stage, exc.value.provenance, exc.value.window) == (
         "t0_box", "cubic-field", 10)
     assert "budget=0" in str(exc.value) and "'t0_box'" in str(exc.value)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: random_rational_lattice(3, 0), 8),
+    (lambda: random_rational_lattice(3, 2), 8),
+    (lambda: random_rational_lattice(3, 1).reflect((1, 1, -1)), 8),
+    (lambda: random_rational_lattice(3, 2, denom_limit=7), 10),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 20),
+], ids=["rational3-0", "rational3-2", "rational3-1--+", "rational3-d7-2", "alpha-13/34"])
+def test_box_basis_scan_matches_the_lattice_basis_scan(make, t, monkeypatch):
+    # the box scan runs in a box-reduced basis; on small boxes the scan in
+    # the lattice's own basis is the oracle (a cubic49 box holds no point)
+    from kleinsail import normmin
+    patch = build_sail_patch(make(), t)
+    facets = patch.certified_facets()
+    got = [normmin._rotated_box_violations(patch.lattice, f) for f in facets]
+    monkeypatch.setattr(normmin, "_box_basis", lambda lat, sides: None)
+    assert got == [normmin._rotated_box_violations(patch.lattice, f) for f in facets]
+    assert any(v or b for v, b in got)
+
+
+def test_thin_t0_box_scans_in_its_reduced_basis():
+    # this facet's box is thin along one axis: the scan in the lattice basis
+    # took 97 s, and found these 662 violations and no boundary point
+    import time
+    from kleinsail.normmin import _rotated_box_violations
+    lat = random_rational_lattice(3, 0).reflect((1, 1, -1))
+    facet = next(f for f in build_sail_patch(lat, 20).certified_facets()
+                 if f.support == (-199, -77, -121))
+    assert facet.dist == 1
+    t0 = time.perf_counter()
+    violations, boundary = _rotated_box_violations(lat, facet)
+    assert time.perf_counter() - t0 < 2
+    assert boundary == []
+    assert (len(violations), violations[0], violations[-1]) == (
+        662, (-3565, 9040, -9134), (-37, 94, -95))

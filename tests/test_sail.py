@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice, lattice_from_alpha,
-    lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
+    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice, irrationality_check,
+    lattice_from_alpha, lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
 )
 from kleinsail.linalg import mat_mul
 from kleinsail.numberfield import NumberField
@@ -423,6 +423,24 @@ def test_patch_json_roundtrip_deterministic(golden_patch):
     assert doc["facets"]
 
 
+def test_patch_json_witness_sample_is_bounded():
+    # the JSON holds the first 64 witnesses and their exact count; at T = 10^4
+    # as the full list gives them, and at T = 10^12 without that list
+    import time
+    lat = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    doc = build_sail_patch(lat, 10**4).to_json()["irrationality"]
+    want = irrationality_check(lat, 10**4).witnesses
+    assert doc["witnesses"] == [list(c) for c in want[:64]]
+    assert doc["witness_count"] == len(want) == 2 * (10**4 - 1)
+    patch = build_sail_patch(lat, 10**12)
+    t0 = time.perf_counter()
+    doc = patch.to_json()["irrationality"]
+    assert time.perf_counter() - t0 < 1
+    assert patch.irrationality._witnesses is None
+    assert doc["witnesses"] == [[0, k - 10**12 + 1] for k in range(64)]
+    assert doc["witness_count"] == 2 * (10**12 - 1)
+
+
 def test_pareto_prune_preserves_hull():
     from kleinsail.sail import _pareto_minimal
     lat = lattice_from_alpha(Fraction(5, 12))
@@ -543,6 +561,13 @@ def _rebased(lat, u):
     return Lattice.module(lat.field, gens)
 
 
+def _widened(lat, pad):
+    """`lat` with every cached basis enclosure widened by `pad` at scale 2^64."""
+    lat._basis_iv = tuple(tuple((lo - pad, hi + pad) for lo, hi in row)
+                          for row in lat.basis_interval_matrix())
+    return lat
+
+
 def _seeded_unimodular(n, seed):
     import random
     rng = random.Random(seed)
@@ -584,10 +609,16 @@ def test_line_minima_match_full_window(name, make, t, seed):
     ("identity", lambda: normalize_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 6),
     ("integer-rows", lambda: normalize_lattice([(1, 2, 0), (0, 1, 3), (5, 0, 1)]), 9),
 ] + [(f"rational3-d7-{k}", lambda k=k: random_rational_lattice(3, k, denom_limit=7), 10)
-     for k in range(6)])
+     for k in range(6)] + [
+    # widened enclosures chain into long runs, ranked exactly: the reflections
+    # inherit them, and the oracle's exact order does not read them
+    ("cubic49-wide", lambda: _widened(lattice_from_cubic_field(CUBIC49_MINPOLY), 1 << 56), 6),
+] + [(f"rational3-d7-{k}-wide",
+      lambda k=k: _widened(random_rational_lattice(3, k, denom_limit=7), 1 << 54), 8)
+     for k in range(3)])
 def test_pareto_sweep_matches_oracle(name, make, t):
-    # small denominators give exact coordinate ties, which misorder the
-    # sweep's midpoint keys; the pruned set must still be exact
+    # small denominators give exact coordinate ties; the pruned set must be
+    # exact, and in exact order
     from itertools import product
     from kleinsail.sail import _enumerate_window, _pareto_minimal
     base = make()
@@ -598,8 +629,9 @@ def test_pareto_sweep_matches_oracle(name, make, t):
             want = sorted(_pareto_oracle(lat, full))
             got = _pareto_minimal(lat, full)
             assert sorted(got) == want
-            # in the exact lexicographic order of the (rational) coordinates
-            assert got == sorted(got, key=lambda c: [lat.coord(c, i) for i in range(3)])
+            # in the exact lexicographic order of the coordinates
+            for a, b in zip(got, got[1:]):
+                assert next(s for s in (lat.coord_cmp_points(a, b, i) for i in range(3)) if s) < 0
             if closed:  # the line scan covers the closed window
                 minima = _enumerate_window(lat, t, 10**6)
                 assert sorted(_pareto_minimal(lat, minima)) == want
