@@ -167,11 +167,8 @@ class Lattice:
         self.provenance = provenance
         self.seed = seed
         self._one_embedding = len(set(self.embeddings)) == 1
-        self._inv_basis = None
-        self._dual = None
-        self._basis_iv = None
-        self._scale_root_iv = None
-        self._gen_mul = None
+        for name in _REFLECTED_CACHES:
+            setattr(self, name, None)
 
     # -- constructors ----------------------------------------------------------
 
@@ -465,10 +462,8 @@ class Lattice:
     def reflect(self, signs):
         """The lattice with ambient axis i negated where signs[i] = -1.
 
-        It inherits every cache this lattice has filled, exactly: row i's
-        basis enclosures (lo, hi) become (-hi, -lo), column i of the inverse
-        basis is negated, and the dual is this dual reflected by the same
-        signs.  The scale root and a module's generators do not change.
+        It inherits every cache this lattice has filled, carried over exactly
+        as `_REFLECTED_CACHES` says.
         """
         signs = tuple(signs.signs if isinstance(signs, OrthantSign) else signs)
         if len(signs) != self.n or not all(s in (1, -1) for s in signs):
@@ -478,16 +473,10 @@ class Lattice:
                       row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
                       scale_d=self.scale_d, scale_d_sq=self.scale_d_sq,
                       provenance=self.provenance, seed=self.seed)
-        if self._basis_iv is not None:
-            out._basis_iv = tuple(row if s > 0 else tuple((-hi, -lo) for lo, hi in row)
-                                  for s, row in zip(signs, self._basis_iv))
-        if self._inv_basis is not None:
-            out._inv_basis = [tuple(x if s > 0 else -x for x, s in zip(row, signs))
-                              for row in self._inv_basis]
-        if self._dual is not None:
-            out._dual = self._dual.reflect(signs)
-        out._scale_root_iv = self._scale_root_iv
-        out._gen_mul = self._gen_mul
+        for name, carry in _REFLECTED_CACHES.items():
+            value = getattr(self, name)
+            if value is not None:
+                setattr(out, name, carry(value, signs))
         return out
 
     def diagonal_rescale(self, factors):
@@ -572,6 +561,22 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(kind={self.kind}, n={self.n}, provenance={self.provenance!r})"
+
+
+# Every cache a Lattice fills on first use (`__init__` sets each to None), and
+# how `reflect` carries a filled one to the lattice whose ambient axis i is
+# negated where signs[i] = -1: row i's basis enclosures (lo, hi) become
+# (-hi, -lo), column i of the inverse basis is negated, the dual is reflected
+# by the same signs, and the scale root and a module's generators stay.
+_REFLECTED_CACHES = {
+    "_basis_iv": lambda iv, signs: tuple(
+        row if s > 0 else tuple((-hi, -lo) for lo, hi in row) for s, row in zip(signs, iv)),
+    "_inv_basis": lambda inv, signs: [
+        tuple(x if s > 0 else -x for x, s in zip(row, signs)) for row in inv],
+    "_dual": lambda dual, signs: dual.reflect(signs),
+    "_scale_root_iv": lambda root, signs: root,
+    "_gen_mul": lambda gen_mul, signs: gen_mul,
+}
 
 
 @dataclass(frozen=True)
@@ -668,7 +673,7 @@ class IrrationalityReport:
     """
 
     def __init__(self, lattice, window, kernels):
-        self.lattice = lattice
+        self._lattice = lattice
         self.window = window
         self._kernels = kernels  # per coordinate kernel: (generator pair, rows)
         # a row k1 = 0 runs through k2 = 0, the origin, which is no witness
@@ -690,12 +695,13 @@ class IrrationalityReport:
 
     @property
     def witness_count(self):
-        """len(witnesses), counted on the rows.  A nonzero point lies in at
-        most two coordinate kernels, and in two exactly when it lies on an
-        axis (n = 3); those points are counted once more on the rows of each
-        pair of kernels' intersection, and subtracted."""
+        """len(witnesses), counted on the rows.  For n <= 3 a nonzero point
+        lies in at most two coordinate kernels, and in two exactly when it
+        lies on an axis (n = 3); those points are counted once more on the
+        rows of each pair of kernels' intersection, and subtracted."""
         if self._count is None:
-            lat, t = self.lattice, self.window
+            lat, t = self._lattice, self.window
+            assert lat.n <= 3, "a point of a larger lattice can lie in three kernels"
             axes = [_kernel_rows(lat, _zero_coordinate_sublattice(
                 lat, j, _zero_coordinate_sublattice(lat, i)), t)
                 for i, j in combinations(range(lat.n), 2)]

@@ -170,12 +170,13 @@ def unimodular_completion(v):
     return [tuple(row) for row in u], [tuple(row) for row in w]
 
 
-def lll_reduce(vectors, delta=Fraction(3, 4)):
+def lll_reduce(vectors):
     """(U, U^-1): integer matrices of determinant +-1 such that the vectors
-    sum_j U[j][k] vectors[j], k = 0, ..., n-1, are an LLL-reduced basis of
-    the lattice the independent integer `vectors` span (Lenstra, Lenstra
-    and Lovasz, Math. Ann. 261, 1982).  The Gram-Schmidt data are exact
-    Fractions, recomputed after each step; n stays small."""
+    sum_j U[j][k] vectors[j], k = 0, ..., n-1, are an LLL-reduced basis, with
+    the usual Lovasz constant 3/4, of the lattice the independent rational
+    `vectors` span (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982).  The
+    Gram-Schmidt data are exact Fractions, recomputed after each step; n
+    stays small."""
     n = len(vectors)
     b = [list(v) for v in vectors]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -200,7 +201,7 @@ def lll_reduce(vectors, delta=Fraction(3, 4)):
                 for row in u:
                     row[k] -= q * row[j]
         mu, norm = gram_schmidt()
-        if norm[k] >= (delta - mu[k][k - 1] ** 2) * norm[k - 1]:
+        if norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
