@@ -75,9 +75,10 @@ def vec_sub(a, b):
 
 
 def solve(m, rhs):
-    """Solve m x = rhs exactly (m square nonsingular)."""
+    """Solve m x = rhs exactly (m square nonsingular); int entries are read
+    as Fractions."""
     n = len(m)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m)]
+    a = [[_exact(x) for x in row] + [_exact(rhs[i])] for i, row in enumerate(m)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -105,6 +106,11 @@ def mat_inverse(m):
         e[j] = _one_like(m[0][0])
         cols.append(solve(m, e))
     return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
+
+
+def _exact(x):
+    """Python ints as Fractions, so that `/` divides exactly."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def _is_zero(x):
@@ -208,8 +214,7 @@ def lll_reduce(vectors):
             for row in u:
                 row[k], row[k - 1] = row[k - 1], row[k]
             k = max(k - 1, 1)
-    u_inv = [tuple(int(x) for x in row)
-             for row in mat_inverse([[Fraction(x) for x in row] for row in u])]
+    u_inv = [tuple(int(x) for x in row) for row in mat_inverse(u)]
     return [tuple(row) for row in u], u_inv
 
 

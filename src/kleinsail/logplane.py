@@ -9,10 +9,35 @@ vertex's coordinates are formed exactly and read at 113 bits once, and its
 image is shared by every cell that meets it; each edge is sampled once, and
 a cell that meets it the other way reads the same samples reversed.  A
 sample's coordinates are lambda*x(a) + (1 - lambda)*x(b) from its vertices'
-values, the products exact and the sum rounded once at 121 bits.  Both
-terms are positive, so samples are positive by convexity, with relative
-error at most their vertices' plus 2^-120.  Logarithms are taken at 113
-bits in mpmath's raw layer.  Comparison tolerances are fixed constants.
+values, lambda = s/EDGE_SAMPLES with EDGE_SAMPLES a power of two: one exact
+integer, rounded once at 121 bits.  Both terms are positive, so samples
+are positive by convexity, with relative error at most their vertices'
+plus 2^-120.  Comparison tolerances are fixed constants.
+
+`pi_log` is the reference image: n logarithms at 113 bits in mpmath's raw
+layer, their mean and differences, each rounded, then rounded to floats.
+Edge samples go through an exact fixed-point kernel (`_pi_log_kernel`)
+that returns the same floats bit for bit, or declines:
+
+- **The ratio identity.**  Coordinate i of the image is
+  Y_i = ln(x_i^(n-1) / prod_{j != i} x_j) / n, so n - 1 logarithms of exact
+  ratios of the coordinates' mantissas replace n logarithms, two sums, a
+  division and two subtractions.  Each ratio is reduced to t * 2^K with t
+  in [1/2, 1) and logged in _WP-bit fixed point by mpmath's
+  `log_taylor_cached` plus K * `ln2_fixed`, the routine `mpf_log` runs.
+- **The bound.**  Premise: `mpf_log` at 113 bits lies within 1 ulp of the
+  exact logarithm (it works with 20 guard bits), and `log_taylor_cached`
+  and `ln2_fixed` within _TAYLOR_ERR and 1 units of 2^-_WP; the tests check
+  all three on seeded inputs.  mpmath's add, sub and div are correctly
+  rounded, so `pi_log`'s 113-bit difference d_i lies within
+  3 * 2^-112 * A < B = 2^-110 * A of Y_i, A = sum_j |ln x_j| <=
+  ln 2 * sum_j (|mag_j| + 1), mag_j the binary magnitude of x_j.
+- **The decision.**  Both ends of [y - B - e, y + B + e], y the kernel's
+  value and e its own fixed-point error, are rounded to floats by one
+  correctly rounded int/int division each.  Rounding to nearest is
+  monotone, so where the two ends give one float that float is `to_float`
+  of d_i, `pi_log`'s float.  Otherwise (Y_i close to a rounding boundary,
+  or tiny against A) the sample falls back to `pi_log` on its mpf values.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -30,7 +55,7 @@ from functools import cmp_to_key
 
 import mpmath
 from mpmath.libmp import (
-    from_int, from_rational, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub, to_float,
+    from_int, from_man_exp, ln2_fixed, mpf_add, mpf_div, mpf_log, mpf_sub, to_float,
 )
 
 from .determinants import det_SF
@@ -44,8 +69,12 @@ __all__ = [
 
 TRANSLATION_TOL = 1e-6     # cell matching under diagonal rescales
 EDGE_SAMPLES = 16          # sample points per curvilinear cell edge
+assert EDGE_SAMPLES & (EDGE_SAMPLES - 1) == 0, "the exact dyadic mix needs a power of two"
+_SAMPLE_SHIFT = EDGE_SAMPLES.bit_length() - 1
 _PREC = 113                # working precision in bits before ln
 _MIX_PREC = _PREC + 8      # edge samples: exact products, one rounding
+_WP = _PREC + 20           # fixed-point bits of the sample kernel, mpf_log's own
+_TAYLOR_ERR = 64           # bound on log_taylor_cached's error at _WP, in units of 2^-_WP
 _GRID_PITCH = 0.25         # covering-radius grid pitch, in units of the largest cell radius
 _INTERIOR_SAMPLES = 4      # phi samples per certified facet beyond its vertices
 _make_mpf = mpmath.mp.make_mpf
@@ -72,6 +101,61 @@ def _raw(v):
         return v._mpf_
     with mpmath.workprec(_PREC):
         return mpmath.mp.convert(v)._mpf_
+
+
+def _mix(xa, xb, s):
+    """Raw mpf (s*xa + (EDGE_SAMPLES - s)*xb) / EDGE_SAMPLES of positive raw
+    mpf values: one exact integer, rounded once at _MIX_PREC bits, which is
+    the exact products' sum as `mpf_add` rounds it."""
+    _, ma, ea, _ = xa
+    _, mb, eb, _ = xb
+    e = min(ea, eb)
+    return from_man_exp((s * ma << (ea - e)) + ((EDGE_SAMPLES - s) * mb << (eb - e)),
+                        e - _SAMPLE_SHIFT, _MIX_PREC, "n")
+
+
+def _pi_log_kernel(xs):
+    """`pi_log` of positive raw mpf values from n - 1 logarithms of exact
+    coordinate ratios, n = len(xs), or None where the bound B of the module
+    docstring cannot certify its floats.
+
+    In units of 2^-_WP, ratio i is logged within 3 + _TAYLOR_ERR + |K|: 3
+    for t, truncated by less than 1 unit at t >= 2^(_WP - 1), _TAYLOR_ERR
+    for `log_taylor_cached` and 1 per multiple of `ln2_fixed`.  A nonzero
+    end is at least 2^-_WP / n, far from underflow, so ends on either side
+    of 0 never give equal floats."""
+    log_taylor = mpmath.libmp.libelefun.log_taylor_cached   # not in mpmath.libmp's exports
+    ln2 = ln2_fixed(_WP)
+    n = len(xs)
+    mans = [x[1] for x in xs]
+    exps = [x[2] for x in xs]
+    esum = sum(exps)
+    # n * B in units of 2^-_WP, B = 2^-110 * sum_j (|mag_j| + 1), 110 = _PREC - 3
+    slack = n * (n + sum(abs(e + bc) for _, _, e, bc in xs)) << (_WP - _PREC + 3)
+    scale = n << _WP
+    out = []
+    for i in range(n - 1):
+        num = mans[i] ** (n - 1)
+        den = math.prod(mans[:i] + mans[i + 1:])
+        k = num.bit_length() - den.bit_length()     # num / den / 2^k in (1/2, 2)
+        shift = _WP - k
+        t = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        if t >> _WP:
+            t >>= 1
+            k += 1
+        K = k + n * exps[i] - esum                 # ratio = t * 2^(K - _WP)
+        y = log_taylor(t, _WP) + K * ln2
+        err = 3 + _TAYLOR_ERR + abs(K) + slack
+        lo = (y - err) / scale
+        if lo != (y + err) / scale:
+            return None
+        out.append(lo)
+    return tuple(out)
+
+
+def _sample_image(xs):
+    """`pi_log` of an edge sample's raw mpf values: the kernel, else the reference."""
+    return _pi_log_kernel(xs) or pi_log([_make_mpf(x) for x in xs])
 
 
 def _coord_values(lat, coeffs):
@@ -103,7 +187,7 @@ class LogCell:
     interior: bool            # every vertex of the facet has a complete star
 
 
-def project_patch(patch, edge_samples=EDGE_SAMPLES):
+def project_patch(patch):
     """One log-plane cell per certified facet, from one pass over the patch.
 
     Each vertex's values and image are computed once, and every cell that
@@ -111,15 +195,11 @@ def project_patch(patch, edge_samples=EDGE_SAMPLES):
     lie in the closed orthant) touches the boundary: its facets are skipped
     and reported, under `build_sail_patch`'s policy.  Each edge is sampled
     once.  Sample s of a -> b mixes the vertex values with weights s/k and
-    (k - s)/k, k = `edge_samples`; the products are exact and their sum is
-    rounded once, so it is bit for bit sample k - s of b -> a, and a cell
-    that meets the edge the other way reads the same list reversed.  Samples
-    take no exact arithmetic."""
+    (k - s)/k, k = EDGE_SAMPLES, rounded once, so it is bit for bit sample
+    k - s of b -> a, and a cell that meets the edge the other way reads the
+    same list reversed.  Samples take no field arithmetic."""
     lat = patch.lattice
     verts, edges = {}, {}    # vertex -> (values, image) or None; (a, b) -> samples
-    weights = [(from_rational(s, edge_samples, _MIX_PREC, "n"),
-                from_rational(edge_samples - s, edge_samples, _MIX_PREC, "n"))
-               for s in range(1, edge_samples)]
 
     def vertex(c):
         if c not in verts:
@@ -133,10 +213,8 @@ def project_patch(patch, edge_samples=EDGE_SAMPLES):
         if (a, b) not in edges:
             xa = [x._mpf_ for x in verts[a][0]]
             xb = [x._mpf_ for x in verts[b][0]]
-            edges[a, b] = [
-                pi_log([_make_mpf(mpf_add(mpf_mul(wa, x), mpf_mul(wb, y), _MIX_PREC, "n"))
-                        for x, y in zip(xa, xb)])
-                for wa, wb in weights]
+            edges[a, b] = [_sample_image([_mix(x, y, s) for x, y in zip(xa, xb)])
+                           for s in range(1, EDGE_SAMPLES)]
         return edges[a, b]
 
     cells = []
@@ -188,11 +266,12 @@ def cell_covering_radius(cells):
         xs = [p[0] for c in interior for p in c.edge_samples]
         ys = [p[1] for c in interior for p in c.edge_samples]
         pitch = r_max * _GRID_PITCH
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
         centers = []
-        x = min(xs)
-        while x <= max(xs):
-            y = min(ys)
-            while y <= max(ys):
+        x = x_lo
+        while x <= x_hi:
+            y = y_lo
+            while y <= y_hi:
                 centers.append((x, y))
                 y += pitch
             x += pitch

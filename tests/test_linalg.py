@@ -38,6 +38,16 @@ def test_solve_and_inverse_roundtrip():
         assert mat_vec(m, x) == rhs
 
 
+def test_int_matrices_invert_exactly():
+    m = [(0, 1, -1), (-9, 26, 2), (10, -29, -2)]
+    inv = mat_inverse(m)
+    assert all(isinstance(x, (int, Fraction)) for row in inv for x in row)
+    assert mat_mul(m, inv) == linalg.identity(3)
+    x = solve(m, (1, 0, 0))
+    assert all(isinstance(v, (int, Fraction)) for v in x)
+    assert mat_vec(m, x) == (1, 0, 0)
+
+
 def test_singular_solve_raises():
     with pytest.raises(ZeroDivisionError):
         solve([(1, 2), (2, 4)], (1, 1))

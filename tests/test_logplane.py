@@ -1,13 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import (
+    from_man_exp, from_rational, ln2_fixed, mpf_add, mpf_log, mpf_mul,
+)
+from mpmath.libmp.libelefun import log_taylor_cached
 
 from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, lattice_from_alpha,
     lattice_from_cubic_field, random_rational_lattice,
 )
+from kleinsail import logplane
 from kleinsail.logplane import (
     EDGE_SAMPLES, TRANSLATION_TOL, LogCell, cell_covering_radius, cells_csv,
     check_phi_bounds, pi_log, pi_log_point, project_patch,
@@ -107,6 +113,18 @@ def test_covering_radius_single_cell(cubic_patch):
     one = [c for c in cells if c.interior][:1]
     rep = cell_covering_radius(one)
     assert rep["covering_radius_estimate"] == 2 * one[0].radius
+
+
+def test_covering_radius_values_on_cubic49(cubic_patch):
+    # recorded before the grid bounds were hoisted out of the loops
+    cells, _ = project_patch(cubic_patch)
+    assert cell_covering_radius(cells) == {
+        "max_cell_radius": float.fromhex("0x1.28731b4d2a613p+0"),
+        "covering_radius_estimate": float.fromhex("0x1.28731b4d2a613p+1"),
+        "grid_max_needed_radius": float.fromhex("0x1.696efb20d6294p+1"),
+        "grid_centers": 144,
+        "interior_cells": 6,
+    }
 
 
 def test_covering_radius_requires_interior():
@@ -334,3 +352,96 @@ def test_project_patch_equals_per_facet_reference(make, t):
     want = _project_patch_reference(patch)
     assert want[0]
     assert project_patch(patch) == want
+
+
+def _raw_mpf(rng, prec, exp_range=300):
+    man = (1 << (prec - 1)) | rng.getrandbits(prec - 1)
+    return from_man_exp(man, rng.randint(-exp_range, exp_range) - prec)
+
+
+def _near_one(rng, prec, bits):
+    # within 2^-bits of 1, from above or below
+    r = rng.getrandbits(prec - bits - 1) | 1
+    if rng.random() < 0.5:
+        return from_man_exp((1 << (prec - 1)) + r, 1 - prec)
+    return from_man_exp((1 << prec) - r, -prec)
+
+
+def _kernel_cases(seed):
+    """(name, raw values) groups for the sample kernel: generic values, values
+    near 1, exact cancellations and scaled near-cancellations."""
+    rng = random.Random(seed)
+    generic, near_one, cancel = [], [], []
+    for _ in range(1500):
+        n, prec = rng.choice((2, 3)), rng.choice((113, 121))
+        generic.append([_raw_mpf(rng, prec) for _ in range(n)])
+        near_one.append([_near_one(rng, prec, rng.randint(40, 60)) for _ in range(n)])
+    for _ in range(200):
+        # x1^2 = x2*x3 and x1 = x2: a coordinate of the image is exactly 0
+        a, b = rng.getrandbits(56) | 1, rng.getrandbits(56) | 1
+        e = rng.randint(-300, 300)
+        cancel.append([from_man_exp(a * b, e), from_man_exp(a * a, e), from_man_exp(b * b, e)])
+        x = _raw_mpf(rng, rng.choice((113, 121)))
+        cancel.append([x, x])
+        # one common scale 2^E, relative spread below 2^-60: the image is tiny
+        # against sum |ln x_j|, whose rounding errors decide pi_log's floats
+        prec = rng.choice((113, 121))
+        base = (1 << (prec - 1)) | rng.getrandbits(prec - 1)
+        e = rng.choice((-1, 1)) * rng.randint(150, 300)
+        cancel.append([from_man_exp(base + rng.getrandbits(prec - 60 - rng.randint(0, 30)), e)
+                       for _ in range(rng.choice((2, 3)))])
+    with mpmath.workprec(121):
+        cancel.append([(1 + mpmath.mpf(2) ** -100)._mpf_, mpmath.mpf(1)._mpf_,
+                       (1 - mpmath.mpf(2) ** -90)._mpf_])
+    return generic, near_one, cancel
+
+
+def test_sample_kernel_equals_pi_log():
+    # bit for bit pi_log everywhere, from the kernel or its fallback; the
+    # kernel answers almost every generic sample and most near 1 (B bounds
+    # |ln x| near 1 by ln 2, so it declines where x is within about 2^-55
+    # of 1), and declines every cancellation
+    generic, near_one, cancel = _kernel_cases(15)
+    for group in (generic, near_one, cancel):
+        for xs in group:
+            assert logplane._sample_image(xs) == pi_log([mpmath.mp.make_mpf(x) for x in xs])
+    assert sum(logplane._pi_log_kernel(xs) is None for xs in generic) <= 3
+    assert sum(logplane._pi_log_kernel(xs) is None for xs in near_one) <= len(near_one) // 2
+    assert all(logplane._pi_log_kernel(xs) is None for xs in cancel)
+
+
+def test_edge_mix_is_the_121_bit_sum():
+    # the exact integer mix rounds once at 121 bits, as the products' sum
+    # does; at 113 bits some mixes differ
+    rng = random.Random(16)
+    rounded_113_differs = False
+    for _ in range(200):
+        x, y = _raw_mpf(rng, 113, 8), _raw_mpf(rng, 113, 8)
+        for s in range(1, EDGE_SAMPLES):
+            wa = from_rational(s, EDGE_SAMPLES, 121, "n")
+            wb = from_rational(EDGE_SAMPLES - s, EDGE_SAMPLES, 121, "n")
+            want = mpf_add(mpf_mul(wa, x), mpf_mul(wb, y), 121, "n")
+            assert logplane._mix(x, y, s) == want
+            rounded_113_differs |= mpf_add(mpf_mul(wa, x), mpf_mul(wb, y), 113, "n") != want
+    assert rounded_113_differs
+
+
+def test_log_premises_of_the_kernel_bound():
+    # mpf_log at 113 bits within 2^-112 |ln x| (1 ulp); log_taylor_cached at
+    # _WP bits within _TAYLOR_ERR units; ln2_fixed within 1 unit
+    rng = random.Random(17)
+    wp = logplane._WP
+    with mpmath.workprec(300):
+        for k in range(600):
+            prec = rng.choice((113, 121))
+            x = _near_one(rng, prec, rng.randint(1, 100)) if k % 2 else _raw_mpf(rng, prec)
+            exact = mpmath.log(mpmath.mp.make_mpf(x))
+            got = mpmath.mp.make_mpf(mpf_log(x, 113, "n"))
+            assert abs(got - exact) <= abs(exact) * mpmath.mpf(2) ** -112
+        for k in range(600):
+            t = (1 << (wp - 1)) + rng.getrandbits(wp - 1 - rng.choice((0, 40, 90)))
+            if k % 2:
+                t = (3 << (wp - 1)) - t      # near 1 from below
+            exact = mpmath.log(mpmath.mpf(t) / mpmath.mpf(2) ** wp) * mpmath.mpf(2) ** wp
+            assert abs(log_taylor_cached(t, wp) - exact) <= logplane._TAYLOR_ERR
+        assert abs(ln2_fixed(wp) - mpmath.log(2) * mpmath.mpf(2) ** wp) < 1
