@@ -19,14 +19,16 @@ def continued_fraction(x, max_terms=64, root_index=None):
 
     Rational x terminates in canonical form (last quotient >= 2 when the
     expansion has length > 1); irrational field elements are truncated at
-    ``max_terms`` quotients.
+    ``max_terms`` quotients, and are read under the real embedding
+    ``root_index``, which they must name.
     """
     if isinstance(x, FieldElement):
-        ri = x.field.degree - 1 if root_index is None else root_index
+        if root_index is None:
+            raise ValueError("a field element needs root_index, the embedding to read it under")
         out = []
         cur = x
         for _ in range(max_terms):
-            a = cur.floor_at(ri)
+            a = cur.floor_at(root_index)
             out.append(a)
             frac = cur - a
             if frac.is_zero():

@@ -191,18 +191,18 @@ def cf_correspondence(alpha, t, root_index=None, budget=10**6):
     axis vertex as index -1); an edge between aligned vertices k and k+2 must
     have integer length a_{k+2}, and a complete star at aligned vertex k must
     have determinant a_{k+1}.  Only structure fully determined inside the
-    window is compared.
+    window is compared.  A field alpha is read under the real embedding
+    `root_index`, which it must name, as for `lattice_from_alpha`.
     """
     t = Fraction(t)
     if isinstance(alpha, FieldElement):
-        ri = alpha.field.degree - 1 if root_index is None else root_index
-        lat = lattice_from_alpha(alpha, root_index=ri)
-        quotients = continued_fraction(alpha, max_terms=64, root_index=ri)
+        lat = lattice_from_alpha(alpha, root_index=root_index)
+        quotients = continued_fraction(alpha, max_terms=64, root_index=root_index)
         # expand until the convergent denominators leave the window
         convs = convergents(quotients)
         while convs[-1][1] <= t and len(quotients) < 256:
             quotients = continued_fraction(alpha, max_terms=len(quotients) + 16,
-                                           root_index=ri)
+                                           root_index=root_index)
             convs = convergents(quotients)
     else:
         alpha = Fraction(alpha)

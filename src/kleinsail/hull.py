@@ -43,15 +43,18 @@ def orient2(a, b, c):
     return _sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
+def _normal(a, b, c):
+    """The cross product (b - a) x (c - a) of three 3D points: a normal of
+    their plane, zero iff they are collinear."""
+    u0, u1, u2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    v0, v1, v2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+
+
 def orient3(a, b, c, d):
     """Sign of det(b-a, c-a, d-a): +1 if d is on the ccw side of (a,b,c)."""
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
-    det = (u[0] * (v[1] * w[2] - v[2] * w[1])
-           - u[1] * (v[0] * w[2] - v[2] * w[0])
-           + u[2] * (v[0] * w[1] - v[1] * w[0]))
-    return _sign(det)
+    nx, ny, nz = _normal(a, b, c)
+    return _sign(nx * (d[0] - a[0]) + ny * (d[1] - a[1]) + nz * (d[2] - a[2]))
 
 
 def convex_hull_2d(points):
@@ -96,16 +99,6 @@ class HullFacet:
         return f"HullFacet(n={self.normal_out}, off={self.offset}, cycle={self.cycle})"
 
 
-def _plane_of_triangle(points, a, b, c):
-    pa, pb, pc = points[a], points[b], points[c]
-    u = (pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2])
-    v = (pc[0] - pa[0], pc[1] - pa[1], pc[2] - pa[2])
-    n = (u[1] * v[2] - u[2] * v[1],
-         u[2] * v[0] - u[0] * v[2],
-         u[0] * v[1] - u[1] * v[0])
-    return n
-
-
 # the 3D hull inserts its points in this seeded shuffle of their order; on
 # the 3D sail patches of the benchmark, a sorted insertion made six times
 # the conflict tests
@@ -145,8 +138,8 @@ def convex_hull_3d(points):
     sees = {q: set() for q in order}  # point -> live triangles it is outside of
 
     def add_tri(v0, v1, v2, candidates):
-        nx, ny, nz = n = _plane_of_triangle(points, v0, v1, v2)
-        x, y, z = points[v0]
+        x, y, z = pa = points[v0]
+        nx, ny, nz = n = _normal(pa, points[v1], points[v2])
         off = nx * x + ny * y + nz * z
         tid = len(tris)
         outside = []
@@ -215,7 +208,7 @@ def _initial_simplex(points, order):
     a = order[0]
     b = order[1]
     c = next((i for i in order
-              if _noncollinear(points[a], points[b], points[i])), None)
+              if any(_normal(points[a], points[b], points[i]))), None)
     if c is None:
         return None
     d = next((i for i in order
@@ -223,15 +216,6 @@ def _initial_simplex(points, order):
     if d is None:
         return None
     return a, b, c, d
-
-
-def _noncollinear(a, b, c):
-    u = tuple(b[k] - a[k] for k in range(3))
-    v = tuple(c[k] - a[k] for k in range(3))
-    cross = (u[1] * v[2] - u[2] * v[1],
-             u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-    return any(cross)
 
 
 def _order_facet_cycle(points, verts, normal):
@@ -243,7 +227,7 @@ def _order_facet_cycle(points, verts, normal):
     proj = [(points[v][keep[0]], points[v][keep[1]]) for v in verts]
     cycle = [verts[i] for i in convex_hull_2d(proj)]
     # enforce ccw as seen along the outward normal
-    n = _plane_of_triangle(points, *cycle[:3])
+    n = _normal(*(points[v] for v in cycle[:3]))
     if sum(x * y for x, y in zip(n, normal)) < 0:
         cycle.reverse()
     return cycle
@@ -289,12 +273,7 @@ def polytope_volume(points):
         cyc = f.cycle
         for i in range(1, len(cyc) - 1):
             a, b, c = ipts[cyc[0]], ipts[cyc[i]], ipts[cyc[i + 1]]
-            u = tuple(a[k] - o[k] for k in range(3))
-            v = tuple(b[k] - o[k] for k in range(3))
-            w = tuple(c[k] - o[k] for k in range(3))
-            det = (u[0] * (v[1] * w[2] - v[2] * w[1])
-                   - u[1] * (v[0] * w[2] - v[2] * w[0])
-                   + u[2] * (v[0] * w[1] - v[1] * w[0]))
-            total += Fraction(det)
+            # det(a - o, b - o, c - o)
+            total += sum(x * (y - z) for x, y, z in zip(_normal(o, a, b), c, o))
     return abs(total) / 6 / den**3
 

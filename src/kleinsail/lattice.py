@@ -42,7 +42,9 @@ from itertools import combinations, groupby, islice
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .linalg import det, mat_inverse, mat_mul, solve, transpose
-from .numberfield import FieldElement, NumberField, cmp_at, interval_at, sign_at
+from .numberfield import (
+    FieldElement, NumberField, _as_fraction, cmp_at, interval_at, sign_at,
+)
 
 __all__ = [
     "Lattice", "LatticePoint", "OrthantSign", "DegenerateBasisError",
@@ -64,16 +66,6 @@ _SCALE = 1 << _ENUM_SHIFT
 
 class DegenerateBasisError(ValueError):
     pass
-
-
-def _fr(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def _iroot(m, n):
@@ -174,7 +166,7 @@ class Lattice:
 
     @classmethod
     def rational(cls, rows, **kw):
-        rows = [tuple(_fr(x) for x in r) for r in rows]
+        rows = [tuple(_as_fraction(x) for x in r) for r in rows]
         d = det(rows)
         if d == 0:
             raise DegenerateBasisError("degenerate basis")
@@ -305,7 +297,7 @@ class Lattice:
 
     def coord_abs_lt(self, coeffs, i, bound):
         """|normalized coordinate i| < bound, exact."""
-        bound = _fr(bound)
+        bound = _as_fraction(bound)
         if bound < 0:
             return False
         x, e = self.coord(coeffs, i), self.embeddings[i]
@@ -423,7 +415,7 @@ class Lattice:
 
     def raw_window_interval(self, t):
         """Certified rational bounds for t * d^(1/n)."""
-        t = _fr(t)
+        t = _as_fraction(t)
         lo, hi = self.scale_root_interval()
         return (t * lo, t * hi)
 
@@ -481,7 +473,7 @@ class Lattice:
 
     def diagonal_rescale(self, factors):
         """Rescale ambient axes by exact rationals with product 1."""
-        factors = [_fr(f) for f in factors]
+        factors = [_as_fraction(f) for f in factors]
         prod = Fraction(1)
         for f in factors:
             prod *= f
@@ -603,7 +595,7 @@ def normalize_lattice(raw_basis, provenance="", seed=None):
     raw basis is kept with the determinant tracked, and all scale-sensitive
     quantities are rescaled through exact power comparisons.
     """
-    rows = [tuple(_fr(x) for x in row) for row in raw_basis]
+    rows = [tuple(_as_fraction(x) for x in row) for row in raw_basis]
     n = len(rows)
     d = det(rows)
     if d == 0:
@@ -622,16 +614,20 @@ def dual_lattice(lat):
 
 
 def lattice_from_alpha(alpha, root_index=None):
-    """The Klein-polygon lattice of alpha in (0,1): columns (1, 1-alpha), (0, 1)."""
+    """The Klein-polygon lattice of alpha in (0,1): columns (1, 1-alpha), (0, 1).
+
+    A field alpha is read under the real embedding `root_index`, which it
+    must name: no embedding is the default one."""
     if isinstance(alpha, FieldElement):
         fld = alpha.field
-        ri = root_index if root_index is not None else fld.degree - 1
-        if alpha.sign_at(ri) <= 0 or (1 - alpha).sign_at(ri) <= 0:
+        if root_index is None:
+            raise ValueError("a field alpha needs root_index, the embedding to read it under")
+        if alpha.sign_at(root_index) <= 0 or (1 - alpha).sign_at(root_index) <= 0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         one, zero = fld.one(), fld.zero()
         rows = [(one, zero), (one - alpha, one)]
-        return Lattice.single_field(fld, rows, ri, provenance="from-alpha")
-    a = _fr(alpha)
+        return Lattice.single_field(fld, rows, root_index, provenance="from-alpha")
+    a = _as_fraction(alpha)
     if not (0 < a < 1):
         raise ValueError("alpha must lie strictly between 0 and 1")
     rows = [(Fraction(1), Fraction(0)), (1 - a, Fraction(1))]
@@ -762,7 +758,7 @@ def irrationality_check(lat, t):
     the multipliers of its (at most (n-1)-dimensional) kernel directly
     instead of enumerating Q(t); the points are listed only when read.
     """
-    t = _fr(t)
+    t = _as_fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
     kernels = [_kernel_rows(lat, _zero_coordinate_sublattice(lat, i), t) for i in range(lat.n)]

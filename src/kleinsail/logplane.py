@@ -7,7 +7,8 @@ cells, one per facet.  Everything here is diagnostic: floats never flow
 back into the exact modules.  A patch is projected in one pass: each
 vertex's coordinates are formed exactly and read at 113 bits once, and its
 image is shared by every cell that meets it; each edge is sampled once, and
-a cell that meets it the other way reads the same samples reversed.  A
+a cell that meets it the other way reads the same samples reversed.  A cell
+rings its facet's vertices in the polygon's cyclic order.  A
 sample's coordinates are lambda*x(a) + (1 - lambda)*x(b) from its vertices'
 values, lambda = s/EDGE_SAMPLES with EDGE_SAMPLES a power of two: one exact
 integer, rounded once at 121 bits.  Both terms are positive, so samples
@@ -16,8 +17,9 @@ plus 2^-120.  Comparison tolerances are fixed constants.
 
 `pi_log` is the reference image: n logarithms at 113 bits in mpmath's raw
 layer, their mean and differences, each rounded, then rounded to floats.
-Edge samples go through an exact fixed-point kernel (`_pi_log_kernel`)
-that returns the same floats bit for bit, or declines:
+Vertices and edge samples go through an exact fixed-point kernel
+(`_pi_log_kernel`) that returns the same floats bit for bit, or declines,
+and only then falls back to `pi_log`:
 
 - **The ratio identity.**  Coordinate i of the image is
   Y_i = ln(x_i^(n-1) / prod_{j != i} x_j) / n, so n - 1 logarithms of exact
@@ -37,7 +39,7 @@ that returns the same floats bit for bit, or declines:
   correctly rounded int/int division each.  Rounding to nearest is
   monotone, so where the two ends give one float that float is `to_float`
   of d_i, `pi_log`'s float.  Otherwise (Y_i close to a rounding boundary,
-  or tiny against A) the sample falls back to `pi_log` on its mpf values.
+  or tiny against A) the point falls back to `pi_log` on its mpf values.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -60,6 +62,7 @@ from mpmath.libmp import (
 
 from .determinants import det_SF
 from .numberfield import mpf_at
+from .sail import _cycle_edges, _facet_ring
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -154,7 +157,7 @@ def _pi_log_kernel(xs):
 
 
 def _sample_image(xs):
-    """`pi_log` of an edge sample's raw mpf values: the kernel, else the reference."""
+    """`pi_log` of positive raw mpf values: the kernel, else the reference."""
     return _pi_log_kernel(xs) or pi_log([_make_mpf(x) for x in xs])
 
 
@@ -180,7 +183,7 @@ def pi_log_point(lat, coeffs):
 @dataclass
 class LogCell:
     facet_index: int
-    vertex_images: tuple      # one per facet vertex
+    vertex_images: tuple      # one per facet vertex, around the facet polygon
     edge_samples: tuple       # sampled boundary points (floats)
     centroid: tuple
     radius: float             # max distance from centroid to any boundary point
@@ -190,7 +193,9 @@ class LogCell:
 def project_patch(patch):
     """One log-plane cell per certified facet, from one pass over the patch.
 
-    Each vertex's values and image are computed once, and every cell that
+    A cell lists its facet's vertex images around the facet polygon: in the
+    window cycle, or, for an extended facet, in the cycle of its vertices
+    that `_facet_ring` gives.  Each vertex's values and image are computed once, and every cell that
     meets the vertex reads them.  A vertex with a zero coordinate (patches
     lie in the closed orthant) touches the boundary: its facets are skipped
     and reported, under `build_sail_patch`'s policy.  Each edge is sampled
@@ -199,20 +204,22 @@ def project_patch(patch):
     k - s of b -> a, and a cell that meets the edge the other way reads the
     same list reversed.  Samples take no field arithmetic."""
     lat = patch.lattice
-    verts, edges = {}, {}    # vertex -> (values, image) or None; (a, b) -> samples
+    verts, edges = {}, {}    # vertex -> (raw values, image) or None; (a, b) -> samples
 
     def vertex(c):
         if c not in verts:
             vals = _coord_values(lat, c)
-            verts[c] = None if vals is None else (vals, pi_log(vals))
+            verts[c] = None
+            if vals is not None:
+                xs = [x._mpf_ for x in vals]
+                verts[c] = (xs, _sample_image(xs))
         return verts[c]
 
     def edge(a, b):
         if (b, a) in edges:
             return edges[b, a][::-1]
         if (a, b) not in edges:
-            xa = [x._mpf_ for x in verts[a][0]]
-            xb = [x._mpf_ for x in verts[b][0]]
+            xa, xb = verts[a][0], verts[b][0]
             edges[a, b] = [_sample_image([_mix(x, y, s) for x, y in zip(xa, xb)])
                            for s in range(1, EDGE_SAMPLES)]
         return edges[a, b]
@@ -222,15 +229,14 @@ def project_patch(patch):
     for fi, f in enumerate(patch.facets):
         if not f.certified:
             continue
-        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+        ring = _facet_ring(f)
         if any(vertex(c) is None for c in ring):
             skipped.append(fi)
             continue
         imgs = [verts[c][1] for c in ring]
         samples = list(imgs)
-        m = len(ring)
-        for k in range(m if (lat.n == 3 and m > 2) else m - 1):
-            samples.extend(edge(ring[k], ring[(k + 1) % m]))
+        for a, b in _cycle_edges(ring, lat.n):
+            samples.extend(edge(a, b))
         dim = len(imgs[0])
         centroid = tuple(sum(p[d] for p in imgs) / len(imgs) for d in range(dim))
         radius = max(math.dist(centroid, p) for p in samples)

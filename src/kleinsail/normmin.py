@@ -29,8 +29,6 @@ from itertools import product as iproduct
 from .determinants import det_report
 from .lattice import _ENUM_SHIFT, OrthantSign, _root_bounds
 from .linalg import lll_reduce
-# the benchmark's tracer wraps `irrationality_check` under this module's name
-from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
 from .sail import (
     DEFAULT_POINT_BUDGET, PointBudgetError, _box_filter, _enumerate_core, _window_bounds,
@@ -45,6 +43,10 @@ __all__ = [
 
 def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patches=None):
     """Nonzero lattice points of Q(t) = {max |x_i| < t}, exact.
+
+    No library code calls this whole-box mode; it stays as the tests'
+    brute-force reference for the irrationality witnesses, the norm minimum
+    and the T0 boxes.
 
     With `minimal`, only the Pareto-minimal points of the closed windows
     [0, t)^n of the 2^(n-1) orthant representatives, each once: Q(t) is the

@@ -139,13 +139,9 @@ class NumberField:
             for a, b in pieces:
                 m = (a + b) / 2
                 for seg in ((a, m), (m, b)):
+                    # no grid point is a root: the polynomial is irreducible
                     fa = _poly_eval(self.coeffs, seg[0])
                     fb = _poly_eval(self.coeffs, seg[1])
-                    if fa == 0 or fb == 0:
-                        # nudge the grid so endpoints never sit on a root
-                        seg = (seg[0] - Fraction(1, 10**9), seg[1] + Fraction(1, 10**9))
-                        fa = _poly_eval(self.coeffs, seg[0])
-                        fb = _poly_eval(self.coeffs, seg[1])
                     if fa * fb < 0:
                         roots.append(seg)
                     else:
@@ -171,11 +167,7 @@ class NumberField:
         flo = _poly_eval(self.coeffs, lo)
         while width is None or hi - lo > width:
             mid = (lo + hi) / 2
-            fm = _poly_eval(self.coeffs, mid)
-            if fm == 0:
-                # rational midpoint cannot be a root (irreducible); nudge
-                mid += (hi - lo) / 4
-                fm = _poly_eval(self.coeffs, mid)
+            fm = _poly_eval(self.coeffs, mid)  # never 0: the polynomial is irreducible
             if flo * fm < 0:
                 hi = mid
             else:

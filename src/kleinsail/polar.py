@@ -120,33 +120,31 @@ def build_polar_patch(patch):
     if not certified:
         raise ValueError("empty patch has no polar")
     n = patch.n
-    vertex_by_facet = {fi: polar_vertex_of_facet(f) for fi, f in certified}
-    # sanity: the defining pairing <u_F, y> = 1 on the facet's vertices
-    for fi, f in certified:
-        u = vertex_by_facet[fi]
-        for c in f.vertices:
-            if vec_dot(u, [Fraction(x) for x in c]) != 1:
-                raise AssertionError("polar vertex fails its defining pairing")
-
+    vertex_by_facet = {}
+    facets_at = {}  # certified vertex -> the certified facets whose vertices hold it
     faces = []
     # facets -> polar vertices (0-faces), complete by certification
     for fi, f in certified:
+        u = vertex_by_facet[fi] = polar_vertex_of_facet(f)
+        for c in f.vertices:
+            # sanity: the defining pairing <u_F, y> = 1 on the facet's vertices
+            if vec_dot(u, [Fraction(x) for x in c]) != 1:
+                raise AssertionError("polar vertex fails its defining pairing")
+            facets_at.setdefault(c, set()).add(fi)
         faces.append(PolarFace(source_dim=n - 1, source_vertices=f.vertices,
-                               vertices=(vertex_by_facet[fi],), complete=True))
+                               vertices=(u,), complete=True))
     # edges (n = 3 only) -> (n-2)-faces
     if n == 3:
         for (a, b) in patch.edges:
-            incident = [fi for fi, f in certified
-                        if a in f.vertices and b in f.vertices]
+            incident = facets_at.get(a, set()) & facets_at.get(b, set())
             if not incident:
                 continue
             us = tuple(sorted(vertex_by_facet[fi] for fi in incident))
             faces.append(PolarFace(source_dim=1, source_vertices=(a, b),
                                    vertices=us, complete=len(incident) == 2))
     # vertices -> polar facets, complete iff the star is complete
-    for v in patch.certified_vertices():
-        incident = [fi for fi, f in certified if v in f.vertices]
-        us = tuple(sorted(vertex_by_facet[fi] for fi in incident))
+    for v in sorted(facets_at):
+        us = tuple(sorted(vertex_by_facet[fi] for fi in facets_at[v]))
         star = patch.stars.get(v)
         faces.append(PolarFace(source_dim=0, source_vertices=(v,),
                                vertices=us,
@@ -309,6 +307,11 @@ def check_Kast_in_Kcirc(lat, t, t_dual=None, budget=10**6):
     is a positive integer, hence >= 1; any violation is reported.  In
     dimension 2 the polar vertex set and the certified K* vertex set are
     compared on the common window (they coincide: K* = Kcirc).
+
+    Under the boundary policy of `build_sail_patch`, both checks leave out
+    the certified vertices with a zero coordinate, and the facets of K that
+    meet one; those vertices are listed (sorted coefficient tuples) in
+    `boundary_points` for K and `dual_boundary_points` for K*.
     """
     t_dual = t if t_dual is None else t_dual
     dual = lat.dual()
@@ -332,34 +335,33 @@ def check_Kast_in_Kcirc(lat, t, t_dual=None, budget=10**6):
         "pairing": CheckReport(checked, passed, 0, witnesses),
         "primal_vertices": len(prim),
         "dual_vertices": len(dstar),
+        "boundary_points": sorted(set(patch.certified_vertices()).difference(prim)),
+        "dual_boundary_points": sorted(set(dual_patch.certified_vertices()).difference(dstar)),
     }
     if lat.n == 2:
-        result["vertex_sets_equal"] = _compare_2d_polar_sets(
-            lat, dual, patch, dual_patch)
+        result["vertex_sets_equal"] = _compare_2d_polar_sets(dual, patch, set(prim), set(dstar))
     return result
 
 
-def _compare_2d_polar_sets(lat, dual, patch, dual_patch):
+def _compare_2d_polar_sets(dual, patch, interior, dual_set):
     """K* = Kcirc in the plane: certified K* vertices vs polar vertices,
     restricted to the overlap of the two contiguous runs.
 
     The equality assumes orthant-boundary-free lattices, which the rational
     stand-ins never are (the lattice of alpha always meets one axis, its
-    dual the other).  Facets incident to a boundary vertex and boundary
-    vertices of the dual sail are therefore excluded: they carry exactly the
-    axis artifacts, and the interior structure must agree.  With no vertex
-    in common there is nothing to compare, and `equal` is None, not False.
+    dual the other).  Only the interior certified vertices of K, `interior`,
+    and of K*, `dual_set`, take part: facets of K that meet a boundary
+    vertex are left out.  They carry exactly the axis artifacts, and the
+    interior structure must agree; `check_Kast_in_Kcirc` reports the
+    boundary vertices.  With no vertex in common there is nothing to
+    compare, and `equal` is None, not False.
     """
-    def interior_vertex(lt, c):
-        return all(lt.coord_sign(c, i) > 0 for i in range(lt.n))
-
     polar_set = set()
     for f in patch.certified_facets():
         if f.dist != 1:
             raise AssertionError("2D sail facet with integer distance > 1")
-        if all(interior_vertex(lat, c) for c in f.vertices):
+        if interior.issuperset(f.vertices):
             polar_set.add(f.support)
-    dual_set = set(dual_patch.interior_certified_vertices())
     if not (polar_set & dual_set):
         return {"equal": None, "overlap": 0, "only_polar": [], "only_dual": []}
 

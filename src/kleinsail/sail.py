@@ -38,8 +38,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 
-from .hull import convex_hull_2d, convex_hull_3d
+from .hull import _normal, _order_facet_cycle, convex_hull_2d, convex_hull_3d
 from .linalg import det, primitive_int_vector, unimodular_completion
 from .lattice import _ENUM_SHIFT, Lattice, _iv_dot, _scale_out, irrationality_check
 from .numberfield import interval_at
@@ -293,13 +294,11 @@ def _enumerate_window(lat, t, budget):
                            first_per_line=True)
 
 
-# The benchmark's tracer still wraps this name; the benchmark-only change
-# (ROADMAP item 1) drops it there and here.
-_enumerate_window_alpha = _enumerate_window
-
-
 def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
-    """Exactly the nonzero lattice points with all coordinates in (0, t)."""
+    """Exactly the nonzero lattice points with all coordinates in (0, t).
+
+    No library code calls this scan of the whole window; it stays as a
+    brute-force reference for the tests."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
@@ -483,11 +482,6 @@ def _coordinate_ranks(lat, enclosures, i):
     return ranks
 
 
-# The benchmark's tracer still wraps this name; the benchmark-only change
-# (ROADMAP item 1) drops it there and here.
-_pareto_minimal_fast = _pareto_minimal
-
-
 # ---------------------------------------------------------------------------
 # closure rays
 
@@ -535,20 +529,8 @@ def facet_support(vertex_coeffs, n):
         d = (b[0] - a[0], b[1] - a[1])
         w = (d[1], -d[0])
     elif n == 3:
-        a = vs[0]
-        w = None
-        for i in range(1, len(vs)):
-            for j in range(i + 1, len(vs)):
-                u = tuple(vs[i][k] - a[k] for k in range(3))
-                v = tuple(vs[j][k] - a[k] for k in range(3))
-                cr = (u[1] * v[2] - u[2] * v[1],
-                      u[2] * v[0] - u[0] * v[2],
-                      u[0] * v[1] - u[1] * v[0])
-                if any(cr):
-                    w = cr
-                    break
-            if w:
-                break
+        normals = (_normal(vs[0], p, q) for p, q in combinations(vs[1:], 2))
+        w = next((nm for nm in normals if any(nm)), None)
         if w is None:
             raise ValueError("facet vertices are collinear")
     else:
@@ -638,11 +620,7 @@ def _extreme_on_plane(on_plane, w, n):
         return pts
     if n == 2:
         return [pts[0], pts[-1]]
-    k = max(range(n), key=lambda i: abs(w[i]))
-    keep = [i for i in range(n) if i != k]
-    proj = [(p[keep[0]], p[keep[1]]) for p in pts]
-    idx = convex_hull_2d(proj)
-    return sorted(pts[i] for i in idx)
+    return sorted(pts[i] for i in _order_facet_cycle(pts, range(len(pts)), w))
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +762,9 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
     on the second axis, irrational alpha included, and `irrationality_check`
     reports such points as witnesses.  The sail hull includes them; every
     check made on the open orthant -- the log-plane cells (`project_patch`),
-    the T0 box property (`check_t0_boxes`, as `boundary_points`) -- leaves
-    them out and reports them.
+    the T0 box property (`check_t0_boxes`, as `boundary_points`), the
+    pairing and 2D comparison of `check_Kast_in_Kcirc` (as `boundary_points`
+    and `dual_boundary_points`) -- leaves them out and reports them.
 
     The irrationality report is attached to the patch.  Certified facets are
     sound facets of the infinite Klein polyhedron regardless.
@@ -869,40 +848,52 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
     return patch
 
 
-def _attach_edges_and_stars(patch):
-    n = patch.n
-    vertex_facets = patch.vertex_facets()
-    edge_map = {}
-    for fi, f in enumerate(patch.facets):
-        cyc = f.cycle
-        m = len(cyc)
-        if m < 2:
-            continue
-        rng = range(m) if (n == 3 and m > 2) else range(m - 1)
-        for i in rng:
-            e = tuple(sorted((cyc[i], cyc[(i + 1) % m])))
-            edge_map.setdefault(e, set()).add(fi)
+def _cycle_edges(cycle, n):
+    """The sides of a facet cycle, as consecutive vertex pairs: closed around
+    a polygon (n = 3), open along a segment (n = 2, or a degenerate cycle)."""
+    m = len(cycle)
+    return [(cycle[i], cycle[(i + 1) % m]) for i in range(m if n == 3 and m > 2 else m - 1)]
 
-    edges = sorted(e for e, fs in edge_map.items()
-                   if any(patch.facets[fi].certified for fi in fs))
-    patch.edges = edges
+
+def _facet_ring(f):
+    """A certified facet's vertices in cyclic order.  That is its window
+    cycle when the cycle holds exactly its vertices.  An extended facet's
+    vertices are ordered as the hull orders a cycle, ccw seen from outside
+    (along -w) from the least vertex; a 2D facet's two stay sorted."""
+    if set(f.cycle) == set(f.vertices):
+        return list(f.cycle)
+    vs = f.vertices
+    if len(vs) < 3:
+        return list(vs)
+    ring = _order_facet_cycle(vs, range(len(vs)), [-x for x in f.support])
+    k = ring.index(0)  # the least vertex
+    return [vs[i] for i in ring[k:] + ring[:k]]
+
+
+def _attach_edges_and_stars(patch):
+    """The patch's edges, those of its facet cycles on a certified facet, and
+    the edge star of every hull vertex on a certified facet, from one pass
+    over the facets and one over the edges."""
+    facets = patch.facets
+    edge_map = {}
+    for fi, f in enumerate(facets):
+        for a, b in _cycle_edges(f.cycle, patch.n):
+            edge_map.setdefault(tuple(sorted((a, b))), set()).add(fi)
+
+    patch.edges = sorted(e for e, fs in edge_map.items()
+                         if any(facets[fi].certified for fi in fs))
+    vectors = {}
+    for a, b in patch.edges:
+        e = primitive_int_vector(tuple(y - x for x, y in zip(a, b)))
+        vectors.setdefault(a, set()).add(e)
+        vectors.setdefault(b, set()).add(tuple(-x for x in e))
 
     stars = {}
-    for v, fids in vertex_facets.items():
-        if not any(patch.facets[fi].certified for fi in fids):
-            continue
-        vectors = set()
-        for (a, b), fs in edge_map.items():
-            if v not in (a, b):
-                continue
-            if not any(patch.facets[fi].certified for fi in fs):
-                continue
-            other = b if a == v else a
-            diff = tuple(x - y for x, y in zip(other, v))
-            vectors.add(primitive_int_vector(diff))
-        complete = all(patch.facets[fi].certified for fi in fids)
-        stars[v] = EdgeStar(center=v, vectors=tuple(sorted(vectors)),
-                            complete=complete)
+    for v, fids in patch.vertex_facets().items():
+        certified = [facets[fi].certified for fi in fids]
+        if any(certified):
+            stars[v] = EdgeStar(center=v, vectors=tuple(sorted(vectors.get(v, ()))),
+                                complete=all(certified))
     patch.stars = stars
 
 

@@ -241,6 +241,17 @@ def test_cf_correspondence_window_too_small():
         cf_correspondence(Fraction(7, 16), 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: lattice_from_alpha(x),
+    lambda x: continued_fraction(x),
+    lambda x: cf_correspondence(x, 60),
+], ids=["lattice_from_alpha", "continued_fraction", "cf_correspondence"])
+def test_field_alpha_needs_its_embedding(call):
+    # a field element has no default embedding: the caller names it
+    with pytest.raises(ValueError, match="root_index"):
+        call(NumberField(GOLDEN_MINPOLY).gen())
+
+
 def test_det_report_csv_json():
     lat = lattice_from_alpha(Fraction(5, 12))
     patch = build_sail_patch(lat, 30)

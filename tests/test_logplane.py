@@ -170,7 +170,7 @@ def test_cell_samples_match_exact_mixes(make, t):
     assert cells
     for cell in cells:
         f = patch.facets[cell.facet_index]
-        ring = list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+        ring = _ring(f)
         m = len(ring)
         assert cell.vertex_images == tuple(pi_log_point(lat, c) for c in ring)
         want = []
@@ -240,7 +240,24 @@ def test_cells_csv(cubic_patch):
 
 
 def _ring(f):
-    return list(f.cycle) if set(f.cycle) == set(f.vertices) else sorted(f.vertices)
+    # the window cycle when it holds exactly the facet's vertices; else, from
+    # the least vertex, each next vertex b is the one that leaves every other
+    # vertex c to its left seen from outside the polyhedron (along -w):
+    # w . ((b - a) x (c - a)) < 0.  A 2D facet's two vertices stay sorted
+    if set(f.cycle) == set(f.vertices):
+        return list(f.cycle)
+    ring = [min(f.vertices)]
+    while len(ring) < len(f.vertices):
+        a = ring[-1]
+        ring.append(next(b for b in f.vertices if b not in ring and all(
+            _triple(f.support, [y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)]) < 0
+            for c in f.vertices if c not in (a, b))))
+    return ring
+
+
+def _triple(w, u, v):
+    return (w[0] * (u[1] * v[2] - u[2] * v[1]) + w[1] * (u[2] * v[0] - u[0] * v[2])
+            + w[2] * (u[0] * v[1] - u[1] * v[0]))
 
 
 @pytest.mark.parametrize("make, t", [
@@ -445,3 +462,29 @@ def test_log_premises_of_the_kernel_bound():
             exact = mpmath.log(mpmath.mpf(t) / mpmath.mpf(2) ** wp) * mpmath.mpf(2) ** wp
             assert abs(log_taylor_cached(t, wp) - exact) <= logplane._TAYLOR_ERR
         assert abs(ln2_fixed(wp) - mpmath.log(2) * mpmath.mpf(2) ** wp) < 1
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_cell_rings_follow_the_facet_polygon(k):
+    # each cell lists its facet's vertex images in the polygon's cyclic
+    # order: every two consecutive ring vertices span a side, with all other
+    # vertices strictly on one side of it; extended facets included, whose
+    # window cycle is not their vertex set
+    lat = random_rational_lattice(3, k)
+    patch = build_sail_patch(lat, 30)
+    cells, _ = project_patch(patch)
+    extended = 0
+    for cell in cells:
+        f = patch.facets[cell.facet_index]
+        vertex_of = {pi_log_point(lat, c): c for c in f.vertices}
+        ring = [vertex_of[img] for img in cell.vertex_images]
+        assert sorted(ring) == list(f.vertices)
+        m = len(ring)
+        for j in range(m):
+            a, b = ring[j], ring[(j + 1) % m]
+            signs = {_triple(f.support, [y - x for x, y in zip(a, b)],
+                             [y - x for x, y in zip(a, c)]) > 0
+                     for c in f.vertices if c not in (a, b)}
+            assert len(signs) == 1, (f.vertices, ring)
+        extended += f.extended and m >= 4
+    assert extended

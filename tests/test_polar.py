@@ -117,6 +117,21 @@ def test_kast_in_kcirc_2d_no_overlap_is_not_compared():
     assert eq.keys() == golden["vertex_sets_equal"].keys()
 
 
+def test_kast_in_kcirc_reports_boundary_vertices():
+    # the lattice of 5/12 meets the second axis at (0, 1), its dual the first
+    # at (1, 0): the pairing and the 2D comparison leave them out, and the
+    # result lists them
+    lat = lattice_from_alpha(Fraction(5, 12))
+    res = check_Kast_in_Kcirc(lat, 5, 5)
+    assert (0, 1) in res["boundary_points"]
+    assert (1, 0) in res["dual_boundary_points"]
+    for lt, key, count in ((lat, "boundary_points", "primal_vertices"),
+                           (lat.dual(), "dual_boundary_points", "dual_vertices")):
+        patch = build_sail_patch(lt, 5)
+        assert len(res[key]) + res[count] == len(patch.certified_vertices())
+        assert all(any(lt.coord_sign(c, i) == 0 for i in range(2)) for c in res[key])
+
+
 def test_kast_in_kcirc_cubic(cubic_patch):
     lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
     res = check_Kast_in_Kcirc(lat, 15, 15)
