@@ -62,7 +62,7 @@ from mpmath.libmp import (
 
 from .determinants import det_SF
 from .numberfield import mpf_at
-from .sail import _cycle_edges, _facet_ring
+from .sail import _cycle_edges
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
@@ -193,16 +193,15 @@ class LogCell:
 def project_patch(patch):
     """One log-plane cell per certified facet, from one pass over the patch.
 
-    A cell lists its facet's vertex images around the facet polygon: in the
-    window cycle, or, for an extended facet, in the cycle of its vertices
-    that `_facet_ring` gives.  Each vertex's values and image are computed once, and every cell that
-    meets the vertex reads them.  A vertex with a zero coordinate (patches
-    lie in the closed orthant) touches the boundary: its facets are skipped
-    and reported, under `build_sail_patch`'s policy.  Each edge is sampled
-    once.  Sample s of a -> b mixes the vertex values with weights s/k and
-    (k - s)/k, k = EDGE_SAMPLES, rounded once, so it is bit for bit sample
-    k - s of b -> a, and a cell that meets the edge the other way reads the
-    same list reversed.  Samples take no field arithmetic."""
+    A cell lists its facet's vertex images around the facet polygon, in
+    `Facet.ring` order.  Each vertex's values and image are computed once,
+    and every cell that meets the vertex reads them.  A vertex with a zero
+    coordinate (patches lie in the closed orthant) touches the boundary: its
+    facets are skipped and reported, under `build_sail_patch`'s policy.  Each
+    edge is sampled once.  Sample s of a -> b mixes the vertex values with
+    weights s/k and (k - s)/k, k = EDGE_SAMPLES, rounded once, so it is bit
+    for bit sample k - s of b -> a, and a cell that meets the edge the other
+    way reads the same list reversed.  Samples take no field arithmetic."""
     lat = patch.lattice
     verts, edges = {}, {}    # vertex -> (raw values, image) or None; (a, b) -> samples
 
@@ -229,7 +228,7 @@ def project_patch(patch):
     for fi, f in enumerate(patch.facets):
         if not f.certified:
             continue
-        ring = _facet_ring(f)
+        ring = f.ring
         if any(vertex(c) is None for c in ring):
             skipped.append(fi)
             continue

@@ -294,6 +294,11 @@ def _enumerate_window(lat, t, budget):
                            first_per_line=True)
 
 
+# The benchmark's tracer still wraps this name; the benchmark-only change
+# (ROADMAP item 1) drops it there and here.
+_enumerate_window_alpha = _enumerate_window
+
+
 def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
     """Exactly the nonzero lattice points with all coordinates in (0, t).
 
@@ -482,6 +487,11 @@ def _coordinate_ranks(lat, enclosures, i):
     return ranks
 
 
+# The benchmark's tracer still wraps this name; the benchmark-only change
+# (ROADMAP item 1) drops it there and here.
+_pareto_minimal_fast = _pareto_minimal
+
+
 # ---------------------------------------------------------------------------
 # closure rays
 
@@ -614,13 +624,17 @@ def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET):
 
 
 def _extreme_on_plane(on_plane, w, n):
-    """Extreme points of the on-plane lattice point set (the facet's vertices)."""
+    """Extreme points of the on-plane lattice point set (the facet's
+    vertices) in cyclic order: in 3D ccw seen from outside (along -w) from
+    the least one, as the hull orders a cycle; in 2D the two sorted."""
     pts = sorted(set(on_plane))
     if len(pts) <= 2:
         return pts
     if n == 2:
         return [pts[0], pts[-1]]
-    return sorted(pts[i] for i in _order_facet_cycle(pts, range(len(pts)), w))
+    ring = _order_facet_cycle(pts, range(len(pts)), [-x for x in w])
+    k = ring.index(0)  # the least point is extreme
+    return [pts[i] for i in ring[k:] + ring[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +652,8 @@ class Facet:
     artificial: bool         # touches a closure ray point
     extended: bool = False   # true facet extends beyond the window
     reason: str = ""
+    ring: tuple = ()         # certified: the vertices in cyclic order (the
+                             # window cycle unless extended)
 
 
 @dataclass(frozen=True)
@@ -830,11 +846,11 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
             continue
         if not set(cycle) <= set(on_plane):
             raise AssertionError("certified facet misses its own hull vertices")
-        authoritative = _extreme_on_plane(on_plane, w, n)
-        extended = set(authoritative) != set(cycle)
-        facets.append(Facet(vertices=tuple(sorted(authoritative)), cycle=tuple(cycle),
-                            support=w, dist=d0, certified=True,
-                            artificial=False, extended=extended))
+        ring = _extreme_on_plane(on_plane, w, n)
+        extended = set(ring) != set(cycle)
+        facets.append(Facet(vertices=tuple(sorted(ring)), cycle=tuple(cycle),
+                            support=w, dist=d0, certified=True, artificial=False,
+                            extended=extended, ring=tuple(ring if extended else cycle)))
 
     # deterministic facet order: certified first, then by vertex list
     facets.sort(key=lambda f: (not f.certified, f.vertices, f.cycle))
@@ -853,21 +869,6 @@ def _cycle_edges(cycle, n):
     a polygon (n = 3), open along a segment (n = 2, or a degenerate cycle)."""
     m = len(cycle)
     return [(cycle[i], cycle[(i + 1) % m]) for i in range(m if n == 3 and m > 2 else m - 1)]
-
-
-def _facet_ring(f):
-    """A certified facet's vertices in cyclic order.  That is its window
-    cycle when the cycle holds exactly its vertices.  An extended facet's
-    vertices are ordered as the hull orders a cycle, ccw seen from outside
-    (along -w) from the least vertex; a 2D facet's two stay sorted."""
-    if set(f.cycle) == set(f.vertices):
-        return list(f.cycle)
-    vs = f.vertices
-    if len(vs) < 3:
-        return list(vs)
-    ring = _order_facet_cycle(vs, range(len(vs)), [-x for x in f.support])
-    k = ring.index(0)  # the least vertex
-    return [vs[i] for i in ring[k:] + ring[:k]]
 
 
 def _attach_edges_and_stars(patch):
