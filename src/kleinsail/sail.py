@@ -18,12 +18,14 @@ A patch is computed inside the window [0, T)^n:
    line minima dominate the whole window, so they have its Pareto set,
 3. close the hull with far points along integer rays whose ambient images
    are verified strictly positive, so no bounded facet is ever cut off,
-4. certify each candidate facet by exhaustively enumerating the bounded
-   region between its hyperplane and the origin inside the closed orthant:
-   certification passes iff that region holds no lattice point strictly
-   below the plane.  Points exactly on the plane complete the facet's
-   vertex set, so a certified facet carries the vertices of the *infinite*
-   polyhedron's facet even when they fall outside the window.
+4. certify each candidate facet on the bounded region between its
+   hyperplane and the origin inside the closed orthant: certification
+   passes iff that region holds no lattice point strictly below the plane.
+   The region's window points are decided on the Pareto set, which
+   dominates them, and only the rest is enumerated, one piece {x_i >= t}
+   per axis (`certify_facet`).  Points exactly on the plane complete the
+   facet's vertex set, so a certified facet carries the vertices of the
+   *infinite* polyhedron's facet even when they fall outside the window.
 
 Everything in the trusted path is exact.  Search ranges and rankings read
 the lattice's one numeric view, its cached integer enclosures (scale 2^64)
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from operator import mul
 
 from .hull import _normal, _order_facet_cycle, convex_hull_2d, convex_hull_3d
 from .linalg import det, primitive_int_vector, unimodular_completion
@@ -419,36 +422,75 @@ def _pareto_minimal(lat, enclosures):
     Dominated points are never vertices of hull(points) + positive cone, so
     the sail hull is unchanged.
 
-    Each coordinate is first keyed by its exact dense rank
-    (`_coordinate_ranks`): equal coordinates share a key, and a smaller
-    coordinate has a smaller key.  The sweep is the maxima algorithm of Kung,
-    Luccio and Preparata (J. ACM 22, 1975) on those integer keys alone:
-    points in lexicographic key order, and a staircase over the (y, z) keys
-    of the kept points (z = 0 for n = 2).  A point is dropped iff a kept
-    point has y and z keys at most its own.  Only a point earlier in that
-    order can dominate a later one, and the keys order ties exactly, so every
-    dominance the staircase finds is real and none is missed: no exact pass
-    over the kept points follows.  They come out in key order, which is the
-    exact lexicographic order, so the hull cycles built from them do not
-    depend on the enclosures.
+    Both sweeps are the maxima algorithm of Kung, Luccio and Preparata
+    (J. ACM 22, 1975).  `_certain_survivors` first drops, on the enclosures
+    alone, the points another point certainly dominates; each of them is
+    dominated by a minimal point, which stays.  Each coordinate of the
+    survivors is then keyed by its exact dense rank (`_coordinate_ranks`):
+    equal coordinates share a key, and a smaller coordinate has a smaller
+    key.  The second sweep takes the survivors in lexicographic key order
+    with a staircase over the (y, z) keys of the kept points (z = 0 for
+    n = 2), and drops a point iff a kept point has y and z keys at most its
+    own.  Only a point earlier in that order can dominate a later one, and
+    the keys order ties exactly, so every dominance the staircase finds is
+    real and none is missed: no exact pass over the kept points follows.
+    They come out in key order, which is the exact lexicographic order, so
+    the hull cycles built from them do not depend on the enclosures.
     """
     n = lat.n
+    enclosures = _certain_survivors(enclosures, n)
     ranks = [_coordinate_ranks(lat, enclosures, i) for i in range(n)]
     keys = {c: tuple(r[c] for r in ranks) for c in enclosures}
     kept = []
-    ys, zs = [], []  # the staircase: y ascending, z strictly descending
+    ys, zs = [], []  # the staircase of the kept points' (y, z) keys
     for c in sorted(enclosures, key=keys.__getitem__):
-        y, z = keys[c][1], keys[c][2] if n == 3 else 0
-        i = bisect_right(ys, y)
-        if i and zs[i - 1] <= z:
-            continue  # a kept point is at most c in every coordinate
-        kept.append(c)
-        i = j = bisect_left(ys, y)
-        while j < len(ys) and zs[j] >= z:
-            j += 1
-        ys[i:j] = [y]
-        zs[i:j] = [z]
+        key = keys[c]
+        if _staircase_add(ys, zs, key[1], key[2] if n == 3 else 0):
+            kept.append(c)
     return kept
+
+
+def _certain_survivors(enclosures, n):
+    """`enclosures` less the points another point certainly dominates: q
+    drops p if q's enclosures lie below p's, strictly in x (so q != p) and
+    weakly in y and z.
+
+    In the order of the lower ends of x, every point q whose upper end of x
+    lies strictly below p's lower end joins a staircase of the upper ends
+    (y_hi, z_hi) before p is queried on its lower ends (y_lo, z_lo).
+    """
+    tops = sorted((e[0][1], e[1][1], e[2][1] if n == 3 else 0) for e in enclosures.values())
+    out = {}
+    ys, zs = [], []
+    j, m = 0, len(tops)
+    for c in sorted(enclosures, key=lambda c: enclosures[c][0][0]):
+        e = enclosures[c]
+        while j < m and tops[j][0] < e[0][0]:
+            _staircase_add(ys, zs, tops[j][1], tops[j][2])
+            j += 1
+        if not _staircase_covers(ys, zs, e[1][0], e[2][0] if n == 3 else 0):
+            out[c] = e
+    return out
+
+
+def _staircase_covers(ys, zs, y, z):
+    """Whether a step of the staircase (ys ascending, zs strictly
+    descending) is at most (y, z) in both keys."""
+    i = bisect_right(ys, y)
+    return bool(i) and zs[i - 1] <= z
+
+
+def _staircase_add(ys, zs, y, z):
+    """Add the step (y, z) unless the staircase covers it, dropping the
+    steps it covers; whether it was added."""
+    if _staircase_covers(ys, zs, y, z):
+        return False
+    i = j = bisect_left(ys, y)
+    while j < len(ys) and zs[j] >= z:
+        j += 1
+    ys[i:j] = [y]
+    zs[i:j] = [z]
+    return True
 
 
 def _coordinate_ranks(lat, enclosures, i):
@@ -561,15 +603,19 @@ def facet_support(vertex_coeffs, n):
 # ---------------------------------------------------------------------------
 # certification
 
-def _level_points(lat, w, d, budget):
-    """Every lattice point of the closed orthant with 1 <= w . c <= d.
+def _level_points(lat, w, d, budget, t=None):
+    """Every lattice point of the closed orthant with 1 <= w . c <= d; with
+    a window t, at least those with some normalized x_i >= t.
 
-    One `_enumerate_core` walk.  Its basis is level-first: c' = A c for a
-    unimodular A with first row w, so c'_0 is the level w . c, pruned to
-    [1, d] exactly.  Each x_i lies in [0, d / nu_i] for the strictly positive
-    raw normal nu = B^-T w.  A leaf needs an exact sign test only where the
+    Each x_i lies in [0, d / nu_i] for the strictly positive raw normal
+    nu = B^-T w.  Without t, one `_enumerate_core` walk covers that box; with
+    t, piece i sets its row i to [t_lo, d / nu_i], t_lo a lower bound of the
+    raw t, and an axis whose top stays below t_lo has no piece.  The pieces'
+    union keeps each point once.  Each walk's basis is level-first: c' = A c
+    for a unimodular A with first row w, so c'_0 is the level w . c, pruned
+    to [1, d] exactly.  A leaf needs an exact sign test only where the
     enclosure of one of its coordinates straddles 0.  `budget` bounds the
-    leaves of the whole walk.
+    leaves of all the pieces together.
     """
     n = lat.n
     dual = lat.dual()
@@ -583,6 +629,14 @@ def _level_points(lat, w, d, budget):
             while (nu_lo := interval_at(x, e, width)[0]) <= 0:
                 width /= 2**40
         boxes.append((Fraction(0), d / nu_lo))
+    if t is None:
+        pieces = [boxes]
+    else:
+        t_lo = lat.raw_window_interval(t)[0]
+        pieces = [boxes[:i] + [(t_lo, top)] + boxes[i + 1:]
+                  for i, (_, top) in enumerate(boxes) if top >= t_lo]
+    if not pieces:
+        return {}
     # A = M^T with its last row, w, moved to the front (M's last column is w)
     m, m_inv = unimodular_completion(w)
     order = [n - 1] + list(range(n - 1))
@@ -590,34 +644,57 @@ def _level_points(lat, w, d, budget):
     a_inv = [tuple(m_inv[k][j] for k in order) for j in range(n)]
 
     orthant = _box_filter(lat, [None] * n, 0)
+    leaves = 0
 
     def filt(c, partial):
+        nonlocal leaves
+        leaves += 1
         return orthant(c, partial) and 1 <= sum(x * y for x, y in zip(w, c)) <= d
 
-    return _enumerate_core(lat, boxes, filt, budget, (a_inv, a), (w, 1, d))
+    pts = {}
+    for piece in pieces:
+        pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (w, 1, d)))
+    return pts
 
 
-def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET):
+def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET, *, _window=None):
     """Exact emptiness check below the hyperplane w.c = d in the closed orthant.
 
     Once the normal B^-T w is strictly positive, every point of the closed
     orthant but the origin has w.c >= 1, and the region {x >= 0,
-    1 <= w.c <= d} is bounded.  `_level_points` walks it once; its points
-    with w.c < d are `below`, and those with w.c = d are `on_plane`, the
-    infinite facet's point set.  `budget` bounds the leaves of that walk.
+    1 <= w.c <= d} is bounded.  `_level_points` walks it; its points with
+    w.c < d are `below`, and those with w.c = d are `on_plane`, the infinite
+    facet's point set.  `budget` bounds the leaves of the walk.
+
+    `build_sail_patch` passes `_window` = (t, minima), its window and Pareto
+    set.  A window point p is dominated by a minimum q, so w.q <= w.p, with
+    equality only when q = p, as the normal is strictly positive.  So the
+    minima decide the window: one below the plane refuses the facet with no
+    walk, and `below` holds only such refusing minima; else the minima on
+    the plane are the window's points on it, and the walk covers only the
+    pieces of the region where some x_i >= t, under the one `budget`.
 
     Returns (certified, reason, on_plane, below).
     """
     signs = lat.support_normal_signs(w)
     if any(s <= 0 for s in signs):
         return False, "support normal not strictly positive", [], []
-    try:
-        pts = _level_points(lat, w, d, budget)
-    except PointBudgetError:
-        return False, "certification region exceeded the point budget", [], []
-    on_plane, below = [], []
-    for c in pts:
-        (on_plane if sum(x * y for x, y in zip(w, c)) == d else below).append(c)
+    on_plane, below, t = [], [], None
+    if _window is not None:
+        t, minima = _window
+        for c in minima:
+            level = sum(map(mul, w, c))
+            if level <= d:
+                (on_plane if level == d else below).append(c)
+    if not below:
+        try:
+            pts = _level_points(lat, w, d, budget, t)
+        except PointBudgetError:
+            return False, "certification region exceeded the point budget", [], []
+        seen = set(on_plane)
+        for c in pts:
+            if c not in seen:
+                (on_plane if sum(x * y for x, y in zip(w, c)) == d else below).append(c)
     if below:
         return False, "lattice points strictly below the supporting plane", on_plane, below
     return True, "", on_plane, below
@@ -838,7 +915,7 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
                                 support=(), dist=0, certified=False,
                                 artificial=False, reason=str(exc)))
             continue
-        ok, reason, on_plane, below = certify_facet(lat, w, d0, budget)
+        ok, reason, on_plane, below = certify_facet(lat, w, d0, budget, _window=(t, kept))
         if not ok:
             facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=tuple(cycle),
                                 support=w, dist=d0, certified=False,

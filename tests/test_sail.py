@@ -744,3 +744,79 @@ def test_sail_walk_matches_window_pareto(make):
         for t in (3, 5, 10, 20, 60, 100, 600, 10**4):
             want = _pareto_minimal(lat, _enumerate_window(lat, t, 10**7))
             assert _window_minima(lat, t)[1] == want, (signs, t)
+
+
+_WINDOW_CERT_CASES = [
+    (f"cubic49{''.join('+' if s > 0 else '-' for s in signs)}-{t}",
+     lambda signs=signs: lattice_from_cubic_field(CUBIC49_MINPOLY).reflect(signs), t)
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)) for t in (6, 12, 20, 40)
+] + [
+    (f"rational3-{k}-{t}", lambda k=k: random_rational_lattice(3, k), t)
+    for k in range(6) for t in (10, 30)
+] + [
+    ("golden-alpha-60", lambda: _alpha_lattice(GOLDEN_MINPOLY), 60),
+    ("golden-skew-60", lambda: _rebased(_alpha_lattice(GOLDEN_MINPOLY), _GOLDEN_SKEW_BASES[0]), 60),
+    ("golden-module-60", golden_module, 60),
+]
+
+
+@pytest.mark.parametrize("make, t", [(m, t) for _, m, t in _WINDOW_CERT_CASES],
+                         ids=[name for name, _, _ in _WINDOW_CERT_CASES])
+def test_window_certification_equals_full_walk(make, t, monkeypatch):
+    # the patch decides a facet's window part on the Pareto minima and walks
+    # only the region outside the window; certify_facet walks all of it
+    from kleinsail import sail
+    lat = make()
+    patch = build_sail_patch(lat, t)
+    window = (patch.t, patch.minima)
+    facets = [f for f in patch.facets if not f.artificial and f.support]
+    assert facets
+    for f in facets:
+        ok, reason, on_plane, below = certify_facet(lat, f.support, f.dist)
+        assert (f.certified, f.reason) == (ok, reason)
+        if ok:
+            assert f.vertices == tuple(sorted(sail._extreme_on_plane(on_plane, f.support, lat.n)))
+        got = certify_facet(lat, f.support, f.dist, _window=window)
+        assert got[:2] == (ok, reason)
+        assert set(got[2]) <= set(on_plane) and set(got[3]) <= set(below)
+        if ok:
+            assert set(got[2]) == set(on_plane)
+
+    # a certified facet's plane one level up has its own vertices below it:
+    # the minima refuse it, and no region is walked
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the minima alone decide this plane")
+
+    monkeypatch.setattr(sail, "_level_points", no_walk)
+    certified = [f for f in facets if f.certified]
+    assert certified
+    for f in certified:
+        ok, reason, _, below = certify_facet(lat, f.support, f.dist + 1, _window=window)
+        assert not ok and reason == "lattice points strictly below the supporting plane"
+        assert set(f.vertices) & set(patch.minima) <= set(below) <= set(patch.minima)
+
+
+def _exact_lex_sorted(lat, pts):
+    from functools import cmp_to_key
+
+    def cmp(a, b):
+        return next((s for s in (lat.coord_cmp_points(a, b, i) for i in range(lat.n)) if s), 0)
+
+    return sorted(pts, key=cmp_to_key(cmp))
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 64),
+    # small denominators: exact coordinate ties among the points that the
+    # enclosures cannot drop
+    (lambda: random_rational_lattice(3, 0, denom_limit=7), 40),
+    (lambda: random_rational_lattice(3, 1, denom_limit=7), 80),
+], ids=["cubic49-64", "rational3-d7-0-40", "rational3-d7-1-80"])
+def test_pareto_minimal_at_large_n(make, t):
+    # thousands of line minima: the sweep equals the all-pairs exact filter,
+    # in the exact lexicographic order
+    from kleinsail.sail import _enumerate_window, _pareto_minimal
+    lat = make()
+    pts = _enumerate_window(lat, t, 10**6)
+    assert len(pts) > 2000
+    assert _pareto_minimal(lat, pts) == _exact_lex_sorted(lat, _pareto_oracle(lat, pts))
