@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,7 +24,7 @@ from .contfrac import continued_fraction, convergents
 from .lattice import lattice_from_alpha
 from .linalg import subset_det_sum
 from .numberfield import FieldElement
-from .sail import EdgeStar, Facet, build_sail_patch
+from .sail import DEFAULT_POINT_BUDGET, EdgeStar, Facet, build_sail_patch
 
 __all__ = [
     "det_facet", "det_edge_star", "mixed_volume_segments", "det_SF",
@@ -184,7 +183,7 @@ class CorrespondenceReport:
         }
 
 
-def cf_correspondence(alpha, t, root_index=None, budget=10**6):
+def cf_correspondence(alpha, t, root_index=None, budget=DEFAULT_POINT_BUDGET):
     """Align the sail of the lattice of alpha with alpha's partial quotients.
 
     Sail vertices are located at the upper convergents (odd indices, plus the

@@ -41,16 +41,15 @@ from heapq import merge
 from itertools import combinations, groupby, islice
 from math import ceil, floor, gcd, isqrt, lcm
 
-from .linalg import det, mat_inverse, mat_mul, solve, transpose
+from .linalg import det, mat_inverse, mat_mul, transpose
 from .numberfield import (
     FieldElement, NumberField, _as_fraction, cmp_at, interval_at, sign_at,
 )
 
 __all__ = [
-    "Lattice", "LatticePoint", "OrthantSign", "DegenerateBasisError",
-    "normalize_lattice", "dual_lattice", "lattice_from_alpha",
-    "lattice_from_cubic_field", "orthant_reflect", "evaluate_phi",
-    "irrationality_check", "IrrationalityReport", "random_rational_lattice",
+    "Lattice", "OrthantSign", "DegenerateBasisError", "normalize_lattice",
+    "lattice_from_alpha", "lattice_from_cubic_field", "irrationality_check",
+    "IrrationalityReport", "random_rational_lattice",
     "GOLDEN_MINPOLY", "SQRT2M1_MINPOLY", "CUBIC49_MINPOLY",
 ]
 
@@ -249,21 +248,14 @@ class Lattice:
         n = self.n
         gens = self.gens
         pow_basis = [fld.gen() ** k for k in range(n)]
-        # rows: Tr(g_i * theta^k); solve for dual coordinates
-        rows = [tuple((gens[i] * pow_basis[k]).trace() for k in range(n))
-                for i in range(n)]
-        duals = []
-        for j in range(n):
-            rhs = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-            coords = solve(rows, rhs)
-            duals.append(sum((coords[k] * pow_basis[k] for k in range(n)),
-                             fld.zero()))
-        return duals
+        # rows: Tr(g_i * theta^k); column j of their inverse holds the power
+        # basis coordinates of g*_j
+        inv = mat_inverse([tuple((gens[i] * pow_basis[k]).trace() for k in range(n))
+                           for i in range(n)])
+        return [sum((inv[k][j] * pow_basis[k] for k in range(n)), fld.zero())
+                for j in range(n)]
 
     # -- points ------------------------------------------------------------------
-
-    def point(self, coeffs):
-        return LatticePoint(self, tuple(int(c) for c in coeffs))
 
     def module_element(self, coeffs):
         """sum_j c_j g_j for a module lattice."""
@@ -457,7 +449,7 @@ class Lattice:
         It inherits every cache this lattice has filled, carried over exactly
         as `_REFLECTED_CACHES` says.
         """
-        signs = tuple(signs.signs if isinstance(signs, OrthantSign) else signs)
+        signs = tuple(signs)
         if len(signs) != self.n or not all(s in (1, -1) for s in signs):
             raise ValueError("bad orthant sign vector")
         rows = [tuple(x if s > 0 else -x for x in row) for s, row in zip(signs, self.basis)]
@@ -571,20 +563,6 @@ _REFLECTED_CACHES = {
 }
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """A lattice point: integer coordinates over the basis."""
-
-    lattice: Lattice
-    coeffs: tuple
-
-    def phi(self):
-        return self.lattice.phi(self.coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-
 # -- module-level operations -------------------------------------------------------
 
 
@@ -607,10 +585,6 @@ def normalize_lattice(raw_basis, provenance="", seed=None):
                                 provenance=provenance or "rational-normalized", seed=seed)
     return Lattice.rational(rows, scale_d=abs(d),
                             provenance=provenance or "rational-tracked-det", seed=seed)
-
-
-def dual_lattice(lat):
-    return lat.dual()
 
 
 def lattice_from_alpha(alpha, root_index=None):
@@ -641,20 +615,6 @@ def lattice_from_cubic_field(minpoly_low):
         raise ValueError("need a cubic minimal polynomial")
     gens = (fld.one(), fld.gen(), fld.gen() ** 2)
     return Lattice.module(fld, gens, provenance="cubic-field")
-
-
-def orthant_reflect(lat, signs):
-    return lat.reflect(signs)
-
-
-def evaluate_phi(x):
-    """phi of a LatticePoint (normalized) or an exact ambient vector."""
-    if isinstance(x, LatticePoint):
-        return x.phi()
-    acc = None
-    for v in x:
-        acc = v if acc is None else acc * v
-    return acc
 
 
 class IrrationalityReport:

@@ -38,7 +38,7 @@ from .sail import (
 )
 
 __all__ = [
-    "norm_minimum_estimate", "vertex_phi_inf", "T0Bound", "t0_bound",
+    "norm_minimum_estimate", "vertex_phi_inf", "T0Bound",
     "check_t0_boxes", "theorem1_audit", "AuditReport", "audit_consistency",
 ]
 
@@ -148,13 +148,6 @@ class T0Bound:
 
     def __float__(self):
         return self.n ** -0.5 * self.det_f ** (1.0 / self.n)
-
-
-def t0_bound(facet, n=None):
-    from .determinants import det_facet
-    if n is None:
-        n = len(facet.vertices[0])
-    return T0Bound(det_f=det_facet(facet), n=n)
 
 
 def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):

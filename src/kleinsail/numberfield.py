@@ -8,8 +8,8 @@ refine the isolating interval until interval evaluation of the element's
 polynomial is sign-definite.  The element is exactly zero iff its coordinate
 vector is zero, so the refinement loop terminates.
 
-No float enters this module: roots are bracketed by exact sign changes of
-the polynomial on a dyadic grid.  A lattice reads its scalars once, as
+No float enters this module: roots are bracketed on a dyadic grid by exact
+Sturm counts, and refined by exact sign changes.  A lattice reads its scalars once, as
 certified integer enclosures of its basis (`interval_at`); the only floats
 downstream are the log plane's and `T0Bound.__float__`, both diagnostic.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import solve
+from .linalg import det, solve
 
 __all__ = [
     "NumberField", "FieldElement", "NotTotallyRealError",
@@ -94,8 +94,6 @@ class NumberField:
         if self.disc <= 0:
             raise NotTotallyRealError("not totally real")
         self._roots = self._isolate_roots()
-        if len(self._roots) != self.degree:
-            raise NotTotallyRealError("not totally real")
         # reduction row: theta^degree = -(low coefficients)
         self._red = tuple(-c for c in coeffs)
 
@@ -126,32 +124,32 @@ class NumberField:
                 - 4 * b**3 - 27 * c * c)
 
     def _isolate_roots(self):
-        # Cauchy bound, then bisect on a dyadic grid until each sign-change
-        # bracket holds exactly one root (count known = degree).
-        bound = 1 + max(abs(c) for c in self.coeffs[:-1])
-        lo, hi = -bound, bound
-        pieces = [(Fraction(lo), Fraction(hi))]
-        roots = []
-        # subdivide until we have `degree` sign-change brackets
-        for _ in range(200):
-            new = []
-            roots = []
+        """Isolating intervals of the real roots, ascending: the halves of the
+        dyadic grid on [-bound, bound] (Cauchy bound) at the first depth where
+        each root has its own.  Each depth splits only the intervals that a
+        Sturm count shows to hold a root; no grid point is a root, as the
+        polynomial is irreducible."""
+        bound = Fraction(1 + max(abs(c) for c in self.coeffs[:-1]))
+        chain = _sturm_chain(self.coeffs)
+        changes = {}
+
+        def sign_changes(x):
+            if x not in changes:
+                signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v]
+                changes[x] = sum(a != b for a, b in zip(signs, signs[1:]))
+            return changes[x]
+
+        if sign_changes(-bound) - sign_changes(bound) != self.degree:
+            raise NotTotallyRealError("not totally real")
+        pieces = [(-bound, bound)]
+        while len(pieces) < self.degree:
+            halves = []
             for a, b in pieces:
                 m = (a + b) / 2
-                for seg in ((a, m), (m, b)):
-                    # no grid point is a root: the polynomial is irreducible
-                    fa = _poly_eval(self.coeffs, seg[0])
-                    fb = _poly_eval(self.coeffs, seg[1])
-                    if fa * fb < 0:
-                        roots.append(seg)
-                    else:
-                        new.append(seg)
-            if len(roots) == self.degree:
-                # disjointness comes free from the grid structure
-                roots.sort(key=lambda ab: ab[0])
-                return [list(ab) for ab in roots]
-            pieces = new + roots
-        return []
+                halves += [(lo, hi) for lo, hi in ((a, m), (m, b))
+                           if sign_changes(lo) > sign_changes(hi)]
+            pieces = halves
+        return [list(ab) for ab in pieces]
 
     # -- root interval management ---------------------------------------------
 
@@ -159,21 +157,19 @@ class NumberField:
         lo, hi = self._roots[i]
         return lo, hi
 
-    def refine_root(self, i, width=None):
-        """Bisect root i's isolating interval (to `width` if given)."""
+    def refine_root(self, i, width):
+        """Bisect root i's isolating interval to `width` or less."""
         lo, hi = self._roots[i]
-        if width is not None and hi - lo <= width:
+        if hi - lo <= width:
             return lo, hi
         flo = _poly_eval(self.coeffs, lo)
-        while width is None or hi - lo > width:
+        while hi - lo > width:
             mid = (lo + hi) / 2
             fm = _poly_eval(self.coeffs, mid)  # never 0: the polynomial is irreducible
             if flo * fm < 0:
                 hi = mid
             else:
                 lo, flo = mid, fm
-            if width is None:
-                break
         self._roots[i] = [lo, hi]
         return lo, hi
 
@@ -195,18 +191,6 @@ class NumberField:
     def gen(self):
         return self.element((0, 1))
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "minpoly": [str(c) for c in self.coeffs[:-1]],
-            "root_intervals": [[str(lo), str(hi)] for lo, hi in self._roots],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([Fraction(c) for c in data["minpoly"]])
-
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.coeffs == other.coeffs
 
@@ -216,6 +200,26 @@ class NumberField:
     def __repr__(self):
         terms = " + ".join(f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c)
         return f"NumberField({terms})"
+
+
+def _sturm_chain(coeffs):
+    """The Sturm sequence of a squarefree polynomial (coefficients low to
+    high): p, p', then each next term the negated remainder of the two
+    before, down to a constant.  The number of real roots in (a, b] is the
+    drop in sign changes along the sequence from a to b."""
+    chain = [tuple(coeffs), tuple(k * c for k, c in enumerate(coeffs))[1:]]
+    while len(chain[-1]) > 1:
+        rem = list(chain[-2])
+        top = chain[-1]
+        while len(rem) >= len(top):
+            q = rem[-1] / top[-1]
+            for k, c in enumerate(top, len(rem) - len(top)):
+                rem[k] -= q * c
+            rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+        chain.append(tuple(-c for c in rem))
+    return chain
 
 
 def _divisors_signed(n):
@@ -347,13 +351,7 @@ class FieldElement:
         return [tuple(rows[j][i] for j in range(d)) for i in range(d)]
 
     def norm(self):
-        m = self.mul_matrix()
-        d = self.field.degree
-        if d == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return det(self.mul_matrix())
 
     def trace(self):
         m = self.mul_matrix()
@@ -376,18 +374,15 @@ class FieldElement:
                 return 1
             if vhi < 0:
                 return -1
-            fld.refine_root(root_index)
+            fld.refine_root(root_index, (hi - lo) / 2)
         raise RuntimeError("sign determination did not converge")
-
-    def cmp_at(self, root_index, other):
-        return (self - self._coerce(other)).sign_at(root_index)
 
     def floor_at(self, root_index):
         """Exact floor of the embedding value."""
         lo, hi = self.field.refine_root(root_index, Fraction(1, 2**40))
         vlo, vhi = _interval_eval(self.vec, lo, hi)
         guess = int(vlo) - 2
-        while self.cmp_at(root_index, guess + 1) >= 0:
+        while cmp_at(self, guess + 1, root_index) >= 0:
             guess += 1
         return guess
 

@@ -16,6 +16,7 @@ source patch; every check skips incomplete faces and reports the skips.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from functools import cmp_to_key
 
 from .determinants import det_edge_star
 from .linalg import affine_rank, det, solve, subset_det_sum, vec_dot
-from .sail import build_sail_patch
+from .sail import DEFAULT_POINT_BUDGET, build_sail_patch
 
 __all__ = [
     "PolarFace", "PolarPatch", "polar_vertex_of_facet", "build_polar_patch",
@@ -299,7 +300,7 @@ def check_halfspace_reconstruction(patch, samples=100, seed=0):
                        0, witnesses)
 
 
-def check_Kast_in_Kcirc(lat, t, t_dual=None, budget=10**6):
+def check_Kast_in_Kcirc(lat, t, budget=DEFAULT_POINT_BUDGET):
     """The dual lattice's Klein polyhedron sits inside the polar body.
 
     Pairings of lattice and dual-lattice points are integers, so for
@@ -313,10 +314,9 @@ def check_Kast_in_Kcirc(lat, t, t_dual=None, budget=10**6):
     meet one; those vertices are listed (sorted coefficient tuples) in
     `boundary_points` for K and `dual_boundary_points` for K*.
     """
-    t_dual = t if t_dual is None else t_dual
     dual = lat.dual()
     patch = build_sail_patch(lat, t, budget=budget)
-    dual_patch = build_sail_patch(dual, t_dual, budget=budget)
+    dual_patch = build_sail_patch(dual, t, budget=budget)
     prim = patch.interior_certified_vertices()
     dstar = dual_patch.interior_certified_vertices()
     if not prim or not dstar:
@@ -409,17 +409,10 @@ def simplicial_polar_identity(rs, lambdas):
         ws.append(w)
         det_fs.append(abs(det(verts)))
     lhs = abs(det(ws))
-    rhs = abs(det(rs)) ** (n - 1) / _product(det_fs)
+    rhs = abs(det(rs)) ** (n - 1) / math.prod(det_fs)
     if lhs != rhs:
         raise AssertionError(f"polar identity violated: {lhs} != {rhs}")
     return lhs, rhs
-
-
-def _product(vals):
-    acc = Fraction(1)
-    for v in vals:
-        acc *= v
-    return acc
 
 
 def check_convex_hull_of_vertices(patch):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -107,7 +107,7 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=None,
+def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, level=None,
                     first_per_line=False):
     """All integer coefficient vectors whose raw coordinates can lie in the
     given per-row boxes, passed through `leaf_filter` for exact membership.
@@ -121,10 +121,9 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
     coefficients c' of the basis B U (c = U c'), c'_0 outermost; leaves
     reach the filter, and the output, as c.
 
-    With `functional` = (f, lo, hi), f an integer row, lo <= f.c <= hi is one
-    more box row with exact entries, and its scaled value follows the n
-    coordinates in `partial`.  When f U = e_0, c'_0 is pruned to [lo, hi]
-    exactly.
+    With `level` = (lo, hi), integers, c'_0 is pruned to [lo, hi] exactly.
+    In a level-first basis, f U = e_0 for an integer functional f, c'_0 is
+    the level f.c, so the scan visits only the levels lo <= f.c <= hi.
 
     With `first_per_line`, U's last column v must have an ambient image
     exactly >= 0.  On each line c' + m e_n only the first leaf the filter
@@ -141,17 +140,13 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
     u, u_inv = basis if basis is not None else (None, None)
     boxes = [_scale_out(lo, hi) for lo, hi in row_boxes]
     outer = _coeff_outer_ranges(lat, boxes, u_inv)
+    if level is not None:
+        outer[0] = (max(outer[0][0], level[0]), min(outer[0][1], level[1]))
     enc = lat.basis_interval_matrix()
     if u is not None:
         enc = [[_iv_dot(row, [u[j][k] for j in range(n)]) for k in range(n)]
                for row in enc]
-    if functional is not None:
-        f, f_lo, f_hi = functional
-        f_u = f if u is None else [sum(f[j] * u[j][k] for j in range(n)) for k in range(n)]
-        scale = 1 << _ENUM_SHIFT
-        enc = list(enc) + [[(x * scale, x * scale) for x in f_u]]
-        boxes.append((f_lo * scale, f_hi * scale))
-    rows = range(len(enc))
+    rows = range(n)
     # tail enclosures: sum over j > k of enc[i][j] * outer range j
     tails = [[(0, 0)] * (n + 1) for _ in rows]
     for i in rows:
@@ -217,7 +212,7 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, functional=
                 return  # the line's minimum, or the line has left the top of a box
 
     try:
-        rec(0, [(0, 0)] * len(enc))
+        rec(0, [(0, 0)] * n)
     finally:
         del rec  # rec refers to itself: free the scan's state now, not at a collection
     return out
@@ -303,7 +298,8 @@ _enumerate_window_alpha = _enumerate_window
 
 
 def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
-    """Exactly the nonzero lattice points with all coordinates in (0, t).
+    """Exactly the nonzero lattice points with all coordinates in (0, t), as
+    sorted coefficient tuples.
 
     No library code calls this scan of the whole window; it stays as a
     brute-force reference for the tests."""
@@ -312,7 +308,7 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
         raise ValueError("window must be positive")
     boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
     pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 1), budget)
-    return [lat.point(c) for c in sorted(pts)]
+    return sorted(pts)
 
 
 def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
@@ -607,13 +603,14 @@ def _level_points(lat, w, d, budget, t=None):
     """Every lattice point of the closed orthant with 1 <= w . c <= d; with
     a window t, at least those with some normalized x_i >= t.
 
-    Each x_i lies in [0, d / nu_i] for the strictly positive raw normal
-    nu = B^-T w.  Without t, one `_enumerate_core` walk covers that box; with
-    t, piece i sets its row i to [t_lo, d / nu_i], t_lo a lower bound of the
-    raw t, and an axis whose top stays below t_lo has no piece.  The pieces'
-    union keeps each point once.  Each walk's basis is level-first: c' = A c
-    for a unimodular A with first row w, so c'_0 is the level w . c, pruned
-    to [1, d] exactly.  A leaf needs an exact sign test only where the
+    Each x_i lies in [0, d / nu_i] for the raw normal nu = B^-T w, which must
+    be strictly positive (else ValueError).  Without t, one `_enumerate_core`
+    walk covers that box; with t, piece i sets its row i to [t_lo, d / nu_i],
+    t_lo a lower bound of the raw t, and an axis whose top stays below t_lo
+    has no piece.  The pieces' union keeps each point once.  Each walk's
+    basis is level-first: c' = A c for a unimodular A with first row w, so
+    c'_0 is the level w . c, pruned to [1, d] exactly, and the leaf filter
+    tests only the orthant.  A leaf needs an exact sign test only where the
     enclosure of one of its coordinates straddles 0.  `budget` bounds the
     leaves of all the pieces together.
     """
@@ -624,6 +621,8 @@ def _level_points(lat, w, d, budget, t=None):
         nu_lo = _iv_dot(row, w)[0]
         if nu_lo > 0:
             nu_lo = Fraction(nu_lo, 1 << _ENUM_SHIFT)
+        elif dual.coord_sign(w, i) <= 0:
+            raise ValueError("support normal not strictly positive")
         else:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
             x, e, width = dual.coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
             while (nu_lo := interval_at(x, e, width)[0]) <= 0:
@@ -649,11 +648,11 @@ def _level_points(lat, w, d, budget, t=None):
     def filt(c, partial):
         nonlocal leaves
         leaves += 1
-        return orthant(c, partial) and 1 <= sum(x * y for x, y in zip(w, c)) <= d
+        return orthant(c, partial)
 
     pts = {}
     for piece in pieces:
-        pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (w, 1, d)))
+        pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (1, d)))
     return pts
 
 

@@ -5,9 +5,8 @@ import pytest
 from kleinsail.contfrac import cf_value
 from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, DegenerateBasisError, Lattice,
-    OrthantSign, dual_lattice, evaluate_phi, irrationality_check, lattice_from_alpha,
-    lattice_from_cubic_field, normalize_lattice, orthant_reflect,
-    random_rational_lattice,
+    OrthantSign, irrationality_check, lattice_from_alpha, lattice_from_cubic_field,
+    normalize_lattice, random_rational_lattice,
 )
 from kleinsail.linalg import det, mat_mul, transpose
 from kleinsail.numberfield import NumberField
@@ -58,14 +57,14 @@ def test_cubic_rejects_not_totally_real():
 def test_dual_involution_random():
     for seed in range(20):
         lat = random_rational_lattice(2 if seed % 2 else 3, seed)
-        dd = dual_lattice(dual_lattice(lat))
+        dd = lat.dual().dual()
         assert dd.basis == lat.basis
 
 
 def test_dual_2d_alpha_example():
     alpha = Fraction(2, 7)
     lat = lattice_from_alpha(alpha)
-    dual = dual_lattice(lat)
+    dual = lat.dual()
     # dual basis columns are (1, 0) and (alpha - 1, 1)
     cols = transpose(dual.basis)
     assert cols[0] == (1, 0)
@@ -74,7 +73,7 @@ def test_dual_2d_alpha_example():
 
 def test_dual_pairing_is_identity():
     lat = random_rational_lattice(3, 11)
-    dual = dual_lattice(lat)
+    dual = lat.dual()
     prod = mat_mul(transpose(dual.basis), lat.basis)
     from kleinsail.linalg import identity
     assert prod == identity(3)
@@ -125,9 +124,9 @@ def test_alpha_det_one_many():
 
 def test_orthant_reflect_identity_and_det():
     lat = random_rational_lattice(3, 3)
-    same = orthant_reflect(lat, OrthantSign((1, 1, 1)))
+    same = lat.reflect(OrthantSign((1, 1, 1)))
     assert same.basis == lat.basis
-    refl = orthant_reflect(lat, OrthantSign((1, -1, 1)))
+    refl = lat.reflect(OrthantSign((1, -1, 1)))
     assert abs(det(refl.basis)) == abs(det(lat.basis))
 
 
@@ -136,11 +135,11 @@ def test_orthant_sign_validation():
         OrthantSign((1, 0))
 
 
-def test_evaluate_phi_trivials():
+def test_phi_trivials():
     lat = normalize_lattice([(1, 0), (0, 1)])
-    assert evaluate_phi(lat.point((1, 1))) == 1
-    assert evaluate_phi([Fraction(2), Fraction(1, 2)]) == 1
-    assert evaluate_phi(lat.point((0, 5))) == 0
+    assert lat.phi((1, 1)) == 1
+    assert lat.phi((0, 5)) == 0
+    assert normalize_lattice([(2, 0), (0, Fraction(1, 2))]).phi((1, 1)) == 1
 
 
 def test_irrationality_identity_flags_basis_vector():

@@ -10,7 +10,7 @@ from kleinsail.contfrac import cf_value
 from kleinsail.numberfield import NumberField
 from kleinsail.normmin import (
     T0Bound, audit_consistency, check_t0_boxes, enumerate_sym_box,
-    norm_minimum_estimate, t0_bound, theorem1_audit, vertex_phi_inf,
+    norm_minimum_estimate, orthant_representatives, theorem1_audit, vertex_phi_inf,
 )
 from kleinsail.sail import PointBudgetError, build_sail_patch
 from shared_lattices import golden_module
@@ -168,6 +168,24 @@ def test_audit_cubic_stable(cubic_lat):
     assert cons["max_det_all_non_decreasing"]
     assert small.norm_min_estimate == big.norm_min_estimate == Fraction(1, 7)
     assert len(small.orthants) == 4
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 12),
+    (lambda: random_rational_lattice(3, 0), 10),
+], ids=["cubic49-12", "rational3-0-10"])
+def test_audit_is_invariant_under_an_orthant_reflection(make, t):
+    # a reflection permutes the orthants up to central symmetry, and keeps
+    # |phi| and the box Q(t)
+    def summary(audit):
+        per_orthant = sorted((o["max_det_facet"], o["max_det_star"], o["certified_facets"],
+                              o["complete_stars"]) for o in audit.orthants)
+        return per_orthant, audit.max_det_facet_all, audit.norm_min_estimate
+
+    lat = make()
+    want = summary(theorem1_audit(lat, t))
+    for signs in orthant_representatives(lat.n):
+        assert summary(theorem1_audit(lat.reflect(signs), t)) == want
 
 
 def test_audit_sqrt2m1_maxima():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinsail.numberfield import FieldElement, NotTotallyRealError, NumberField
+from kleinsail.numberfield import FieldElement, NotTotallyRealError, NumberField, cmp_at
 
 
 GOLDEN = NumberField((-1, 1))      # x^2 + x - 1, roots (-1 +- sqrt5)/2
@@ -84,8 +84,8 @@ def test_floor_at():
 
 def test_cmp_and_interval():
     golden = GOLDEN.gen()  # at embedding 1: 0.6180...
-    assert golden.cmp_at(1, Fraction(1, 2)) == 1
-    assert golden.cmp_at(1, 1) == -1
+    assert cmp_at(golden, Fraction(1, 2), 1) == 1
+    assert cmp_at(golden, 1, 1) == -1
     lo, hi = golden.interval_at(1, Fraction(1, 10**12))
     assert lo <= Fraction(618034, 1000000) <= hi or (hi - lo) < Fraction(1, 10**10)
 
@@ -123,9 +123,9 @@ def test_refine_root_returns_narrow_interval_without_evaluating(monkeypatch):
     assert fld.refine_root(2, Fraction(1, 2**30)) == want
     assert fld.refine_root(2, want[1] - want[0]) == want
     assert calls == []
-    # a single step (no width) still bisects once
-    lo, hi = fld.refine_root(2)
-    assert calls and hi - lo == (want[1] - want[0]) / 2
+    # half the current width bisects once
+    lo, hi = fld.refine_root(2, (want[1] - want[0]) / 2)
+    assert len(calls) == 2 and hi - lo == (want[1] - want[0]) / 2
 
 
 @pytest.mark.parametrize("field", [GOLDEN, SQRT2M1, CUBIC49], ids=["golden", "sqrt2m1", "cubic49"])
@@ -138,3 +138,57 @@ def test_rational_scalar_product_matches_field_product(field):
             for got in (x * k, k * x):
                 assert got == want
                 assert all(isinstance(v, Fraction) for v in got.vec)
+
+
+def _isolate_by_halving_every_piece(coeffs):
+    """Reference root isolation: halve every piece of the dyadic grid on
+    [-bound, bound] at each depth, until exactly `degree` halves show a sign
+    change; those are the brackets."""
+    from kleinsail.numberfield import _poly_eval
+
+    poly = tuple(Fraction(c) for c in coeffs) + (Fraction(1),)
+    bound = 1 + max(abs(c) for c in poly[:-1])
+    pieces = [(Fraction(-bound), Fraction(bound))]
+    while True:
+        new, roots = [], []
+        for a, b in pieces:
+            m = (a + b) / 2
+            for seg in ((a, m), (m, b)):
+                if _poly_eval(poly, seg[0]) * _poly_eval(poly, seg[1]) < 0:
+                    roots.append(seg)
+                else:
+                    new.append(seg)
+        if len(roots) == len(coeffs):
+            return [list(ab) for ab in sorted(roots)]
+        pieces = new + roots
+
+
+def _minpoly_m(m):
+    """x^2 + (2m + 1) x + m^2 + m - 1: discriminant 5, roots about 2.24
+    apart near -m, far inside a Cauchy bound of about m^2."""
+    return (m * m + m - 1, 2 * m + 1)
+
+
+@pytest.mark.parametrize("minpoly", [
+    (-1, 1), (-1, 2), (-1, -2, 1), (1, -3, -1), (-1, -3, 0), _minpoly_m(10), _minpoly_m(100),
+], ids=["golden", "sqrt2m1", "cubic49", "cubic-1-3-1", "cubic-1-3-0", "m10", "m100"])
+def test_root_brackets_equal_halving_every_piece(minpoly):
+    fld = NumberField(minpoly)
+    assert [fld.root_interval(i) for i in range(fld.degree)] == [
+        tuple(ab) for ab in _isolate_by_halving_every_piece(minpoly)]
+
+
+def test_root_isolation_splits_only_pieces_holding_a_root(monkeypatch):
+    # halving every piece took 32,764 evaluations here, and 2^20 at m = 1000
+    import kleinsail.numberfield as nf
+
+    calls = []
+    poly_eval = nf._poly_eval
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return poly_eval(coeffs, x)
+
+    monkeypatch.setattr(nf, "_poly_eval", counted)
+    NumberField(_minpoly_m(100))
+    assert 0 < len(calls) < 1000

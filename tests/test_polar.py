@@ -100,7 +100,7 @@ def test_halfspace_reconstruction_cubic(cubic_patch):
 def test_kast_in_kcirc_2d_equality():
     fld = NumberField(GOLDEN_MINPOLY)
     lat = lattice_from_alpha(fld.gen(), root_index=1)
-    res = check_Kast_in_Kcirc(lat, 60, 60)
+    res = check_Kast_in_Kcirc(lat, 60)
     assert res["pairing"].ok
     eq = res["vertex_sets_equal"]
     assert eq["equal"]
@@ -111,8 +111,8 @@ def test_kast_in_kcirc_2d_no_overlap_is_not_compared():
     # alpha 5/12 at T = 5: the polar and dual vertex sets share no vertex, so
     # the equality is not compared, rather than failed
     golden = check_Kast_in_Kcirc(lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(),
-                                                    root_index=1), 60, 60)
-    eq = check_Kast_in_Kcirc(lattice_from_alpha(Fraction(5, 12)), 5, 5)["vertex_sets_equal"]
+                                                    root_index=1), 60)
+    eq = check_Kast_in_Kcirc(lattice_from_alpha(Fraction(5, 12)), 5)["vertex_sets_equal"]
     assert eq == {"equal": None, "overlap": 0, "only_polar": [], "only_dual": []}
     assert eq.keys() == golden["vertex_sets_equal"].keys()
 
@@ -122,7 +122,7 @@ def test_kast_in_kcirc_reports_boundary_vertices():
     # at (1, 0): the pairing and the 2D comparison leave them out, and the
     # result lists them
     lat = lattice_from_alpha(Fraction(5, 12))
-    res = check_Kast_in_Kcirc(lat, 5, 5)
+    res = check_Kast_in_Kcirc(lat, 5)
     assert (0, 1) in res["boundary_points"]
     assert (1, 0) in res["dual_boundary_points"]
     for lt, key, count in ((lat, "boundary_points", "primal_vertices"),
@@ -134,7 +134,7 @@ def test_kast_in_kcirc_reports_boundary_vertices():
 
 def test_kast_in_kcirc_cubic(cubic_patch):
     lat = lattice_from_cubic_field(CUBIC49_MINPOLY)
-    res = check_Kast_in_Kcirc(lat, 15, 15)
+    res = check_Kast_in_Kcirc(lat, 15)
     assert res["pairing"].ok
     assert res["pairing"].checked > 0
 
@@ -142,7 +142,7 @@ def test_kast_in_kcirc_cubic(cubic_patch):
 def test_kast_degenerate_window_rejected():
     lat = normalize_lattice([(1, 0), (0, 1)])
     with pytest.raises(ValueError, match="degenerate window"):
-        check_Kast_in_Kcirc(lat, 5, 5)
+        check_Kast_in_Kcirc(lat, 5)
 
 
 def test_det_polar_facet_values():

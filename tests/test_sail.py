@@ -32,12 +32,12 @@ def cubic_patch():
 def test_enumerate_identity_window():
     lat = normalize_lattice([(1, 0), (0, 1)])
     pts = enumerate_orthant_points(lat, Fraction(5, 2))
-    assert sorted(p.coeffs for p in pts) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert pts == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_enumerate_matches_bruteforce():
     lat = lattice_from_alpha(Fraction(2, 5))
-    pts = {p.coeffs for p in enumerate_orthant_points(lat, 3)}
+    pts = set(enumerate_orthant_points(lat, 3))
     brute = set()
     for a in range(-20, 21):
         for b in range(-20, 21):
@@ -246,6 +246,18 @@ def test_certify_rejects_nonpositive_normal():
     lat = normalize_lattice([(1, 0), (0, 1)])
     ok, reason, _, _ = certify_facet(lat, (1, -1), 1)
     assert not ok and "positive" in reason
+
+
+def test_level_points_refuses_a_normal_not_strictly_positive(cubic_patch):
+    # the walk's bounds need every coordinate of the normal strictly
+    # positive; a refused window facet's normal makes it raise, not loop
+    from kleinsail.sail import _level_points
+    refused = [f for f in cubic_patch.facets
+               if f.reason == "support normal not strictly positive"]
+    assert refused
+    for f in refused:
+        with pytest.raises(ValueError, match="not strictly positive"):
+            _level_points(cubic_patch.lattice, f.support, f.dist, 10**6)
 
 
 def test_certify_finds_below_witness():
