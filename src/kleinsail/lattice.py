@@ -143,18 +143,18 @@ class Lattice:
     construction; a module lattice's JSON form names its orthant by them.
     """
 
-    def __init__(self, basis, embeddings, field=None, *, row_signs=None,
-                 scale_d=None, scale_d_sq=None, provenance="", seed=None):
+    def __init__(self, basis, embeddings, field=None, *, scale_d_sq, row_signs=None,
+                 provenance="", seed=None):
         self.basis = [tuple(r) for r in basis]
         self.n = len(self.basis)
         self.embeddings = tuple(embeddings)
         self.field = field
         self.row_signs = tuple(row_signs) if row_signs else (1,) * self.n
-        # |det| of the raw basis: scale_d exact Fraction when rational (None
-        # for a module with non-square discriminant), scale_d_sq = d^2 always.
-        self.scale_d = scale_d
-        self.scale_d_sq = scale_d_sq if scale_d_sq is not None else (
-            scale_d * scale_d if scale_d is not None else None)
+        # d = |det| of the raw basis: scale_d_sq = d^2 is always rational,
+        # scale_d = d is its exact root, None for a module with non-square
+        # discriminant.
+        self.scale_d_sq = Fraction(scale_d_sq)
+        self.scale_d = _nth_root_fraction(self.scale_d_sq, 2)
         self.provenance = provenance
         self.seed = seed
         self._one_embedding = len(set(self.embeddings)) == 1
@@ -169,8 +169,7 @@ class Lattice:
         d = det(rows)
         if d == 0:
             raise DegenerateBasisError("degenerate basis")
-        kw.setdefault("scale_d", abs(d))
-        return cls(rows, (None,) * len(rows), **kw)
+        return cls(rows, (None,) * len(rows), scale_d_sq=d * d, **kw)
 
     @classmethod
     def single_field(cls, field, rows, root_index, **kw):
@@ -179,8 +178,8 @@ class Lattice:
             raise DegenerateBasisError("degenerate basis")
         if not d.is_rational():
             raise DegenerateBasisError("field basis must have rational determinant")
-        kw.setdefault("scale_d", abs(d.rational_value()))
-        return cls(rows, (root_index,) * len(rows), field, **kw)
+        return cls(rows, (root_index,) * len(rows), field,
+                   scale_d_sq=d.rational_value() ** 2, **kw)
 
     @classmethod
     def module(cls, field, gens, row_signs=None, **kw):
@@ -193,12 +192,12 @@ class Lattice:
         dh = det(transpose(h))
         if dh == 0:
             raise DegenerateBasisError("degenerate module generators")
-        d_sq = field.disc * dh * dh
-        d = _nth_root_fraction(d_sq, 2)
         signs = tuple(row_signs) if row_signs else (1,) * n
+        if len(signs) != n or not all(s in (1, -1) for s in signs):
+            raise ValueError("bad orthant sign vector")
         rows = [tuple(g if s > 0 else -g for g in gens) for s in signs]
         return cls(rows, range(n), field, row_signs=signs,
-                   scale_d=d, scale_d_sq=d_sq, **kw)
+                   scale_d_sq=field.disc * dh * dh, **kw)
 
     # -- views -------------------------------------------------------------------
 
@@ -455,7 +454,7 @@ class Lattice:
         rows = [tuple(x if s > 0 else -x for x in row) for s, row in zip(signs, self.basis)]
         out = Lattice(rows, self.embeddings, self.field,
                       row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
-                      scale_d=self.scale_d, scale_d_sq=self.scale_d_sq,
+                      scale_d_sq=self.scale_d_sq,
                       provenance=self.provenance, seed=self.seed)
         for name, carry in _REFLECTED_CACHES.items():
             value = getattr(self, name)
@@ -474,17 +473,15 @@ class Lattice:
         if not self._one_embedding:
             raise NotImplementedError("diagonal rescale keeps module lattices out of module form")
         rows = [tuple(x * f for x in row) for f, row in zip(factors, self.basis)]
-        return Lattice(rows, self.embeddings, self.field, scale_d=self.scale_d,
+        return Lattice(rows, self.embeddings, self.field, scale_d_sq=self.scale_d_sq,
                        provenance=self.provenance, seed=self.seed)
 
     def dual(self):
         """The dual lattice, raw basis B^-T, in the same embeddings (cached)."""
         if self._dual is None:
-            d = self.scale_d
             self._dual = Lattice(
                 transpose(self.inverse_rows()), self.embeddings, self.field,
-                row_signs=self.row_signs, scale_d=None if d is None else 1 / d,
-                scale_d_sq=1 / self.scale_d_sq,
+                row_signs=self.row_signs, scale_d_sq=1 / self.scale_d_sq,
                 provenance=f"dual({self.provenance})", seed=self.seed)
         return self._dual
 
@@ -526,19 +523,23 @@ class Lattice:
         if doc.get("schema") != LATTICE_SCHEMA:
             raise ValueError(f"unknown lattice schema: {doc.get('schema')}")
         kind = doc["kind"]
+        kw = {"provenance": doc.get("provenance", ""), "seed": doc.get("seed")}
         if kind == "rational":
-            return cls.rational(doc["basis"], scale_d=Fraction(doc["det_scale"]),
-                                provenance=doc.get("provenance", ""), seed=doc.get("seed"))
-        fld = NumberField([Fraction(c) for c in doc["field"]["minpoly"]])
-        if kind == "field":
-            rows = [tuple(fld.element([Fraction(c) for c in x]) for x in row)
-                    for row in doc["basis"]]
-            return cls.single_field(fld, rows, doc["field"]["root_index"],
-                                    provenance=doc.get("provenance", ""),
-                                    seed=doc.get("seed"))
-        gens = [fld.element([Fraction(c) for c in g]) for g in doc["gens"]]
-        return cls.module(fld, gens, row_signs=doc.get("row_signs"),
-                          provenance=doc.get("provenance", ""), seed=doc.get("seed"))
+            lat = cls.rational(doc["basis"], **kw)
+        else:
+            fld = NumberField([Fraction(c) for c in doc["field"]["minpoly"]])
+            if kind == "field":
+                rows = [tuple(fld.element([Fraction(c) for c in x]) for x in row)
+                        for row in doc["basis"]]
+                lat = cls.single_field(fld, rows, doc["field"]["root_index"], **kw)
+            else:
+                gens = [fld.element([Fraction(c) for c in g]) for g in doc["gens"]]
+                lat = cls.module(fld, gens, row_signs=doc.get("row_signs"), **kw)
+        # the scale the document records must be the rebuilt basis's
+        for key, value in (("det_scale", lat.scale_d), ("det_scale_sq", lat.scale_d_sq)):
+            if key in doc and Fraction(doc[key]) != value:
+                raise ValueError(f"{key} {doc[key]} disagrees with the basis ({value})")
+        return lat
 
     def to_json_str(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -581,10 +582,9 @@ def normalize_lattice(raw_basis, provenance="", seed=None):
     root = _nth_root_fraction(abs(d), n)
     if root is not None:
         scaled = [tuple(x / root for x in row) for row in rows]
-        return Lattice.rational(scaled, scale_d=Fraction(1),
-                                provenance=provenance or "rational-normalized", seed=seed)
-    return Lattice.rational(rows, scale_d=abs(d),
-                            provenance=provenance or "rational-tracked-det", seed=seed)
+        return Lattice.rational(scaled, provenance=provenance or "rational-normalized",
+                                seed=seed)
+    return Lattice.rational(rows, provenance=provenance or "rational-tracked-det", seed=seed)
 
 
 def lattice_from_alpha(alpha, root_index=None):

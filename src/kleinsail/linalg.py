@@ -44,8 +44,9 @@ def det(m):
     return total
 
 
-def identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
+def identity(n):
+    """The n x n identity matrix over Fraction."""
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
 def transpose(m):

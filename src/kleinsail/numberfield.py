@@ -400,10 +400,10 @@ class FieldElement:
                 acc = acc * x + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
             return acc
 
-    def interval_at(self, root_index, width=None):
-        """A rational interval certainly containing the embedding value."""
-        if width is not None:
-            self.field.refine_root(root_index, width)
+    def interval_at(self, root_index, width):
+        """A rational interval certainly containing the embedding value, read
+        on a root bracket refined to `width`."""
+        self.field.refine_root(root_index, width)
         lo, hi = self.field.root_interval(root_index)
         return _interval_eval(self.vec, lo, hi)
 
@@ -429,8 +429,9 @@ def cmp_at(a, b, e):
     return sign_at(a - b, e)
 
 
-def interval_at(x, e, width=None):
-    """A rational interval certainly containing x (under embedding e)."""
+def interval_at(x, e, width):
+    """A rational interval certainly containing x (under embedding e), read on
+    a root bracket of width at most `width`."""
     if isinstance(x, FieldElement):
         return x.interval_at(e, width)
     return (x, x)

@@ -229,10 +229,9 @@ def det_polar_facet(face):
     return subset_det_sum(face.vertices, n)
 
 
-def check_lemma5(patch, polar=None):
+def check_lemma5(patch):
     """det(polar facet of v) <= (det St_v)^(n-1) at complete vertices."""
-    if polar is None:
-        polar = build_polar_patch(patch)
+    polar = build_polar_patch(patch)
     n = patch.n
     checked = passed = skipped = 0
     witnesses = []

@@ -17,7 +17,9 @@ A patch is computed inside the window [0, T)^n:
    vertices of the hull of points plus the orthant's recession cone; the
    line minima dominate the whole window, so they have its Pareto set,
 3. close the hull with far points along integer rays whose ambient images
-   are verified strictly positive, so no bounded facet is ever cut off,
+   are verified strictly positive, so no bounded facet is ever cut off.
+   The hull gives each facet its plane, as a primitive outward normal and
+   offset, and its vertex cycle; nothing here derives them again,
 4. certify each candidate facet on the bounded region between its
    hyperplane and the origin inside the closed orthant: certification
    passes iff that region holds no lattice point strictly below the plane.
@@ -26,6 +28,9 @@ A patch is computed inside the window [0, T)^n:
    per axis (`certify_facet`).  Points exactly on the plane complete the
    facet's vertex set, so a certified facet carries the vertices of the
    *infinite* polyhedron's facet even when they fall outside the window.
+   Only such an extended facet, one whose plane holds a point outside the
+   window, has its vertex ring re-derived from the on-plane points; every
+   other facet's ring is its hull cycle.
 
 Everything in the trusted path is exact.  Search ranges and rankings read
 the lattice's one numeric view, its cached integer enclosures (scale 2^64)
@@ -40,18 +45,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 from operator import mul
 
-from .hull import _normal, _order_facet_cycle, convex_hull_2d, convex_hull_3d
+from .hull import _order_facet_cycle, convex_hull_2d, convex_hull_3d
 from .linalg import det, primitive_int_vector, unimodular_completion
 from .lattice import _ENUM_SHIFT, Lattice, _iv_dot, _scale_out, irrationality_check
 from .numberfield import interval_at
 
 __all__ = [
     "PointBudgetError", "Facet", "EdgeStar", "SailPatch",
-    "enumerate_orthant_points", "build_sail_patch", "facet_support",
-    "edge_star", "detect_periodicity", "DEFAULT_POINT_BUDGET",
+    "enumerate_orthant_points", "build_sail_patch", "edge_star",
+    "detect_periodicity", "DEFAULT_POINT_BUDGET",
 ]
 
 DEFAULT_POINT_BUDGET = 10**6
@@ -564,39 +568,6 @@ def _closure_rays(lat):
 
 
 # ---------------------------------------------------------------------------
-# facet support functionals
-
-def facet_support(vertex_coeffs, n):
-    """Primitive integer supporting functional (w, D) with w.c = D > 0 on the
-    facet; raises if the affine hull passes through the origin."""
-    vs = [tuple(int(x) for x in v) for v in vertex_coeffs]
-    if len(vs) < n:
-        raise ValueError("facet needs at least n vertices")
-    if n == 2:
-        a, b = vs[0], vs[1]
-        d = (b[0] - a[0], b[1] - a[1])
-        w = (d[1], -d[0])
-    elif n == 3:
-        normals = (_normal(vs[0], p, q) for p, q in combinations(vs[1:], 2))
-        w = next((nm for nm in normals if any(nm)), None)
-        if w is None:
-            raise ValueError("facet vertices are collinear")
-    else:
-        raise ValueError("supported dimensions: 2, 3")
-    w = primitive_int_vector(w)
-    d0 = sum(w[k] * vs[0][k] for k in range(n))
-    if d0 == 0:
-        raise ValueError("facet hyperplane passes through the origin")
-    if d0 < 0:
-        w = tuple(-x for x in w)
-        d0 = -d0
-    for v in vs:
-        if sum(w[k] * v[k] for k in range(n)) != d0:
-            raise ValueError("vertices are not coplanar")
-    return w, d0
-
-
-# ---------------------------------------------------------------------------
 # certification
 
 def _level_points(lat, w, d, budget, t=None):
@@ -728,8 +699,8 @@ class Facet:
     artificial: bool         # touches a closure ray point
     extended: bool = False   # true facet extends beyond the window
     reason: str = ""
-    ring: tuple = ()         # certified: the vertices in cyclic order (the
-                             # window cycle unless extended)
+    ring: tuple = ()         # certified: the vertices in cyclic order; the
+                             # hull cycle, re-derived only when extended
 
 
 @dataclass(frozen=True)
@@ -775,14 +746,6 @@ class SailPatch:
     def complete_star_vertices(self):
         return sorted(c for c, s in self.stars.items() if s.complete)
 
-    def vertex_facets(self):
-        """hull vertex coeffs -> indices of incident window-hull facets."""
-        out = {}
-        for fi, f in enumerate(self.facets):
-            for c in f.cycle:
-                out.setdefault(c, set()).add(fi)
-        return out
-
     def to_json(self):
         """The patch as a JSON document (schema `PATCH_SCHEMA`).
 
@@ -790,9 +753,8 @@ class SailPatch:
         sorted order and `witness_count`, the exact number of all of them; an
         alpha lattice has 2T, and the full list is never built here.
         """
-        vid = {c: i for i, c in enumerate(self.hull_vertices)}
         extra = []
-        seen = set(vid)
+        seen = set(self.hull_vertices)
         for f in self.facets:
             for c in list(f.vertices) + list(f.cycle):
                 if c not in seen:
@@ -884,49 +846,52 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
 
     pts = kept + far
     far_set = set(far)
+    kept_set = set(kept)
+
+    # each hull facet as (cycle, primitive outward normal, offset on its plane)
+    if n == 2:
+        hull_ids = convex_hull_2d(pts)
+        cyc = [pts[i] for i in hull_ids]
+        raw_facets = []
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            normal = primitive_int_vector((b[1] - a[1], a[0] - b[0]))
+            raw_facets.append(((a, b), normal, normal[0] * a[0] + normal[1] * a[1]))
+    else:
+        hull_facets, hull_ids = convex_hull_3d(pts)
+        raw_facets = [(tuple(pts[i] for i in f.cycle), f.normal_out, f.offset)
+                      for f in hull_facets]
+    hull_vertex_set = {pts[i] for i in hull_ids} - far_set
 
     facets = []
-    if n == 2:
-        idx = convex_hull_2d(pts)
-        cyc = [pts[i] for i in idx]
-        m = len(cyc)
-        raw_facets = [(cyc[i], cyc[(i + 1) % m]) for i in range(m)]
-    else:
-        hull_facets, _ = convex_hull_3d(pts)
-        raw_facets = [tuple(pts[i] for i in f.cycle) for f in hull_facets]
-
-    hull_vertex_set = set()
-    for cycle in raw_facets:
-        hull_vertex_set.update(cycle)
-    hull_vertex_set -= far_set
-
-    for cycle in raw_facets:
-        artificial = any(c in far_set for c in cycle)
-        if artificial:
+    for cycle, normal, offset in raw_facets:
+        if any(c in far_set for c in cycle):
             facets.append(Facet(vertices=tuple(sorted(c for c in cycle if c not in far_set)),
-                                cycle=tuple(cycle), support=(), dist=0,
+                                cycle=cycle, support=(), dist=0,
                                 certified=False, artificial=True, reason="window closure"))
             continue
-        try:
-            w, d0 = facet_support(cycle, n)
-        except ValueError as exc:
-            facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=tuple(cycle),
-                                support=(), dist=0, certified=False,
-                                artificial=False, reason=str(exc)))
+        if offset == 0:
+            facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=cycle,
+                                support=(), dist=0, certified=False, artificial=False,
+                                reason="facet hyperplane passes through the origin"))
             continue
-        ok, reason, on_plane, below = certify_facet(lat, w, d0, budget, _window=(t, kept))
+        # the support (w, d) has w.c = d > 0 on the plane
+        w, d = (normal, offset) if offset > 0 else (tuple(-x for x in normal), -offset)
+        ok, reason, on_plane, below = certify_facet(lat, w, d, budget, _window=(t, kept))
         if not ok:
-            facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=tuple(cycle),
-                                support=w, dist=d0, certified=False,
+            facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=cycle,
+                                support=w, dist=d, certified=False,
                                 artificial=False, reason=reason))
             continue
         if not set(cycle) <= set(on_plane):
             raise AssertionError("certified facet misses its own hull vertices")
-        ring = _extreme_on_plane(on_plane, w, n)
-        extended = set(ring) != set(cycle)
-        facets.append(Facet(vertices=tuple(sorted(ring)), cycle=tuple(cycle),
-                            support=w, dist=d0, certified=True, artificial=False,
-                            extended=extended, ring=tuple(ring if extended else cycle)))
+        # The window's points on a certified plane are all Pareto minima, and
+        # the window is convex, so the facet reaches past its window cycle iff
+        # the plane holds a point outside `kept`; only then is it re-ringed.
+        extended = not kept_set.issuperset(on_plane)
+        ring = tuple(_extreme_on_plane(on_plane, w, n)) if extended else cycle
+        facets.append(Facet(vertices=tuple(sorted(ring)), cycle=cycle,
+                            support=w, dist=d, certified=True, artificial=False,
+                            extended=extended, ring=ring))
 
     # deterministic facet order: certified first, then by vertex list
     facets.sort(key=lambda f: (not f.certified, f.vertices, f.cycle))
@@ -951,27 +916,25 @@ def _attach_edges_and_stars(patch):
     """The patch's edges, those of its facet cycles on a certified facet, and
     the edge star of every hull vertex on a certified facet, from one pass
     over the facets and one over the edges."""
-    facets = patch.facets
-    edge_map = {}
-    for fi, f in enumerate(facets):
+    edge_cert = {}    # edge -> whether a certified facet has it
+    vertex_cert = {}  # cycle vertex -> the certified flags of its facets
+    for f in patch.facets:
         for a, b in _cycle_edges(f.cycle, patch.n):
-            edge_map.setdefault(tuple(sorted((a, b))), set()).add(fi)
+            e = (a, b) if a <= b else (b, a)
+            edge_cert[e] = edge_cert.get(e, False) or f.certified
+        for c in f.cycle:
+            vertex_cert.setdefault(c, []).append(f.certified)
 
-    patch.edges = sorted(e for e, fs in edge_map.items()
-                         if any(facets[fi].certified for fi in fs))
+    patch.edges = sorted(e for e, cert in edge_cert.items() if cert)
     vectors = {}
     for a, b in patch.edges:
         e = primitive_int_vector(tuple(y - x for x, y in zip(a, b)))
         vectors.setdefault(a, set()).add(e)
         vectors.setdefault(b, set()).add(tuple(-x for x in e))
 
-    stars = {}
-    for v, fids in patch.vertex_facets().items():
-        certified = [facets[fi].certified for fi in fids]
-        if any(certified):
-            stars[v] = EdgeStar(center=v, vectors=tuple(sorted(vectors.get(v, ()))),
-                                complete=all(certified))
-    patch.stars = stars
+    patch.stars = {v: EdgeStar(center=v, vectors=tuple(sorted(vectors.get(v, ()))),
+                               complete=all(certified))
+                   for v, certified in vertex_cert.items() if any(certified)}
 
 
 # ---------------------------------------------------------------------------

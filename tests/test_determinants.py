@@ -13,7 +13,6 @@ from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice,
     lattice_from_alpha, lattice_from_cubic_field, random_rational_lattice,
 )
-from kleinsail.linalg import mat_mul, mat_inverse
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import EdgeStar, build_sail_patch
 from shared_lattices import golden_module

@@ -4,10 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from kleinsail.hull import (
-    convex_hull_2d, convex_hull_3d, orient2, orient3, polygon_area,
-    polytope_volume,
-)
+from kleinsail.hull import convex_hull_2d, convex_hull_3d, orient2, orient3, polytope_volume
 from kleinsail.lattice import CUBIC49_MINPOLY, lattice_from_cubic_field, random_rational_lattice
 
 

@@ -201,6 +201,29 @@ def test_json_roundtrip_field_and_module():
     assert back.to_json() == doc
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda: random_rational_lattice(3, 0), "det_scale"),
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), "det_scale"),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), "det_scale_sq"),
+], ids=["rational", "field", "module"])
+def test_json_scale_must_match_the_basis(make, key):
+    # a scale 8 times the basis's once went through unchecked and changed
+    # the certified facets
+    doc = make().to_json()
+    doc[key] = str(8 * Fraction(doc[key]))
+    with pytest.raises(ValueError, match=key):
+        Lattice.from_json(doc)
+
+
+def test_json_row_signs_must_be_orthant_signs():
+    # sign 2 once went through and doubled phi: phi((1, 0, 0)) read 2/7
+    doc = lattice_from_cubic_field(CUBIC49_MINPOLY).to_json()
+    assert Lattice.from_json(doc).phi((1, 0, 0)) == Fraction(1, 7)
+    doc["row_signs"] = [2, 1, 1]
+    with pytest.raises(ValueError, match="sign"):
+        Lattice.from_json(doc)
+
+
 def test_random_lattice_reproducible():
     a = random_rational_lattice(3, 42)
     b = random_rational_lattice(3, 42)

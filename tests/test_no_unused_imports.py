@@ -1,8 +1,8 @@
-"""No library module imports a name it never uses.  A module is read and
-parsed with `ast` only, nothing is written; a name counts as used when it
-is read anywhere in the module or listed in its `__all__`.  An import line
-marked `# noqa: F401` is kept on purpose (a name another program looks up
-in that module)."""
+"""No library, test or benchmark module imports a name it never uses.  A
+module is read and parsed with `ast` only, nothing is written; a name
+counts as used when it is read anywhere in the module or listed in its
+`__all__`.  An import line marked `# noqa: F401` is kept on purpose (a name
+another program looks up in that module)."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "kleinsail").glob("*.py"))
+FILES = [p for d in ("src/kleinsail", "tests", "bench") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def unused_imports(source):

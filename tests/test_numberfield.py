@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinsail.numberfield import FieldElement, NotTotallyRealError, NumberField, cmp_at
+from kleinsail.numberfield import NotTotallyRealError, NumberField, cmp_at
 
 
 GOLDEN = NumberField((-1, 1))      # x^2 + x - 1, roots (-1 +- sqrt5)/2

@@ -11,9 +11,10 @@ from kleinsail.linalg import mat_mul
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import (
     PointBudgetError, build_sail_patch, certify_facet, detect_periodicity,
-    edge_star, enumerate_orthant_points, facet_support,
+    edge_star, enumerate_orthant_points,
 )
 from shared_lattices import golden_module
+from test_same_outputs import CASES as SAME_OUTPUT_CASES
 
 
 @pytest.fixture(scope="module")
@@ -184,31 +185,68 @@ def _pareto_oracle(lat, pts):
     return [p for k, p in enumerate(pts) if below[k] == 1 << k]
 
 
-def test_facet_support_unit_simplex():
-    assert facet_support([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3) == ((1, 1, 1), 1)
+def _dot(w, c):
+    return sum(x * y for x, y in zip(w, c))
 
 
-def test_facet_support_distance_two_fixture():
-    w, d = facet_support([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
-    assert (w, d) == ((2, 2, -1), 2)
-    # oracle: minimum |det| over triples of lattice points in the plane
-    pts = [(a, b, 2 * a + 2 * b - 2)
-           for a in range(-3, 4) for b in range(-3, 4)]
+@pytest.mark.parametrize("rows, support", [
+    ([(1, 0), (0, 1)], (1, 1)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 1)),
+], ids=["Z2", "Z3"])
+def test_unit_simplex_support(rows, support):
+    # the sail of Z^n has one bounded facet, the unit simplex x . c = 1
+    patch = build_sail_patch(Lattice.rational(rows), 2)
+    (f,) = patch.certified_facets()
+    assert (f.support, f.dist) == (support, 1)
+    assert f.vertices == tuple(sorted(tuple(rows)))
+
+
+def test_hull_plane_distance_two_fixture():
+    # the points lie on the far side of the plane from the origin, as a
+    # sail's do: the hull's outward normal points to the origin, and the
+    # patch's support (w, d) is its negation
+    from kleinsail.hull import convex_hull_3d
     from kleinsail.linalg import det
+    pts = [(1, 0, 0), (0, 1, 0), (1, 1, 2), (3, 3, 0)]
+    (f,) = [f for f in convex_hull_3d(pts)[0] if sorted(f.cycle) == [0, 1, 2]]
+    assert (f.normal_out, f.offset) == ((-2, -2, 1), -2)
+    w, d = tuple(-x for x in f.normal_out), -f.offset
+    # oracle: minimum |det| over triples of lattice points in the plane
+    plane = [(a, b, 2 * a + 2 * b - 2) for a in range(-3, 4) for b in range(-3, 4)]
+    assert all(_dot(w, p) == d for p in plane)
     best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                v = abs(det([pts[i], pts[j], pts[k]]))
+    for i in range(len(plane)):
+        for j in range(i + 1, len(plane)):
+            for k in range(j + 1, len(plane)):
+                v = abs(det([plane[i], plane[j], plane[k]]))
                 if v:
                     best = v if best is None else min(best, v)
-    assert best == d
+    assert best == d == 2
 
 
-def test_facet_support_2d_and_origin_error():
-    assert facet_support([(1, 0), (0, 1)], 2) == ((1, 1), 1)
-    with pytest.raises(ValueError):
-        facet_support([(1, 0), (2, 0)], 2)  # hyperplane through the origin
+def test_hull_facet_through_the_origin_is_not_certified():
+    lat = Lattice.rational([(Fraction(1, 3), 1, 0), (2, Fraction(1, 5), 0), (0, 0, 1)])
+    facets = [f for f in build_sail_patch(lat, 12).facets
+              if f.reason == "facet hyperplane passes through the origin"]
+    assert facets
+    assert all(not f.artificial and not f.certified and (f.support, f.dist) == ((), 0)
+               for f in facets)
+
+
+@pytest.mark.parametrize("make, t", [(m, t) for _, m, t in SAME_OUTPUT_CASES],
+                         ids=[name for name, _, _ in SAME_OUTPUT_CASES])
+def test_patch_supports_come_from_the_hull(make, t):
+    # every window facet off the origin has a primitive support taking the
+    # value dist on its cycle, and the Pareto minima lie on one side of its
+    # plane: the far side from the origin, w . c >= dist, when it is certified
+    patch = build_sail_patch(make(), t)
+    facets = [f for f in patch.facets if not f.artificial and f.dist > 0]
+    assert any(f.certified for f in facets)
+    for f in facets:
+        assert math.gcd(*f.support) == 1
+        assert {_dot(f.support, v) for v in f.cycle} == {f.dist}
+        levels = [_dot(f.support, c) for c in patch.minima]
+        assert min(levels) == f.dist or (not f.certified and max(levels) == f.dist)
 
 
 def test_edge_star_2d(golden_patch):
@@ -788,6 +826,7 @@ def test_window_certification_equals_full_walk(make, t, monkeypatch):
         assert (f.certified, f.reason) == (ok, reason)
         if ok:
             assert f.vertices == tuple(sorted(sail._extreme_on_plane(on_plane, f.support, lat.n)))
+            assert f.extended == (not set(on_plane) <= set(patch.minima))
         got = certify_facet(lat, f.support, f.dist, _window=window)
         assert got[:2] == (ok, reason)
         assert set(got[2]) <= set(on_plane) and set(got[3]) <= set(below)
