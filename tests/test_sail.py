@@ -153,6 +153,46 @@ def _window_points(lat, t, closed=True):
     return _enumerate_core(lat, boxes, filt, 10**6)
 
 
+def _assert_line_scan_matches_plain_scan(lat, t):
+    """The line scan against the plain scan of the same boxes, in the same
+    line basis, which visits every line in full, with no cut and no early
+    stop.  On each line the line scan visits the plain scan's leaves up to
+    the first one the filter accepts or one whose enclosures reach the top
+    of a box, and keeps that first accepted leaf: the same leaves in the
+    same order, and the same items -- keys, enclosures and order."""
+    from kleinsail.lattice import _scale_out
+    from kleinsail.sail import _box_filter, _enumerate_core, _line_basis, _window_bounds
+    t = Fraction(t)
+    basis = _line_basis(lat, 10**6)
+    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    top = _scale_out(*boxes[0])[1]
+    filt = _box_filter(lat, _window_bounds(lat, t), 0)
+    plain, got_leaves = [], []
+
+    def plain_filt(c, partial):
+        plain.append((c, partial, filt(c, partial)))
+        return plain[-1][2]
+
+    def line_filt(c, partial):
+        got_leaves.append(c)
+        return filt(c, partial)
+
+    _enumerate_core(lat, boxes, plain_filt, 10**6, basis)
+    got = list(_enumerate_core(lat, boxes, line_filt, 10**6, basis, first_per_line=True).items())
+    want, want_leaves, ended = [], [], set()
+    for c, partial, accepted in plain:
+        line = tuple(_dot(row, c) for row in basis[1][:-1])  # c'_0 .. c'_{n-2}
+        if line in ended:
+            continue
+        want_leaves.append(c)
+        if accepted:
+            want.append((c, partial))
+        if accepted or any(lo >= top for lo, _ in partial):
+            ended.add(line)
+    assert got_leaves == want_leaves
+    assert got == want
+
+
 def _pareto_oracle(lat, pts):
     """The points of `pts` that no other of them dominates componentwise.
 
@@ -633,6 +673,9 @@ def _seeded_unimodular(n, seed):
     ("golden", lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 40),
     ("sqrt2m1", lambda: lattice_from_alpha(NumberField(SQRT2M1_MINPOLY).gen(), root_index=1), 40),
     ("alpha-13/34", lambda: lattice_from_alpha(Fraction(13, 34)), 40),
+    # the alpha lattices' line vectors lie on an axis, so one row bounds each
+    # line; here both rows do, and the 2D line cut runs
+    ("rational2-0", lambda: random_rational_lattice(2, 0), 20),
     ("rational3-0", lambda: random_rational_lattice(3, 0), 6),
     ("rational3-1", lambda: random_rational_lattice(3, 1), 6),
     ("cubic49", lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 5),
@@ -653,6 +696,7 @@ def test_line_minima_match_full_window(name, make, t, seed):
         full = _window_points(lat, t)
         assert len(minima) < len(full)
         assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_oracle(lat, full))
+        _assert_line_scan_matches_plain_scan(lat, t)
 
 
 @pytest.mark.parametrize("name, make, t", [
@@ -685,24 +729,58 @@ def test_pareto_sweep_matches_oracle(name, make, t):
             if closed:  # the line scan covers the closed window
                 minima = _enumerate_window(lat, t, 10**6)
                 assert sorted(_pareto_minimal(lat, minima)) == want
+                # the identity's line vector has zero coordinates, rows that
+                # bound no line; the widened enclosures give straddling minors
+                _assert_line_scan_matches_plain_scan(lat, t)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 20),
+    (lambda: random_rational_lattice(3, 0), 30),
+], ids=["cubic49-20", "rational3-0-30"])
+def test_window_scan_budget_is_exact(make, t, monkeypatch):
+    # the line scan's leaves, counted by wrapping its filter, are exactly
+    # what its budget bounds: the scan passes at that budget, not one less
+    from kleinsail import sail
+    lat = make()
+    core, leaves = sail._enumerate_core, [0]
+
+    def counted(lat, boxes, filt, budget, *args, first_per_line=False, **kwargs):
+        def leaf(c, partial):
+            leaves[0] += 1
+            return filt(c, partial)
+
+        return core(lat, boxes, leaf if first_per_line else filt, budget, *args,
+                    first_per_line=first_per_line, **kwargs)
+
+    monkeypatch.setattr(sail, "_enumerate_core", counted)
+    want = list(sail._enumerate_window(lat, t, 10**6).items())
+    monkeypatch.undo()
+    assert leaves[0] > len(want) > 0
+    assert list(sail._enumerate_window(lat, t, leaves[0]).items()) == want
+    with pytest.raises(PointBudgetError):
+        sail._enumerate_window(lat, t, leaves[0] - 1)
 
 
 def test_scan_state_is_freed_on_return():
-    # the scan's recursion refers to itself; the cycle must not outlive it
+    # the scan's recursion refers to itself; the cycle must not outlive it,
+    # in the plain scan or the line scan
     import gc
     import weakref
-    from kleinsail.sail import _box_filter, _enumerate_core, _window_bounds
+    from kleinsail.sail import _box_filter, _enumerate_core, _line_basis, _window_bounds
     lat = random_rational_lattice(3, 0)
     boxes = [(Fraction(0), lat.raw_window_enclosure(4))] * 3
-    filt = _box_filter(lat, _window_bounds(lat, 4), 0)
-    ref = weakref.ref(filt)
-    gc.disable()
-    try:
-        assert _enumerate_core(lat, boxes, filt, 10**6)
-        del filt
-        assert ref() is None
-    finally:
-        gc.enable()
+    basis = _line_basis(lat, 10**6)
+    for kwargs in ({}, {"basis": basis, "first_per_line": True}):
+        filt = _box_filter(lat, _window_bounds(lat, 4), 0)
+        ref = weakref.ref(filt)
+        gc.disable()
+        try:
+            assert _enumerate_core(lat, boxes, filt, 10**6, **kwargs)
+            del filt
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_golden_non_alpha_basis_certifies_t1000():
