@@ -10,8 +10,12 @@ predicate reads its scalars through the ordered-scalar operations of
 The one numeric view of a lattice is the certified integer enclosure of its
 basis at scale 2^64, cached once per lattice; the inverse basis is the
 dual's.  A predicate decides on the enclosure, and exactly only where it
-straddles 0.  No float decides anything here: the only floats are the
-random draws of `random_rational_lattice`, made exact convergents at once.
+straddles 0.  Every search bound is an integer pair at that scale: a window
+side (`raw_window_interval`), the boxes of the enumerator's scans and the
+kernel rows of `irrationality_check`.  `_narrowed` is the one routine that
+narrows a multiplier range on such bounds.  No float decides anything here:
+the only floats are the random draws of `random_rational_lattice`, made
+exact convergents at once.
 
 Only two decisions depend on how the rows relate, and both read it from the
 data:
@@ -108,6 +112,46 @@ def _iv_dot(ivs, ks):
         else:
             lo, hi = lo + b * k, hi + a * k
     return (lo, hi)
+
+
+def _iv_minor(a, b, c, d):
+    """Enclosure of the 2 x 2 minor a b - c d of the enclosures a, b, c, d."""
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    q = (c[0] * d[0], c[0] * d[1], c[1] * d[0], c[1] * d[1])
+    return min(p) - max(q), max(p) - min(q)
+
+
+def _shifted(partial, col, m):
+    """The enclosures `partial` plus m times the column enclosures `col`."""
+    if m >= 0:
+        return [(plo + elo * m, phi + ehi * m) for (plo, phi), (elo, ehi) in zip(partial, col)]
+    return [(plo + ehi * m, phi + elo * m) for (plo, phi), (elo, ehi) in zip(partial, col)]
+
+
+def _narrowed(lo, hi, bounds, partial):
+    """[lo, hi] narrowed to the integers m for which every row of `bounds`
+    can still meet its box: for (i, elo, ehi, lo_res, hi_res) there, the
+    enclosure [elo, ehi] of the row's column holds no 0, and [lo_res, hi_res]
+    less row i's `partial` encloses what the row's term in m may take.
+
+    This is the one routine that narrows a multiplier range: every level of
+    the enumerator's scans and every row of `_kernel_rows` call it."""
+    for i, elo, ehi, lo_res, hi_res in bounds:
+        plo, phi = partial[i]
+        lo_res -= phi
+        hi_res -= plo
+        # ceilings inline, as -(-a // b): this runs for every line scanned
+        if elo > 0:
+            cand_lo = -(-lo_res // ehi) if lo_res > 0 else -(-lo_res // elo)
+            cand_hi = hi_res // elo if hi_res > 0 else hi_res // ehi
+        else:
+            cand_lo = -(-hi_res // ehi) if hi_res > 0 else -(-hi_res // elo)
+            cand_hi = lo_res // elo if lo_res > 0 else lo_res // ehi
+        if cand_lo > lo:
+            lo = cand_lo
+        if cand_hi < hi:
+            hi = cand_hi
+    return lo, hi
 
 
 def _nth_root_fraction(q, n):
@@ -397,22 +441,20 @@ class Lattice:
         return self._basis_iv
 
     def scale_root_interval(self):
-        """Certified rational bounds (lo, hi) for d^(1/n) = (d^2)^(1/(2n)),
-        d^2 being always rational, to 2^-128 (cached)."""
+        """Integers (lo, hi) with lo <= 2^128 d^(1/n) <= hi, d^(1/n) being
+        (d^2)^(1/(2n)) and d^2 always rational (cached)."""
         if self._scale_root_iv is None:
-            lo, hi = _root_bounds(self.scale_d_sq, self.scale_d_sq, 2 * self.n, 128)
-            self._scale_root_iv = (Fraction(lo, 1 << 128), Fraction(hi, 1 << 128))
+            self._scale_root_iv = _root_bounds(self.scale_d_sq, self.scale_d_sq, 2 * self.n, 128)
         return self._scale_root_iv
 
     def raw_window_interval(self, t):
-        """Certified rational bounds for t * d^(1/n)."""
+        """The certified integer enclosure (lo, hi) of 2^64 t d^(1/n), t >= 0,
+        the raw side of the normalized window t: the floor and the ceiling of
+        2^64 t times the ends of `scale_root_interval`."""
         t = _as_fraction(t)
         lo, hi = self.scale_root_interval()
-        return (t * lo, t * hi)
-
-    def raw_window_enclosure(self, t):
-        """Rational upper bound >= t * d^(1/n) for raw-coordinate boxes."""
-        return self.raw_window_interval(t)[1]
+        num, den = t.numerator, t.denominator << (128 - _ENUM_SHIFT)
+        return num * lo // den, -(-num * hi // den)
 
     def check_orthant_preserving(self, u):
         """Raise ValueError unless c -> U c maps the closed positive orthant
@@ -781,19 +823,24 @@ def _kernel_rows(lat, kernel_gens, t):
     K) of the pair (0, g); for rank 2, one interval of k2 per row k1, row -k1
     mirroring row k1, over the rows 0 <= k1 <= k1_top that hold a point.  K,
     k1_top and each row's interval are bounded on the generators' integer
-    enclosures (scale 2^64), rounded outward; exact `in_sym_box` tests step
-    each end from there until the test flips.  A kernel the enclosures
-    cannot resolve -- every coordinate enclosure of a rank-1 generator, or
-    every 2 x 2 determinant enclosure of a rank-2 pair, holds 0 -- is
-    refused with DegenerateBasisError.
+    enclosures (scale 2^64), rounded outward: K and each row's interval by
+    `_narrowed`, on the rows |x_i| < t whose enclosure of g_i (the second
+    generator's, for rank 2) holds no 0.  Exact `in_sym_box` tests step each
+    end from there until the test flips.  A kernel the enclosures cannot
+    resolve -- every coordinate enclosure of a rank-1 generator, or every
+    2 x 2 determinant enclosure of a rank-2 pair, holds 0 -- is refused with
+    DegenerateBasisError.
     """
     if not kernel_gens:
         return ((), ()), []
     n = lat.n
     enc = lat.basis_interval_matrix()
-    t_hi = _scale_out(*lat.raw_window_interval(t))[1]
+    t_hi = lat.raw_window_interval(t)[1]
     # g[m][i] encloses 2^64 times ambient coordinate i of generator m
     g = [[_iv_dot(enc[i], gen) for i in range(n)] for gen in kernel_gens]
+    zero = [(0, 0)] * n
+    # the rows of `_narrowed` for |k x_i| < t, k the last generator's multiplier
+    bounds = [(i, lo, hi, -t_hi, t_hi) for i, (lo, hi) in enumerate(g[-1]) if lo > 0 or hi < 0]
 
     def point(ks):
         return tuple(sum(k * gen[j] for k, gen in zip(ks, kernel_gens)) for j in range(n))
@@ -802,44 +849,25 @@ def _kernel_rows(lat, kernel_gens, t):
         return lat.in_sym_box(point(ks), t)
 
     if len(kernel_gens) == 1:
-        # |k x_i| < t for every i
-        mag = max(_abs_lo(iv) for iv in g[0])
-        if not mag:
+        if not bounds:
             raise DegenerateBasisError(_UNRESOLVED)
-        top = _last_inside(lambda k: inside((k,)), 0, t_hi // mag)
+        top = _last_inside(lambda k: inside((k,)), 0, _narrowed(-t_hi, t_hi, bounds, zero)[1])
         return ((0,) * n, kernel_gens[0]), [(0, -top, top)]
     if len(kernel_gens) > 2:
         raise DegenerateBasisError("an ambient coordinate vanishes on the whole lattice")
     # rank 2: two coordinates r, q alone bound k1 and k2, by Cramer's rule on
     # (x_r, x_q) = k1 g0 + k2 g1 with |x_r|, |x_q| < t; the pair with the
-    # largest certified |det| bounds them best
+    # largest certified |det| (scale 2^128) bounds them best
     g0, g1 = g
-
-    def det_lo(r, q):  # a lower bound of |g0_r g1_q - g0_q g1_r|, at scale 2^128
-        (a, b), (c, d) = g0[r], g1[q]
-        (e, f), (h, k) = g0[q], g1[r]
-        p1, p2 = (a * c, a * d, b * c, b * d), (e * h, e * k, f * h, f * k)
-        return _abs_lo((min(p1) - max(p2), max(p1) - min(p2)))
-
-    r, q = max(((r, q) for r in range(n) for q in range(r + 1, n)),
-               key=lambda rq: det_lo(*rq))
-    dt = det_lo(r, q)
+    dt, r, q = max(((_abs_lo(_iv_minor(g0[r], g1[q], g0[q], g1[r])), r, q)
+                    for r in range(n) for q in range(r + 1, n)), key=lambda x: x[0])
     if not dt:
         raise DegenerateBasisError(_UNRESOLVED)
     k1_top = t_hi * (_abs_hi(g1[r]) + _abs_hi(g1[q])) // dt
     k2_top = t_hi * (_abs_hi(g0[r]) + _abs_hi(g0[q])) // dt
     rows = []
     for k1 in range(k1_top + 1):
-        lo_c, hi_c = -k2_top, k2_top
-        for (alo, ahi), (blo, bhi) in zip(g0, g1):
-            # -t < k1 a + k2 b < t, with k2 b in (res_lo, res_hi)
-            res_lo, res_hi = -t_hi - k1 * ahi, t_hi - k1 * alo
-            if bhi < 0:  # k2 (-b) in (-res_hi, -res_lo)
-                blo, bhi, res_lo, res_hi = -bhi, -blo, -res_hi, -res_lo
-            elif blo <= 0:
-                continue
-            lo_c = max(lo_c, -(-res_lo // (bhi if res_lo > 0 else blo)))
-            hi_c = min(hi_c, res_hi // (blo if res_hi > 0 else bhi))
+        lo_c, hi_c = _narrowed(-k2_top, k2_top, bounds, _shifted(zero, g0, k1))
         if lo_c > hi_c:
             continue
         known = (lo_c + hi_c) // 2

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,39 +248,34 @@ def project_patch(patch):
     return cells, skipped
 
 
+def _grid_axis(values, pitch):
+    """The grid's coordinates along one axis: from min(values), in steps of
+    `pitch` added one at a time, up to max(values)."""
+    x, hi = min(values), max(values)
+    out = []
+    while x <= hi:
+        out.append(x)
+        x += pitch
+    return out
+
+
 def cell_covering_radius(cells):
     """Covering-radius estimate for the cell partition.
 
     Interior cells are uniformly bounded; the estimate D' = 2 max r keeps a
     whole cell inside any ball of radius D' centered in the covered region,
-    which is verified on a grid of centers (pitch r_max * _GRID_PITCH).
+    which is verified on a grid of centers: pitch r_max * _GRID_PITCH along
+    each axis of the log plane, a line for n = 2 and a plane for n = 3.
     """
     interior = [c for c in cells if c.interior]
     if not interior:
         raise ValueError("no interior cells in the window")
     r_max = max(c.radius for c in interior)
     d_prime = 2 * r_max
-    dim = len(interior[0].centroid)
-    if dim == 1:
-        los = [min(s[0] for s in c.edge_samples) for c in interior]
-        his = [max(s[0] for s in c.edge_samples) for c in interior]
-        lo, hi = min(los), max(his)
-        centers = [lo + k * r_max * _GRID_PITCH
-                   for k in range(int((hi - lo) / (r_max * _GRID_PITCH)) + 1)]
-        centers = [(c,) for c in centers]
-    else:
-        xs = [p[0] for c in interior for p in c.edge_samples]
-        ys = [p[1] for c in interior for p in c.edge_samples]
-        pitch = r_max * _GRID_PITCH
-        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-        centers = []
-        x = x_lo
-        while x <= x_hi:
-            y = y_lo
-            while y <= y_hi:
-                centers.append((x, y))
-                y += pitch
-            x += pitch
+    pitch = r_max * _GRID_PITCH
+    centers = list(itertools.product(*(
+        _grid_axis([p[k] for c in interior for p in c.edge_samples], pitch)
+        for k in range(len(interior[0].centroid)))))
     needed = 0.0
     for ctr in centers:
         best = min(math.dist(ctr, c.centroid) + c.radius for c in interior)

@@ -13,8 +13,8 @@ distinct orthant sails, and the norm-minimum estimate.  The box property
 checks that no lattice point of the open positive orthant lies in the box
 |x_i| < T0 * u_i / P^(1/n) of a certified facet, with u the facet's normal,
 P the product of its coordinates and T0 = n^(-1/2) (det F)^(1/n).  T0 is
-irrational, so it compares through the exact predicate
-t^(2n) * n^n  vs  (det F)^2.  Which box the paper means is not settled
+irrational, so `_rotated_box_violations` decides the box exactly on both
+sides raised to the power 2n.  Which box the paper means is not settled
 here: a cube below the facet after the diagonal map that makes the facet
 orthogonal to the bisector is a different box.
 """
@@ -38,7 +38,7 @@ from .sail import (
 )
 
 __all__ = [
-    "norm_minimum_estimate", "vertex_phi_inf", "T0Bound",
+    "norm_minimum_estimate", "vertex_phi_inf",
     "check_t0_boxes", "theorem1_audit", "AuditReport", "audit_consistency",
 ]
 
@@ -62,7 +62,7 @@ def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patche
     if t <= 0:
         raise ValueError("window must be positive")
     if not minimal:
-        hi = lat.raw_window_enclosure(t)
+        hi = lat.raw_window_interval(t)[1]
         boxes = [(-hi, hi)] * lat.n
         return list(_enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), -1),
                                     budget))
@@ -127,29 +127,6 @@ def vertex_phi_inf(patch):
 # ---------------------------------------------------------------------------
 # the box Q(T0)
 
-@dataclass(frozen=True)
-class T0Bound:
-    """Exact comparison object for T0 = n^(-1/2) (det F)^(1/n).
-
-    T0 itself is irrational; compare(t) decides t vs T0 through
-    t^(2n) * n^n  vs  (det F)^2, exactly.
-    """
-
-    det_f: int
-    n: int
-
-    def compare(self, t):
-        t = Fraction(t)
-        if t < 0:
-            return -1
-        lhs = t ** (2 * self.n) * self.n ** self.n
-        rhs = Fraction(self.det_f) ** 2
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __float__(self):
-        return self.n ** -0.5 * self.det_f ** (1.0 / self.n)
-
-
 def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     """(violations, boundary points) of the facet's box.
 
@@ -190,7 +167,7 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     for i in range(n):
         q_lo, q_hi = interval_at(rhs[i] / lhs_const, e[i], Fraction(1, 2**96))
         bounds.append(_root_bounds(q_lo, q_hi, 2 * n, _ENUM_SHIFT) + (below,))
-    boxes = [(Fraction(0), Fraction(b_hi, 1 << _ENUM_SHIFT)) for _, b_hi, _ in bounds]
+    boxes = [(0, b_hi) for _, b_hi, _ in bounds]
     pts = _enumerate_core(lat, boxes, _box_filter(lat, bounds, 0), budget,
                           _box_basis(lat, [b_hi for _, b_hi, _ in bounds]))
     violations, boundary = [], []

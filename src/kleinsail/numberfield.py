@@ -11,7 +11,7 @@ vector is zero, so the refinement loop terminates.
 No float enters this module: roots are bracketed on a dyadic grid by exact
 Sturm counts, and refined by exact sign changes.  A lattice reads its scalars once, as
 certified integer enclosures of its basis (`interval_at`); the only floats
-downstream are the log plane's and `T0Bound.__float__`, both diagnostic.
+downstream are the log plane's, which is diagnostic.
 """
 
 from __future__ import annotations

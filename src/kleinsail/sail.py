@@ -40,8 +40,11 @@ A patch is computed inside the window [0, T)^n:
 
 Everything in the trusted path is exact.  Search ranges and rankings read
 the lattice's one numeric view, its cached integer enclosures (scale 2^64)
-of the basis and, through the dual, of the inverse basis; no float enters
-this module.
+of the basis and, through the dual, of the inverse basis.  Every search
+bound is an integer pair at that scale: the boxes of the window scans, of
+the certification regions and of the T0 boxes (`normmin`).  `_narrowed`, in
+`lattice`, is the one routine that narrows a multiplier range on them.  No
+float enters this module.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from operator import add, mul
 
 from .hull import _order_facet_cycle, convex_hull_2d, convex_hull_3d
 from .linalg import det, primitive_int_vector, unimodular_completion
-from .lattice import _ENUM_SHIFT, Lattice, _iv_dot, _scale_out, irrationality_check
+from .lattice import (
+    _ENUM_SHIFT, Lattice, _iv_dot, _iv_minor, _narrowed, _shifted, irrationality_check,
+)
 from .numberfield import interval_at
 
 __all__ = [
@@ -117,36 +122,6 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _shifted(partial, col, m):
-    """The enclosures `partial` plus m times the column enclosures `col`."""
-    if m >= 0:
-        return [(plo + elo * m, phi + ehi * m) for (plo, phi), (elo, ehi) in zip(partial, col)]
-    return [(plo + ehi * m, phi + elo * m) for (plo, phi), (elo, ehi) in zip(partial, col)]
-
-
-def _narrowed(lo, hi, bounds, partial):
-    """[lo, hi] narrowed to the integers m for which every row of `bounds`
-    can still meet its box: for (i, elo, ehi, lo_res, hi_res) there, the
-    enclosure [elo, ehi] of the row's column holds no 0, and [lo_res, hi_res]
-    less row i's `partial` encloses what the row's term in m may take."""
-    for i, elo, ehi, lo_res, hi_res in bounds:
-        plo, phi = partial[i]
-        lo_res -= phi
-        hi_res -= plo
-        # ceilings inline, as -(-a // b): this runs for every line scanned
-        if elo > 0:
-            cand_lo = -(-lo_res // ehi) if lo_res > 0 else -(-lo_res // elo)
-            cand_hi = hi_res // elo if hi_res > 0 else hi_res // ehi
-        else:
-            cand_lo = -(-hi_res // ehi) if hi_res > 0 else -(-hi_res // elo)
-            cand_hi = lo_res // elo if lo_res > 0 else lo_res // ehi
-        if cand_lo > lo:
-            lo = cand_lo
-        if cand_hi < hi:
-            hi = cand_hi
-    return lo, hi
-
-
 def _line_cuts(a_col, v_col):
     """The row pairs of `_cut_lines`: (i, j, M) for rows i != j whose line
     enclosures v_col are certainly > 0 and whose minor M = v_j a_i - v_i a_j
@@ -156,15 +131,10 @@ def _line_cuts(a_col, v_col):
     cuts = []
     for i in bounding:
         for j in bounding:
-            if i == j:
-                continue
-            (ailo, aihi), (ajlo, ajhi) = a_col[i], a_col[j]
-            (vilo, vihi), (vjlo, vjhi) = v_col[i], v_col[j]
-            p = (vjlo * ailo, vjlo * aihi, vjhi * ailo, vjhi * aihi)
-            q = (vilo * ajlo, vilo * ajhi, vihi * ajlo, vihi * ajhi)
-            m_lo, m_hi = min(p) - max(q), max(p) - min(q)
-            if m_lo > 0 or m_hi < 0:
-                cuts.append((i, j, m_lo, m_hi))
+            if i != j:
+                m_lo, m_hi = _iv_minor(v_col[j], a_col[i], v_col[i], a_col[j])
+                if m_lo > 0 or m_hi < 0:
+                    cuts.append((i, j, m_lo, m_hi))
     return cuts
 
 
@@ -197,14 +167,16 @@ def _cut_lines(lo, hi, cuts, v_col, boxes, partial):
     return lo, hi
 
 
-def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, level=None,
+def _enumerate_core(lat, boxes, leaf_filter, budget, basis=None, level=None,
                     first_per_line=False):
     """All integer coefficient vectors whose raw coordinates can lie in the
     given per-row boxes, passed through `leaf_filter` for exact membership.
 
-    The scan propagates certain fixed-point interval bounds (integers scaled
-    by 2^64), so no candidate is missed; the filter keeps only true members.
-    Each level narrows its coefficient's range by every row (`_narrowed`).
+    Box i is an integer pair (lo, hi) at scale 2^64, as the lattice's
+    enclosures are: 2^64 x_i in [lo, hi].  The scan propagates certain
+    fixed-point interval bounds at that scale, so no candidate is missed; the
+    filter keeps only true members.  Each level narrows its coefficient's
+    range by every row with `_narrowed`, the one narrowing routine.
     The levels above the last recurse; the last is one flat loop along each
     line c' + lam e_{n-1}.  The filter is called as leaf_filter(c, partial),
     `partial` holding the scaled enclosures of c's raw coordinates.
@@ -236,7 +208,6 @@ def _enumerate_core(lat, row_boxes, leaf_filter, budget, basis=None, level=None,
     """
     n = lat.n
     u, u_inv = basis if basis is not None else (None, None)
-    boxes = [_scale_out(lo, hi) for lo, hi in row_boxes]
     tops = [bhi for _, bhi in boxes]
     outer = _coeff_outer_ranges(lat, boxes, u_inv)
     if level is not None:
@@ -411,7 +382,7 @@ def _box_filter(lat, bounds, min_sign):
 def _window_bounds(lat, t):
     """`_box_filter` bounds for |x_i| < t in normalized coordinates, every i."""
     t = Fraction(t)
-    bound = _scale_out(*lat.raw_window_interval(t)) + (lambda c, i: lat.coord_abs_lt(c, i, t),)
+    bound = lat.raw_window_interval(t) + (lambda c, i: lat.coord_abs_lt(c, i, t),)
     return [bound] * lat.n
 
 
@@ -428,7 +399,7 @@ def _line_basis(lat, budget):
     n = lat.n
     t = Fraction(2)
     while True:
-        boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * n
+        boxes = [(0, lat.raw_window_interval(t)[1])] * n
         pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 0), budget)
         if pts:
             v = min(pts, key=lambda c: (sum(lo + hi for lo, hi in pts[c]), c))
@@ -443,7 +414,7 @@ def _enumerate_window(lat, t, budget):
     nonnegative multiple of v, so they dominate the window, and its
     Pareto-minimal points are theirs."""
     t = Fraction(t)
-    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    boxes = [(0, lat.raw_window_interval(t)[1])] * lat.n
     filt = _box_filter(lat, _window_bounds(lat, t), 0)
     return _enumerate_core(lat, boxes, filt, budget, _line_basis(lat, budget),
                            first_per_line=True)
@@ -463,7 +434,7 @@ def enumerate_orthant_points(lat, t, budget=DEFAULT_POINT_BUDGET):
     t = Fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    boxes = [(0, lat.raw_window_interval(t)[1])] * lat.n
     pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 1), budget)
     return sorted(pts)
 
@@ -728,36 +699,42 @@ def _level_points(lat, w, d, budget, t=None):
     a window t, at least those with some normalized x_i >= t.
 
     Each x_i lies in [0, d / nu_i] for the raw normal nu = B^-T w, which must
-    be strictly positive (else ValueError).  Without t, one `_enumerate_core`
-    walk covers that box; with t, piece i sets its row i to [t_lo, d / nu_i],
-    t_lo a lower bound of the raw t, and an axis whose top stays below t_lo
-    has no piece.  The pieces' union keeps each point once.  Each walk's
-    basis is level-first: c' = A c for a unimodular A with first row w, so
-    c'_0 is the level w . c, pruned to [1, d] exactly, and the leaf filter
-    tests only the orthant.  A leaf needs an exact sign test only where the
-    enclosure of one of its coordinates straddles 0.  `budget` bounds the
-    leaves of all the pieces together.
+    be strictly positive (else ValueError).  The boxes are integer pairs at
+    scale 2^64: the top of row i is the ceiling of d 2^128 / nu_lo, nu_lo
+    the lower end of nu_i's cached enclosure at scale 2^64.  Only a tiny
+    nu_i, whose enclosure holds 0, is enclosed exactly, ever tighter, and
+    d / nu_i scaled once.  Without t, one `_enumerate_core` walk covers that box; with
+    t, piece i sets its row i to [t_lo, top_i], t_lo the lower end of the raw
+    t's enclosure, and a piece exists iff that row is nonempty.  The pieces'
+    union keeps each point once.  Each walk's basis is level-first: c' = A c
+    for a unimodular A with first row w, so c'_0 is the level w . c, pruned
+    to [1, d] exactly, and the leaf filter tests only the orthant.  A leaf
+    needs an exact sign test only where the enclosure of one of its
+    coordinates straddles 0.  `budget` bounds the leaves of all the pieces
+    together.
     """
     n = lat.n
     dual = lat.dual()
-    boxes = []
+    tops = []
     for i, row in enumerate(dual.basis_interval_matrix()):
         nu_lo = _iv_dot(row, w)[0]
         if nu_lo > 0:
-            nu_lo = Fraction(nu_lo, 1 << _ENUM_SHIFT)
-        elif dual.coord_sign(w, i) <= 0:
+            tops.append(_ceil_div(d << 2 * _ENUM_SHIFT, nu_lo))
+            continue
+        if dual.coord_sign(w, i) <= 0:
             raise ValueError("support normal not strictly positive")
-        else:  # nu_i > 0 is tiny: enclose it exactly, ever tighter
-            x, e, width = dual.coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
-            while (nu_lo := interval_at(x, e, width)[0]) <= 0:
-                width /= 2**40
-        boxes.append((Fraction(0), d / nu_lo))
+        # nu_i > 0 is tiny: enclose it exactly, ever tighter
+        x, e, width = dual.coord(w, i), lat.embeddings[i], Fraction(1, 2**120)
+        while (nu := interval_at(x, e, width)[0]) <= 0:
+            width /= 2**40
+        tops.append(_ceil_div(d << _ENUM_SHIFT, nu))
+    boxes = [(0, top) for top in tops]
     if t is None:
         pieces = [boxes]
     else:
         t_lo = lat.raw_window_interval(t)[0]
         pieces = [boxes[:i] + [(t_lo, top)] + boxes[i + 1:]
-                  for i, (_, top) in enumerate(boxes) if top >= t_lo]
+                  for i, top in enumerate(tops) if t_lo <= top]
     if not pieces:
         return {}
     # A = M^T with its last row, w, moved to the front (M's last column is w)

@@ -347,7 +347,7 @@ def _sweep_kernel_points(lat, kernel_gens, t):
     from kleinsail.numberfield import mpf_at
     n = lat.n
     fb = [[float(mpf_at(x, e, 60)) for x in row] for row, e in zip(lat.basis, lat.embeddings)]
-    tf = float(lat.raw_window_enclosure(t)) * 1.01 + 1e-9
+    tf = lat.raw_window_interval(t)[1] / 2**64 * 1.01 + 1e-9
     bounds = [max(1, int(tf / max(1e-12, max(abs(sum(fb[i][j] * g[j] for j in range(n)))
                                             for i in range(n)))) + 2)
               for g in kernel_gens]

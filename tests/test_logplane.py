@@ -127,6 +127,23 @@ def test_covering_radius_values_on_cubic49(cubic_patch):
     }
 
 
+def test_covering_radius_on_a_2d_patch(golden_patch):
+    # the log plane of a 2D sail is a line: the grid runs along its one axis,
+    # at the pitch the 3D grid has along each of its two
+    cells, _ = project_patch(golden_patch)
+    interior = [c for c in cells if c.interior]
+    rep = cell_covering_radius(cells)
+    xs = [p[0] for c in interior for p in c.edge_samples]
+    pitch = rep["max_cell_radius"] * logplane._GRID_PITCH
+    assert rep["interior_cells"] == len(interior) == 3
+    assert rep["max_cell_radius"] == max(c.radius for c in interior)
+    assert rep["grid_centers"] == math.floor((max(xs) - min(xs)) / pitch) + 1
+    assert rep["covering_radius_estimate"] == 2 * rep["max_cell_radius"]
+    # a whole cell lies within D' of every center of the covered segment
+    assert rep["max_cell_radius"] < rep["grid_max_needed_radius"]
+    assert rep["grid_max_needed_radius"] <= rep["covering_radius_estimate"] * (1 + 1e-12)
+
+
 def test_covering_radius_requires_interior():
     lat = lattice_from_alpha(Fraction(7, 16))
     patch = build_sail_patch(lat, 12)

@@ -1,9 +1,8 @@
 """The trusted modules hold no floats.
 
 Every decision outside the log plane is exact, and the one numeric view of a
-lattice is its certified integer enclosures.  This test parses the modules
-and fails on any float literal or `float(...)` call, except inside methods
-named `__float__` (`T0Bound.__float__` is a diagnostic).  `logplane` is
+lattice is its certified integer enclosures.  This test parses each module
+whole and fails on any float literal or `float(...)` call.  `logplane` is
 diagnostic by design and is not checked.
 """
 
@@ -19,23 +18,15 @@ MODULES = ["lattice", "sail", "numberfield", "normmin", "hull", "linalg", "polar
 
 
 def _float_sites(tree):
-    """(line, what) for every float literal and float(...) call outside
-    __float__ methods."""
+    """(line, what) for every float literal and float(...) call."""
     sites = []
-
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__float__":
-            return
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             sites.append((node.lineno, f"float literal {node.value!r}"))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "float"):
             sites.append((node.lineno, "float(...) call"))
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
-    return sites
+    return sorted(sites)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -45,6 +36,5 @@ def test_module_has_no_floats(module):
 
 
 def test_guard_sees_floats():
-    tree = ast.parse("x = 0.5\ny = float(3)\n"
-                     "class T:\n    def __float__(self):\n        return 1.0\n")
+    tree = ast.parse("x = 0.5\ny = float(3)\n")
     assert _float_sites(tree) == [(1, "float literal 0.5"), (2, "float(...) call")]

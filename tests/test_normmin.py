@@ -7,13 +7,13 @@ from kleinsail.lattice import (
     normalize_lattice, random_rational_lattice,
 )
 from kleinsail.contfrac import cf_value
-from kleinsail.numberfield import NumberField
+from kleinsail.numberfield import NumberField, cmp_at
 from kleinsail.normmin import (
-    T0Bound, audit_consistency, check_t0_boxes, enumerate_sym_box,
+    audit_consistency, check_t0_boxes, enumerate_sym_box,
     norm_minimum_estimate, orthant_representatives, theorem1_audit, vertex_phi_inf,
 )
 from kleinsail.sail import PointBudgetError, build_sail_patch
-from shared_lattices import golden_module
+from shared_lattices import golden_module, widened
 
 
 @pytest.fixture(scope="module")
@@ -114,26 +114,6 @@ def test_vertex_phi_inf_single_vertex(cubic_lat):
     keep = patch.certified_facets()[0]
     small.facets = [keep]
     assert vertex_phi_inf(small) == min(cubic_lat.phi(c) for c in keep.vertices)
-
-
-def test_t0_compare_examples():
-    assert T0Bound(det_f=1, n=2).compare(1) == 1      # 1 > T0 = 2^-1/2
-    assert T0Bound(det_f=8, n=2).compare(2) == 0      # 2 = T0 exactly
-    assert T0Bound(det_f=8, n=2).compare(Fraction(199, 100)) == -1
-
-
-def test_t0_compare_consistent_with_float():
-    import random
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.choice((2, 3))
-        det_f = rng.randint(1, 50)
-        b = T0Bound(det_f=det_f, n=n)
-        t = Fraction(rng.randint(1, 400), rng.randint(1, 40))
-        cmp_exact = b.compare(t)
-        diff = float(t) - float(b)
-        if abs(diff) > 1e-12:
-            assert cmp_exact == (1 if diff > 0 else -1)
 
 
 def test_t0_box_property_cubic(cubic_lat):
@@ -272,6 +252,32 @@ def _t0_box_oracle(patch):
 def test_t0_boxes_match_brute_force(name, make, t, signs):
     patch = build_sail_patch(make().reflect(signs), t)
     assert check_t0_boxes(patch) == _t0_box_oracle(patch)
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: random_rational_lattice(3, 0), 6),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 20),
+], ids=["rational3-0", "alpha-13/34"])
+def test_t0_box_sides_straddled_by_leaves_are_decided_exactly(make, t, monkeypatch):
+    # once the patch is built, its lattice's basis enclosures are widened, so
+    # the box scan's leaves straddle the sides of the boxes and the exact
+    # comparison `below` decides them; the violations (rational3-0) and the
+    # boundary points (alpha-13/34) must still be the brute-force oracle's
+    from kleinsail import normmin
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cmp_at(*args)
+
+    patch = build_sail_patch(make(), t)
+    widened(patch.lattice, 1 << 60)
+    monkeypatch.setattr(normmin, "cmp_at", counted)
+    got = check_t0_boxes(patch)
+    assert calls[0] > 0
+    monkeypatch.undo()
+    assert got == _t0_box_oracle(patch)
+    assert got["violations"] or got["boundary_points"]
 
 
 def test_audit_and_t0_box_budget_errors_name_their_site(cubic_lat):

@@ -13,7 +13,7 @@ from kleinsail.sail import (
     PointBudgetError, build_sail_patch, certify_facet, detect_periodicity,
     edge_star, enumerate_orthant_points,
 )
-from shared_lattices import golden_module
+from shared_lattices import golden_module, widened
 from test_same_outputs import CASES as SAME_OUTPUT_CASES
 
 
@@ -148,7 +148,7 @@ def _window_points(lat, t, closed=True):
     """Every window point, mapped to its enclosures (the window (0, t)^n
     without `closed`)."""
     from kleinsail.sail import _box_filter, _enumerate_core, _window_bounds
-    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
+    boxes = [(0, lat.raw_window_interval(t)[1])] * lat.n
     filt = _box_filter(lat, _window_bounds(lat, t), 0 if closed else 1)
     return _enumerate_core(lat, boxes, filt, 10**6)
 
@@ -160,12 +160,11 @@ def _assert_line_scan_matches_plain_scan(lat, t):
     the first one the filter accepts or one whose enclosures reach the top
     of a box, and keeps that first accepted leaf: the same leaves in the
     same order, and the same items -- keys, enclosures and order."""
-    from kleinsail.lattice import _scale_out
     from kleinsail.sail import _box_filter, _enumerate_core, _line_basis, _window_bounds
     t = Fraction(t)
     basis = _line_basis(lat, 10**6)
-    boxes = [(Fraction(0), lat.raw_window_enclosure(t))] * lat.n
-    top = _scale_out(*boxes[0])[1]
+    top = lat.raw_window_interval(t)[1]
+    boxes = [(0, top)] * lat.n
     filt = _box_filter(lat, _window_bounds(lat, t), 0)
     plain, got_leaves = [], []
 
@@ -490,6 +489,20 @@ def test_detect_periodicity_unit_square(cubic_patch):
     assert res["checked"] > 0 and not res["mismatches"]
 
 
+def test_detect_periodicity_over_one_embedding(golden_patch):
+    # every row under one embedding: the ambient map B U B^-1 itself must be
+    # entrywise >= 0
+    lat, t = golden_patch.lattice, golden_patch.t
+    res = detect_periodicity(golden_patch, [[1, 0], [0, 1]])
+    in_window = [f for f in golden_patch.certified_facets()
+                 if all(lat.in_positive_window(c, t) for c in f.vertices)]
+    assert res["verdict"] and not res["mismatches"]
+    assert res["checked"] == res["matched"] == len(in_window) > 0
+    # B = ((1, 0), (1 - alpha, 1)): entry (1, 0) of B U B^-1 is -(1 - alpha)^2
+    with pytest.raises(ValueError, match="positive orthant"):
+        detect_periodicity(golden_patch, [[1, 1], [0, 1]])
+
+
 def test_detect_periodicity_rejects_non_unimodular(cubic_patch):
     with pytest.raises(ValueError, match="unimodular"):
         detect_periodicity(cubic_patch, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
@@ -560,9 +573,9 @@ def test_box_filter_exact_path_matches_enclosures(name, make, t):
     lat = make()
     tight = _window_bounds(lat, t)
     wide = [(0, 2**200, below) for _, _, below in tight]
-    hi = lat.raw_window_enclosure(t)
+    hi = lat.raw_window_interval(t)[1]
     for min_sign in (-1, 0, 1):
-        boxes = [(-hi if min_sign < 0 else Fraction(0), hi)] * lat.n
+        boxes = [(-hi if min_sign < 0 else 0, hi)] * lat.n
         got = [list(_enumerate_core(lat, boxes, _box_filter(lat, bounds, min_sign), 10**6))
                for bounds in (tight, wide)]
         assert got[0] and got[0] == got[1]
@@ -651,13 +664,6 @@ def _rebased(lat, u):
     return Lattice.module(lat.field, gens)
 
 
-def _widened(lat, pad):
-    """`lat` with every cached basis enclosure widened by `pad` at scale 2^64."""
-    lat._basis_iv = tuple(tuple((lo - pad, hi + pad) for lo, hi in row)
-                          for row in lat.basis_interval_matrix())
-    return lat
-
-
 def _seeded_unimodular(n, seed):
     import random
     rng = random.Random(seed)
@@ -706,9 +712,9 @@ def test_line_minima_match_full_window(name, make, t, seed):
      for k in range(6)] + [
     # widened enclosures chain into long runs, ranked exactly: the reflections
     # inherit them, and the oracle's exact order does not read them
-    ("cubic49-wide", lambda: _widened(lattice_from_cubic_field(CUBIC49_MINPOLY), 1 << 56), 6),
+    ("cubic49-wide", lambda: widened(lattice_from_cubic_field(CUBIC49_MINPOLY), 1 << 56), 6),
 ] + [(f"rational3-d7-{k}-wide",
-      lambda k=k: _widened(random_rational_lattice(3, k, denom_limit=7), 1 << 54), 8)
+      lambda k=k: widened(random_rational_lattice(3, k, denom_limit=7), 1 << 54), 8)
      for k in range(3)])
 def test_pareto_sweep_matches_oracle(name, make, t):
     # small denominators give exact coordinate ties; the pruned set must be
@@ -769,7 +775,7 @@ def test_scan_state_is_freed_on_return():
     import weakref
     from kleinsail.sail import _box_filter, _enumerate_core, _line_basis, _window_bounds
     lat = random_rational_lattice(3, 0)
-    boxes = [(Fraction(0), lat.raw_window_enclosure(4))] * 3
+    boxes = [(0, lat.raw_window_interval(4)[1])] * 3
     basis = _line_basis(lat, 10**6)
     for kwargs in ({}, {"basis": basis, "first_per_line": True}):
         filt = _box_filter(lat, _window_bounds(lat, 4), 0)
