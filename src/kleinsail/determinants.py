@@ -18,11 +18,10 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .contfrac import continued_fraction, convergents
 from .lattice import lattice_from_alpha
-from .linalg import subset_det_sum
+from .linalg import gcd_vector, subset_det_sum
 from .numberfield import FieldElement
 from .sail import DEFAULT_POINT_BUDGET, EdgeStar, Facet, build_sail_patch
 
@@ -89,12 +88,9 @@ def det_SF(facet, lat):
 
 def integer_length(a, b):
     """Lattice length of the segment between lattice points a, b (coeffs)."""
-    diff = [int(x) - int(y) for x, y in zip(a, b)]
-    if all(v == 0 for v in diff):
+    g = gcd_vector([int(x) - int(y) for x, y in zip(a, b)])
+    if g == 0:
         raise ValueError("zero segment")
-    g = 0
-    for v in diff:
-        g = gcd(g, abs(v))
     return g
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .linalg import gcd_vector
 
@@ -257,11 +257,7 @@ def polytope_volume(points):
     if dim != 3:
         raise ValueError("volume supported for dimensions 2 and 3")
     # clear denominators to integers, divide the volume back out
-    den = 1
-    for p in points:
-        for x in p:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for p in points for x in p if isinstance(x, Fraction)))
     ipts = [tuple(int(x * den) for x in p) for p in points]
     try:
         facets, _ = convex_hull_3d(ipts)

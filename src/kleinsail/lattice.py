@@ -13,7 +13,9 @@ dual's.  A predicate decides on the enclosure, and exactly only where it
 straddles 0.  Every search bound is an integer pair at that scale: a window
 side (`raw_window_interval`), the boxes of the enumerator's scans and the
 kernel rows of `irrationality_check`.  `_narrowed` is the one routine that
-narrows a multiplier range on such bounds.  No float decides anything here:
+narrows a multiplier range on such bounds, and `_box_filter` the one test of
+membership in a window or box: every scan of `sail` and `normmin`, the
+kernel rows and the 2D sail walk decide by it.  No float decides anything here:
 the only floats are the random draws of `random_rational_lattice`, made
 exact convergents at once.
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import combinations, groupby, islice
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 from .linalg import det, mat_inverse, mat_mul, transpose
 from .numberfield import (
@@ -152,6 +154,47 @@ def _narrowed(lo, hi, bounds, partial):
         if cand_hi < hi:
             hi = cand_hi
     return lo, hi
+
+
+def _box_filter(lat, bounds, min_sign):
+    """The one leaf filter of every window or box membership: c != 0, and
+    for every coordinate i, sign(x_i) >= min_sign and, where bounds[i] is
+    given, |x_i| < b_i.  Every `_enumerate_core` scan, the kernel rows of
+    `irrationality_check` and the 2D sail walk decide by it.
+
+    min_sign -1 allows any sign, 0 is the closed orthant and 1 the open one.
+    bounds[i] = (lo, hi, below): lo <= 2^64 b_i <= hi certainly, and
+    below(c, i) decides |x_i| < b_i exactly.  Each condition is decided on
+    the leaf's enclosure of x_i; the exact sign and `below` run only where
+    that enclosure straddles 0 or the bound.
+    """
+    n = lat.n
+
+    def filt(c, partial):
+        if not any(c):
+            return False
+        for i in range(n):
+            lo, hi = partial[i]
+            # [lo, hi] encloses 2^64 x_i in integers: lo >= min_sign proves
+            # sign(x_i) >= min_sign, and hi < min_sign refutes it
+            if min_sign >= 0 and lo < min_sign and (
+                    hi < min_sign or lat.coord_sign(c, i) < min_sign):
+                return False
+            if bounds[i] is not None:
+                b_lo, b_hi, below = bounds[i]
+                if (hi >= b_lo or -lo >= b_lo) and (
+                        lo > b_hi or -hi > b_hi or not below(c, i)):
+                    return False
+        return True
+
+    return filt
+
+
+def _window_bounds(lat, t):
+    """`_box_filter` bounds for |x_i| < t in normalized coordinates, every i."""
+    t = Fraction(t)
+    bound = lat.raw_window_interval(t) + (lambda c, i: lat.coord_abs_lt(c, i, t),)
+    return [bound] * lat.n
 
 
 def _nth_root_fraction(q, n):
@@ -355,7 +398,10 @@ class Lattice:
                    for i in range(self.n))
 
     def in_sym_box(self, coeffs, t):
-        """All normalized coordinates have |x_i| < t (the box Q(t))."""
+        """All normalized coordinates have |x_i| < t (the box Q(t)), exact.
+
+        No library code calls this: `_box_filter` decides every window
+        membership.  It stays as the tests' exact reference."""
         return all(self.coord_abs_lt(coeffs, i, t) for i in range(self.n))
 
     # -- phi -----------------------------------------------------------------------
@@ -725,9 +771,7 @@ def _zero_coordinate_sublattice(lat, i, kernels=None):
         row = [v[k] for v in vecs]
         if all(v == 0 for v in row):
             continue
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row))
         introw = [int(x * den) for x in row]
         kernels = _intersect_kernels(kernels, introw)
     return kernels
@@ -825,11 +869,15 @@ def _kernel_rows(lat, kernel_gens, t):
     k1_top and each row's interval are bounded on the generators' integer
     enclosures (scale 2^64), rounded outward: K and each row's interval by
     `_narrowed`, on the rows |x_i| < t whose enclosure of g_i (the second
-    generator's, for rank 2) holds no 0.  Exact `in_sym_box` tests step each
-    end from there until the test flips.  A kernel the enclosures cannot
-    resolve -- every coordinate enclosure of a rank-1 generator, or every
-    2 x 2 determinant enclosure of a rank-2 pair, holds 0 -- is refused with
-    DegenerateBasisError.
+    generator's, for rank 2) holds no 0.  Each such outward range is trimmed
+    inward: its upper end steps down while its point lies outside Q(t), a
+    row whose range empties holds no point, and then its lower end steps up.
+    The inside multipliers of a row are one run, as Q(t) is convex, so the
+    trimmed range is that run.  Membership is the window's `_box_filter` on
+    the point's enclosures, exact only where one of them straddles +-t.  A
+    kernel the enclosures cannot resolve -- every coordinate enclosure of a
+    rank-1 generator, or every 2 x 2 determinant enclosure of a rank-2 pair,
+    holds 0 -- is refused with DegenerateBasisError.
     """
     if not kernel_gens:
         return ((), ()), []
@@ -841,17 +889,22 @@ def _kernel_rows(lat, kernel_gens, t):
     zero = [(0, 0)] * n
     # the rows of `_narrowed` for |k x_i| < t, k the last generator's multiplier
     bounds = [(i, lo, hi, -t_hi, t_hi) for i, (lo, hi) in enumerate(g[-1]) if lo > 0 or hi < 0]
-
-    def point(ks):
-        return tuple(sum(k * gen[j] for k, gen in zip(ks, kernel_gens)) for j in range(n))
+    window = _box_filter(lat, _window_bounds(lat, t), -1)
 
     def inside(ks):
-        return lat.in_sym_box(point(ks), t)
+        c = tuple(sum(k * gen[j] for k, gen in zip(ks, kernel_gens)) for j in range(n))
+        partial = zero
+        for k, gen in zip(ks, g):
+            partial = _shifted(partial, gen, k)
+        # the filter refuses c = 0, which lies in Q(t)
+        return not any(c) or window(c, partial)
 
     if len(kernel_gens) == 1:
         if not bounds:
             raise DegenerateBasisError(_UNRESOLVED)
-        top = _last_inside(lambda k: inside((k,)), 0, _narrowed(-t_hi, t_hi, bounds, zero)[1])
+        top = _narrowed(-t_hi, t_hi, bounds, zero)[1]
+        while not inside((top,)):
+            top -= 1
         return ((0,) * n, kernel_gens[0]), [(0, -top, top)]
     if len(kernel_gens) > 2:
         raise DegenerateBasisError("an ambient coordinate vanishes on the whole lattice")
@@ -867,32 +920,15 @@ def _kernel_rows(lat, kernel_gens, t):
     k2_top = t_hi * (_abs_hi(g0[r]) + _abs_hi(g0[q])) // dt
     rows = []
     for k1 in range(k1_top + 1):
-        lo_c, hi_c = _narrowed(-k2_top, k2_top, bounds, _shifted(zero, g0, k1))
-        if lo_c > hi_c:
+        lo, hi = _narrowed(-k2_top, k2_top, bounds, _shifted(zero, g0, k1))
+        while lo <= hi and not inside((k1, hi)):
+            hi -= 1
+        if lo > hi:
             continue
-        known = (lo_c + hi_c) // 2
-        if not inside((k1, known)):
-            known = next((k for k in range(lo_c, hi_c + 1) if inside((k1, k))), None)
-        if known is None:
-            continue
-        lo = -_last_inside(lambda k: inside((k1, -k)), -known, -lo_c)
-        hi = _last_inside(lambda k: inside((k1, k)), known, hi_c)
+        while not inside((k1, lo)):
+            lo += 1
         rows.append((k1, lo, hi))
     return tuple(kernel_gens), rows
-
-
-def _last_inside(test, known, seed):
-    """Largest k with test(k), for a test that holds on a run of integers
-    containing `known`; the walk starts from `seed`."""
-    k = max(known, seed)
-    if test(k):
-        while test(k + 1):
-            k += 1
-        return k
-    k -= 1
-    while not test(k):
-        k -= 1
-    return k
 
 
 def random_rational_lattice(n, seed, denom_limit=10**6):

@@ -27,14 +27,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .determinants import det_report
-from .lattice import _ENUM_SHIFT, OrthantSign, _root_bounds
+from .lattice import _ENUM_SHIFT, OrthantSign, _box_filter, _root_bounds, _window_bounds
 from .linalg import lll_reduce
 # the benchmark's tracer wraps `irrationality_check` under this module's name
 from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
 from .sail import (
-    DEFAULT_POINT_BUDGET, PointBudgetError, _box_filter, _enumerate_core, _window_bounds,
-    _window_minima, build_sail_patch,
+    DEFAULT_POINT_BUDGET, PointBudgetError, _enumerate_core, _window_minima, build_sail_patch,
 )
 
 __all__ = [

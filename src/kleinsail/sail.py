@@ -43,8 +43,10 @@ the lattice's one numeric view, its cached integer enclosures (scale 2^64)
 of the basis and, through the dual, of the inverse basis.  Every search
 bound is an integer pair at that scale: the boxes of the window scans, of
 the certification regions and of the T0 boxes (`normmin`).  `_narrowed`, in
-`lattice`, is the one routine that narrows a multiplier range on them.  No
-float enters this module.
+`lattice`, is the one routine that narrows a multiplier range on them, and
+`_box_filter`, beside it, the one leaf filter that decides every window or
+box membership: each scan's leaves and each step of the 2D walk.  No float
+enters this module.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from operator import add, mul
 from .hull import _order_facet_cycle, convex_hull_2d, convex_hull_3d
 from .linalg import det, primitive_int_vector, unimodular_completion
 from .lattice import (
-    _ENUM_SHIFT, Lattice, _iv_dot, _iv_minor, _narrowed, _shifted, irrationality_check,
+    _ENUM_SHIFT, Lattice, _box_filter, _iv_dot, _iv_minor, _narrowed, _shifted,
+    _window_bounds, irrationality_check,
 )
 from .numberfield import interval_at
 
@@ -76,8 +79,8 @@ PATCH_SCHEMA = "kleinsail.patch/1"
 class PointBudgetError(RuntimeError):
     """A lattice-point scan visited more leaves than its budget.  Where it
     leaves `build_sail_patch`, `theorem1_audit` or `check_t0_boxes`, it also
-    names its site: the stage ("window" or "t0_box"), the lattice's
-    provenance and the window."""
+    names its site: the stage ("window", "certify" or "t0_box"), the
+    lattice's provenance and the window."""
 
     def __init__(self, budget, stage=None, provenance=None, window=None):
         msg = f"point budget exceeded (budget={budget})"
@@ -346,46 +349,6 @@ def _line_minima3(s_range, partial, c, cols, enc, boxes, lam_range, leaf_filter,
     return count
 
 
-def _box_filter(lat, bounds, min_sign):
-    """The leaf filter of every `_enumerate_core` scan: c != 0, and for every
-    coordinate i, sign(x_i) >= min_sign and, where bounds[i] is given,
-    |x_i| < b_i.
-
-    min_sign -1 allows any sign, 0 is the closed orthant and 1 the open one.
-    bounds[i] = (lo, hi, below): lo <= 2^64 b_i <= hi certainly, and
-    below(c, i) decides |x_i| < b_i exactly.  Each condition is decided on
-    the leaf's enclosure of x_i; the exact sign and `below` run only where
-    that enclosure straddles 0 or the bound.
-    """
-    n = lat.n
-
-    def filt(c, partial):
-        if not any(c):
-            return False
-        for i in range(n):
-            lo, hi = partial[i]
-            # [lo, hi] encloses 2^64 x_i in integers: lo >= min_sign proves
-            # sign(x_i) >= min_sign, and hi < min_sign refutes it
-            if min_sign >= 0 and lo < min_sign and (
-                    hi < min_sign or lat.coord_sign(c, i) < min_sign):
-                return False
-            if bounds[i] is not None:
-                b_lo, b_hi, below = bounds[i]
-                if (hi >= b_lo or -lo >= b_lo) and (
-                        lo > b_hi or -hi > b_hi or not below(c, i)):
-                    return False
-        return True
-
-    return filt
-
-
-def _window_bounds(lat, t):
-    """`_box_filter` bounds for |x_i| < t in normalized coordinates, every i."""
-    t = Fraction(t)
-    bound = lat.raw_window_interval(t) + (lambda c, i: lat.coord_abs_lt(c, i, t),)
-    return [bound] * lat.n
-
-
 def _line_basis(lat, budget):
     """(U, U^-1) for the line scan: U unimodular with last column v, a
     primitive lattice vector whose ambient image is exactly >= 0.
@@ -485,15 +448,15 @@ def _sail_walk(lat, prev, cur, i, t, budget, used):
     so it is a cur - prev for an integer a, and the least a with
     x_i(a cur - prev) >= 0 -- the minus (Hirzebruch-Jung) continued fraction
     of the cone.  a = 1 gives x_i(cur) - x_i(prev) < 0, so a >= 2, and x_j
-    grows at every step.  The walk stops at an axis point, x_i = 0 exactly,
-    or when x_j reaches t.  The ratio of the cached enclosures of x_i(prev)
-    and x_i(cur) guesses a, the last a where they cannot; exact `coord_sign`
-    tests decide it.  Each point found counts against `budget`, after the
-    `used` of the stages before.
+    grows at every step while x_i falls.  The walk stops at an axis point,
+    x_i = 0 exactly, or at the first point that the window's `_box_filter`
+    refuses on its enclosures, where x_j reaches t.  The ratio of the cached
+    enclosures of x_i(prev) and x_i(cur) guesses a, the last a where they
+    cannot; exact `coord_sign` tests decide it.  Each point found counts
+    against `budget`, after the `used` of the stages before.
     """
-    j = 1 - i
     enc = lat.basis_interval_matrix()
-    b_lo, b_hi, below = _window_bounds(lat, t)[j]
+    window = _box_filter(lat, _window_bounds(lat, t), -1)
     out, a = [], 2
 
     def point(m):
@@ -506,8 +469,7 @@ def _sail_walk(lat, prev, cur, i, t, budget, used):
             a = max(2, _ceil_div(p_lo + p_hi, c_lo + c_hi))
         a = _least_nonnegative(lambda m: lat.coord_sign(point(m), i), a)
         prev, cur = cur, point(a)
-        lo, hi = _iv_dot(enc[j], cur)
-        if hi >= b_lo and (lo > b_hi or not below(cur, j)):
+        if not window(cur, [_iv_dot(row, cur) for row in enc]):
             break
         used += 1
         if used > budget:
@@ -764,7 +726,9 @@ def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET, *, _window=None):
     orthant but the origin has w.c >= 1, and the region {x >= 0,
     1 <= w.c <= d} is bounded.  `_level_points` walks it; its points with
     w.c < d are `below`, and those with w.c = d are `on_plane`, the infinite
-    facet's point set.  `budget` bounds the leaves of the walk.
+    facet's point set.  `budget` bounds the leaves of the walk, and a walk
+    past it raises PointBudgetError: a facet it cannot decide is neither
+    certified nor refused.
 
     `build_sail_patch` passes `_window` = (t, minima), its window and Pareto
     set.  A window point p is dominated by a minimum q, so w.q <= w.p, with
@@ -787,10 +751,7 @@ def certify_facet(lat, w, d, budget=DEFAULT_POINT_BUDGET, *, _window=None):
             if level <= d:
                 (on_plane if level == d else below).append(c)
     if not below:
-        try:
-            pts = _level_points(lat, w, d, budget, t)
-        except PointBudgetError:
-            return False, "certification region exceeded the point budget", [], []
+        pts = _level_points(lat, w, d, budget, t)
         seen = set(on_plane)
         for c in pts:
             if c not in seen:
@@ -1006,7 +967,10 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
             continue
         # the support (w, d) has w.c = d > 0 on the plane
         w, d = (normal, offset) if offset > 0 else (tuple(-x for x in normal), -offset)
-        ok, reason, on_plane, below = certify_facet(lat, w, d, budget, _window=(t, kept))
+        try:
+            ok, reason, on_plane, below = certify_facet(lat, w, d, budget, _window=(t, kept))
+        except PointBudgetError as exc:
+            raise exc.at("certify", lat, t) from exc
         if not ok:
             facets.append(Facet(vertices=tuple(sorted(cycle)), cycle=cycle,
                                 support=w, dist=d, certified=False,

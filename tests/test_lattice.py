@@ -10,7 +10,7 @@ from kleinsail.lattice import (
 )
 from kleinsail.linalg import det, mat_mul, transpose
 from kleinsail.numberfield import NumberField
-from shared_lattices import golden_module
+from shared_lattices import golden_module, widened
 
 
 def test_normalize_identity():
@@ -415,6 +415,29 @@ def test_irrationality_witnesses_match_box_enumeration(seed, signs):
     got = rep.witnesses
     assert want and got == want
     assert rep.ok == (not got)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_widened_kernel_rows_match_box_enumeration(seed, monkeypatch):
+    # with every basis enclosure widened by 2^-8, the enclosures of some
+    # kernel points straddle the window's sides, and the exact comparison
+    # decides them; the witnesses must still be the unwidened box's
+    from kleinsail.normmin import enumerate_sym_box
+    t = 12
+    lat = random_rational_lattice(3, seed, denom_limit=7)
+    want = sorted(c for c in enumerate_sym_box(lat, t)
+                  if any(lat.coord_sign(c, i) == 0 for i in range(3)))
+    exact, calls = Lattice.coord_abs_lt, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(Lattice, "coord_abs_lt", counted)
+    got = irrationality_check(widened(random_rational_lattice(3, seed, denom_limit=7), 1 << 56),
+                              t).witnesses
+    assert calls[0] > 0
+    assert want and got == want
 
 
 @pytest.mark.parametrize("make, t, ok", [

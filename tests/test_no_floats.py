@@ -1,9 +1,9 @@
 """The trusted modules hold no floats.
 
 Every decision outside the log plane is exact, and the one numeric view of a
-lattice is its certified integer enclosures.  This test parses each module
-whole and fails on any float literal or `float(...)` call.  `logplane` is
-diagnostic by design and is not checked.
+lattice is its certified integer enclosures.  This test parses every module
+of the package whole and fails on any float literal or `float(...)` call.
+`logplane` is diagnostic by design and is not checked.
 """
 
 import ast
@@ -13,8 +13,8 @@ import pytest
 
 import kleinsail
 
-MODULES = ["lattice", "sail", "numberfield", "normmin", "hull", "linalg", "polar",
-           "determinants", "contfrac"]
+PACKAGE = Path(kleinsail.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "logplane")
 
 
 def _float_sites(tree):
@@ -31,7 +31,7 @@ def _float_sites(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_floats(module):
-    path = Path(kleinsail.__file__).parent / f"{module}.py"
+    path = PACKAGE / f"{module}.py"
     assert _float_sites(ast.parse(path.read_text(), str(path))) == []
 
 

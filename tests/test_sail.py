@@ -61,19 +61,28 @@ def test_enumerate_budget():
     assert "17" in str(exc.value)
 
 
-@pytest.mark.parametrize("make, t, budget, provenance", [
-    (lambda: random_rational_lattice(3, 0), 10, 20, "rational-random"),
+@pytest.mark.parametrize("make, t, budget, stage, provenance", [
+    (lambda: random_rational_lattice(3, 0), 10, 20, "window", "rational-random"),
     # the seed window [0, 2)^2 scans 7 leaves; the walk to T = 10^4 takes 10 steps more
-    (lambda: _alpha_lattice(GOLDEN_MINPOLY), 10**4, 10, "from-alpha"),
-], ids=["rational3-0", "golden-walk"])
-def test_patch_budget_error_names_stage_lattice_and_window(make, t, budget, provenance):
+    (lambda: _alpha_lattice(GOLDEN_MINPOLY), 10**4, 10, "window", "from-alpha"),
+    # the window scan passes, and the first certification walk is starved
+    (lambda: random_rational_lattice(3, 0), 10, 10**6, "certify", "rational-random"),
+], ids=["rational3-0", "golden-walk", "rational3-0-certify"])
+def test_patch_budget_error_names_stage_lattice_and_window(make, t, budget, stage, provenance,
+                                                           monkeypatch):
+    from kleinsail import sail
     lat = make()
+    if stage == "certify":
+        def starved(lat, w, d, budget, t=None):
+            raise PointBudgetError(budget)
+
+        monkeypatch.setattr(sail, "_level_points", starved)
     with pytest.raises(PointBudgetError) as exc:
         build_sail_patch(lat, t, budget=budget)
     err = exc.value
     assert (err.budget, err.stage, err.provenance, err.window) == (
-        budget, "window", provenance, t)
-    for part in (f"budget={budget}", "'window'", f"'{provenance}'", f"window {t}"):
+        budget, stage, provenance, t)
+    for part in (f"budget={budget}", f"'{stage}'", f"'{provenance}'", f"window {t}"):
         assert part in str(err)
 
 
@@ -351,8 +360,9 @@ def test_certify_budget_bounds_the_whole_walk():
     # the region 1 <= x1 + x2 <= 3 of the closed quadrant holds 9 points
     ok, _, on_plane, below = certify_facet(lat, (1, 1), 3, budget=100)
     assert len(on_plane) + len(below) == 9
-    ok, reason, _, _ = certify_facet(lat, (1, 1), 3, budget=8)
-    assert not ok and reason == "certification region exceeded the point budget"
+    # a walk past its budget decides nothing, so it raises
+    with pytest.raises(PointBudgetError):
+        certify_facet(lat, (1, 1), 3, budget=8)
 
 
 def test_certify_signs_straddling_leaves_exactly():
