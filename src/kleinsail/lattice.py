@@ -183,7 +183,7 @@ def _box_filter(lat, bounds, min_sign):
             if bounds[i] is not None:
                 b_lo, b_hi, below = bounds[i]
                 if (hi >= b_lo or -lo >= b_lo) and (
-                        lo > b_hi or -hi > b_hi or not below(c, i)):
+                        lo >= b_hi or -hi >= b_hi or not below(c, i)):
                     return False
         return True
 

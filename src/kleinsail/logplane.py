@@ -18,7 +18,7 @@ plus 2^-120.  Comparison tolerances are fixed constants.
 `pi_log` is the reference image: n logarithms at 113 bits in mpmath's raw
 layer, their mean and differences, each rounded, then rounded to floats.
 Vertices and edge samples go through an exact fixed-point kernel
-(`_pi_log_kernel`) that returns the same floats bit for bit, or declines,
+(`_ratio_floats`) that returns the same floats bit for bit, or declines,
 and only then falls back to `pi_log`:
 
 - **The ratio identity.**  Coordinate i of the image is
@@ -40,6 +40,17 @@ and only then falls back to `pi_log`:
   monotone, so where the two ends give one float that float is `to_float`
   of d_i, `pi_log`'s float.  Otherwise (Y_i close to a rounding boundary,
   or tiny against A) the point falls back to `pi_log` on its mpf values.
+- **The edge pass.**  `_edge_images` samples an edge in one exact integer
+  pass: the kernel reads each sample's exact mixes, not the 121-bit values
+  x'_j = x_j (1 + delta_j), |delta_j| <= 2^-121, that `_mix` rounds them to, yet
+  certifies `pi_log`'s floats of the rounded sample.  Two slack terms cover
+  the difference.  The rounding term: ln of ratio i moves by at most
+  (n - 1) * 2^-120 * (1 + 2^-120), a constant per edge.  The magnitude
+  term: a mix lies between its ends, and so does its rounding, so
+  |mag'_j| <= max(|mag_a_j|, |mag_b_j|) + 1 bounds B once per edge.  A
+  sample the edge kernel declines is rounded with `_mix` and takes the
+  vertices' path, the vertex kernel and then `pi_log`, so each float is
+  `pi_log`'s of the rounded sample, whichever path gives it.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -118,25 +129,23 @@ def _mix(xa, xb, s):
                         e - _SAMPLE_SHIFT, _MIX_PREC, "n")
 
 
-def _pi_log_kernel(xs):
-    """`pi_log` of positive raw mpf values from n - 1 logarithms of exact
-    coordinate ratios, n = len(xs), or None where the bound B of the module
-    docstring cannot certify its floats.
+def _ratio_floats(mans, offsets, slack):
+    """The kernel's floats, or None: for i < n - 1, n = len(mans), the _WP-bit
+    fixed-point logarithm y of ratio i, mans[i]^(n-1) / prod_{j != i} mans[j]
+    times 2^offsets[i], divided by n 2^_WP, where both ends of [y - e, y + e]
+    give one float.
 
-    In units of 2^-_WP, ratio i is logged within 3 + _TAYLOR_ERR + |K|: 3
-    for t, truncated by less than 1 unit at t >= 2^(_WP - 1), _TAYLOR_ERR
-    for `log_taylor_cached` and 1 per multiple of `ln2_fixed`.  A nonzero
-    end is at least 2^-_WP / n, far from underflow, so ends on either side
-    of 0 never give equal floats."""
+    In units of 2^-_WP, e = 3 + _TAYLOR_ERR + |K| + slack, K the ratio's
+    binary exponent: 3 for t, the ratio reduced to [1/2, 1) and truncated by
+    less than 1 unit at t >= 2^(_WP - 1), _TAYLOR_ERR for `log_taylor_cached`
+    and 1 per multiple of `ln2_fixed`; `slack` is the caller's.  A nonzero
+    end is at least 2^-_WP / n, far from underflow, so ends on either side of
+    0 never give equal floats."""
     log_taylor = mpmath.libmp.libelefun.log_taylor_cached   # not in mpmath.libmp's exports
     ln2 = ln2_fixed(_WP)
-    n = len(xs)
-    mans = [x[1] for x in xs]
-    exps = [x[2] for x in xs]
-    esum = sum(exps)
-    # n * B in units of 2^-_WP, B = 2^-110 * sum_j (|mag_j| + 1), 110 = _PREC - 3
-    slack = n * (n + sum(abs(e + bc) for _, _, e, bc in xs)) << (_WP - _PREC + 3)
+    n = len(mans)
     scale = n << _WP
+    slack += 3 + _TAYLOR_ERR
     out = []
     for i in range(n - 1):
         num = mans[i] ** (n - 1)
@@ -147,14 +156,59 @@ def _pi_log_kernel(xs):
         if t >> _WP:
             t >>= 1
             k += 1
-        K = k + n * exps[i] - esum                 # ratio = t * 2^(K - _WP)
+        K = k + offsets[i]                         # ratio = t * 2^(K - _WP)
         y = log_taylor(t, _WP) + K * ln2
-        err = 3 + _TAYLOR_ERR + abs(K) + slack
+        err = slack + abs(K)
         lo = (y - err) / scale
         if lo != (y + err) / scale:
             return None
         out.append(lo)
     return tuple(out)
+
+
+def _pi_log_kernel(xs):
+    """`pi_log` of positive raw mpf values from n - 1 logarithms of exact
+    coordinate ratios, n = len(xs), or None where the bound B of the module
+    docstring cannot certify its floats."""
+    n = len(xs)
+    exps = [x[2] for x in xs]
+    esum = sum(exps)
+    # n * B in units of 2^-_WP, B = 2^-110 * sum_j (|mag_j| + 1), 110 = _PREC - 3
+    slack = n * (n + sum(abs(e + bc) for _, _, e, bc in xs)) << (_WP - _PREC + 3)
+    return _ratio_floats([x[1] for x in xs], [n * e - esum for e in exps], slack)
+
+
+def _edge_images(xa, xb):
+    """`pi_log` of samples s = 1 .. EDGE_SAMPLES - 1 of the edge between
+    positive raw mpf values xa and xb, sample s being the `_mix`es of xa and
+    xb's coordinates.
+
+    One exact pass: each coordinate's two mantissas are shifted to a common
+    exponent once, A_j and B_j, and the ratio kernel logs sample s straight
+    from the exact integers s A_j + (EDGE_SAMPLES - s) B_j, which `_mix`
+    would round.  Its slack covers that rounding and bounds each sample's
+    magnitudes by the ends' (module docstring); a sample it declines goes
+    through `_sample_image` of the rounded mixes."""
+    n = len(xa)
+    ends, exps = [], []
+    mag = 0
+    for (_, ma, ea, bca), (_, mb, eb, bcb) in zip(xa, xb):
+        e = min(ea, eb)
+        ends.append((ma << (ea - e), mb << (eb - e)))
+        exps.append(e)
+        mag += max(abs(ea + bca), abs(eb + bcb))
+    esum = sum(exps)
+    offsets = [n * e - esum for e in exps]
+    # n * B with |mag_j| + 1 <= max(|mag_a_j|, |mag_b_j|) + 2, and the
+    # rounding term (n - 1) * 2^-120 * (1 + 2^-120)
+    slack = ((n * (2 * n + mag) << (_WP - _PREC + 3))
+             + ((n - 1) << (_WP - _MIX_PREC + 1)) + 1)
+    out = []
+    for s in range(1, EDGE_SAMPLES):
+        r = EDGE_SAMPLES - s
+        img = _ratio_floats([s * a + r * b for a, b in ends], offsets, slack)
+        out.append(img or _sample_image([_mix(x, y, s) for x, y in zip(xa, xb)]))
+    return out
 
 
 def _sample_image(xs):
@@ -219,9 +273,7 @@ def project_patch(patch):
         if (b, a) in edges:
             return edges[b, a][::-1]
         if (a, b) not in edges:
-            xa, xb = verts[a][0], verts[b][0]
-            edges[a, b] = [_sample_image([_mix(x, y, s) for x, y in zip(xa, xb)])
-                           for s in range(1, EDGE_SAMPLES)]
+            edges[a, b] = _edge_images(verts[a][0], verts[b][0])
         return edges[a, b]
 
     cells = []

@@ -387,18 +387,22 @@ class FieldElement:
         return guess
 
     def to_mpf_at(self, root_index, prec=113):
-        """High-precision float of the embedding value (diagnostics only)."""
+        """High-precision float of the embedding value (diagnostics only).
+
+        Horner's rule at the midpoint of a root bracket of width
+        2^-(prec + 16), on mpmath's raw layer: every integer, quotient,
+        product and sum is rounded to nearest at `prec` bits, the roundings
+        mpmath's `mpf` arithmetic makes under `workprec(prec)`."""
         import mpmath
+        from mpmath.libmp import fzero, mpf_add, mpf_mul
 
         width = Fraction(1, 2 ** (prec + 16))
         lo, hi = self.field.refine_root(root_index, width)
-        mid = (lo + hi) / 2
-        with mpmath.workprec(prec):
-            x = mpmath.mpf(mid.numerator) / mpmath.mpf(mid.denominator)
-            acc = mpmath.mpf(0)
-            for c in reversed(self.vec):
-                acc = acc * x + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            return acc
+        x = _raw_fraction((lo + hi) / 2, prec)
+        acc = fzero
+        for c in reversed(self.vec):
+            acc = mpf_add(mpf_mul(acc, x, prec, "n"), _raw_fraction(c, prec), prec, "n")
+        return mpmath.mp.make_mpf(acc)
 
     def interval_at(self, root_index, width):
         """A rational interval certainly containing the embedding value, read
@@ -443,5 +447,13 @@ def mpf_at(x, e, prec=113):
         return x.to_mpf_at(e, prec)
     import mpmath
 
-    with mpmath.workprec(prec):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return mpmath.mp.make_mpf(_raw_fraction(x, prec))
+
+
+def _raw_fraction(q, prec):
+    """Raw mpf of q's numerator over its denominator, each rounded to nearest
+    at `prec` bits, and then their quotient."""
+    from mpmath.libmp import from_int, mpf_div
+
+    return mpf_div(from_int(q.numerator, prec, "n"), from_int(q.denominator, prec, "n"),
+                   prec, "n")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -341,21 +342,28 @@ def test_nth_root_fraction_integer_roots():
 
 
 def _sweep_kernel_points(lat, kernel_gens, t):
-    """Reference: one exact in_sym_box test per multiplier of a float-bounded box."""
+    """Reference: one exact in_sym_box test per multiplier of a float-bounded
+    box.  Each multiplier is bounded on the generators' ambient images v: by
+    t / max_i |v_i| for one generator, and for a pair by Cramer's rule on its
+    largest 2 x 2 minor (rows a, b), |k1| <= t (|v2_a| + |v2_b|) / |det| and
+    |k2| <= t (|v1_a| + |v1_b|) / |det|."""
     if not kernel_gens:
         return []
     from kleinsail.numberfield import mpf_at
     n = lat.n
     fb = [[float(mpf_at(x, e, 60)) for x in row] for row, e in zip(lat.basis, lat.embeddings)]
     tf = lat.raw_window_interval(t)[1] / 2**64 * 1.01 + 1e-9
-    bounds = [max(1, int(tf / max(1e-12, max(abs(sum(fb[i][j] * g[j] for j in range(n)))
-                                            for i in range(n)))) + 2)
-              for g in kernel_gens]
-    grids = [range(-b, b + 1) for b in bounds]
-    ks_list = ([(k,) for k in grids[0]] if len(kernel_gens) == 1
-               else [(k1, k2) for k1 in grids[0] for k2 in grids[1]])
+    v = [[sum(fb[i][j] * g[j] for j in range(n)) for i in range(n)] for g in kernel_gens]
+    if len(kernel_gens) == 1:
+        bounds = [tf / max(abs(x) for x in v[0])]
+    else:
+        det, a, b = max((abs(v[0][a] * v[1][b] - v[0][b] * v[1][a]), a, b)
+                        for a in range(n) for b in range(a + 1, n))
+        bounds = [tf * (abs(v[1][a]) + abs(v[1][b])) / det,
+                  tf * (abs(v[0][a]) + abs(v[0][b])) / det]
+    grids = [range(-int(k) - 2, int(k) + 3) for k in bounds]
     out = []
-    for ks in ks_list:
+    for ks in itertools.product(*grids):
         c = tuple(sum(k * g[j] for k, g in zip(ks, kernel_gens)) for j in range(n))
         if any(c) and lat.in_sym_box(c, t):
             out.append(c)
@@ -376,6 +384,7 @@ def _golden_skew():
     (lambda: random_rational_lattice(3, 0), 30),
     (lambda: random_rational_lattice(3, 1), 30),
     (lambda: normalize_lattice([(1, 2, 0), (0, 1, 3), (5, 0, 1)]), 9),
+    (lambda: random_rational_lattice(3, 1, denom_limit=7), 12),
 ])
 def test_kernel_points_match_per_multiplier_sweep(make, t):
     from kleinsail.lattice import _kernel_rows, _row_points, _zero_coordinate_sublattice

@@ -460,6 +460,65 @@ def test_edge_mix_is_the_121_bit_sum():
     assert rounded_113_differs
 
 
+def _edge_cases(seed):
+    """(name, edges) groups for the edge kernel, an edge a pair of lists of
+    positive 113-bit raw values: generic ends, ends whose exponents differ by
+    100 or more, ends near 1, and ends whose samples cancel to an image at or
+    near 0."""
+    rng = random.Random(seed)
+    groups = {"generic": [], "far": [], "near_one": [], "cancel": []}
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        groups["generic"].append(([_raw_mpf(rng, 113) for _ in range(n)],
+                                  [_raw_mpf(rng, 113) for _ in range(n)]))
+        xa, xb = [], []
+        for _ in range(n):
+            x = _raw_mpf(rng, 113, 150)
+            y = from_man_exp((1 << 112) | rng.getrandbits(112),
+                             x[2] + rng.choice((1, -1)) * rng.randint(100, 200))
+            if rng.getrandbits(1):
+                x, y = y, x
+            xa.append(x)
+            xb.append(y)
+        groups["far"].append((xa, xb))
+        groups["near_one"].append(([_near_one(rng, 113, rng.randint(40, 60)) for _ in range(n)],
+                                   [_near_one(rng, 113, rng.randint(40, 60)) for _ in range(n)]))
+        # equal coordinates at both ends: every sample's image is exactly 0
+        x, y = _raw_mpf(rng, 113), _raw_mpf(rng, 113)
+        groups["cancel"].append(([x] * n, [y] * n))
+        # one common scale, relative spread below 2^-60: tiny images
+        e = rng.choice((-1, 1)) * rng.randint(150, 300)
+        base = [(1 << 112) | rng.getrandbits(112) for _ in range(2)]
+        groups["cancel"].append(tuple(
+            [from_man_exp(b + rng.getrandbits(rng.randint(20, 50)), e) for _ in range(n)]
+            for b in base))
+    return groups
+
+
+def test_edge_images_equal_pi_log_of_rounded_mixes(monkeypatch):
+    # every sample, from the edge kernel or its fallback, is bit for bit
+    # pi_log of the 121-bit mixes; the kernel answers every generic and far
+    # sample, most near 1 (as the vertex kernel does), and no cancelled one
+    fallback = []
+    sample_image = logplane._sample_image
+    monkeypatch.setattr(logplane, "_sample_image",
+                        lambda xs: fallback.append(xs) or sample_image(xs))
+    for name, edges in _edge_cases(18).items():
+        fallback.clear()
+        for xa, xb in edges:
+            assert len(xa) == len(xb)
+            want = [pi_log([mpmath.mp.make_mpf(logplane._mix(x, y, s)) for x, y in zip(xa, xb)])
+                    for s in range(1, EDGE_SAMPLES)]
+            assert logplane._edge_images(xa, xb) == want
+        samples = len(edges) * (EDGE_SAMPLES - 1)
+        if name == "cancel":
+            assert len(fallback) == samples
+        elif name == "near_one":
+            assert len(fallback) <= samples // 2
+        else:
+            assert not fallback
+
+
 def test_log_premises_of_the_kernel_bound():
     # mpf_log at 113 bits within 2^-112 |ln x| (1 ulp); log_taylor_cached at
     # _WP bits within _TAYLOR_ERR units; ln2_fixed within 1 unit
@@ -479,6 +538,13 @@ def test_log_premises_of_the_kernel_bound():
             exact = mpmath.log(mpmath.mpf(t) / mpmath.mpf(2) ** wp) * mpmath.mpf(2) ** wp
             assert abs(log_taylor_cached(t, wp) - exact) <= logplane._TAYLOR_ERR
         assert abs(ln2_fixed(wp) - mpmath.log(2) * mpmath.mpf(2) ** wp) < 1
+    # a mix rounded at 121 bits lies within 2^-121 of it, relatively
+    for _ in range(600):
+        m = rng.getrandbits(rng.randint(122, 400)) | 1
+        e = rng.randint(-300, 300)
+        _, man, exp, _ = from_man_exp(m, e, 121, "n")
+        assert abs(Fraction(man) * Fraction(2) ** exp - Fraction(m) * Fraction(2) ** e) \
+            <= Fraction(m) * Fraction(2) ** (e - 121)
 
 
 @pytest.mark.parametrize("k", range(3))

@@ -98,6 +98,50 @@ def test_to_mpf():
         assert abs(v - (mpmath.sqrt(2) - 1)) < mpmath.mpf(2) ** -90
 
 
+def _high_level_mpf_at(x, e, prec):
+    # mpmath's mpf arithmetic under workprec: Horner's rule at the root
+    # bracket's midpoint for a field element, one division for a Fraction
+    import mpmath
+
+    def quotient(q):
+        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+    with mpmath.workprec(prec):
+        if isinstance(x, Fraction):
+            return quotient(x)
+        lo, hi = x.field.refine_root(e, Fraction(1, 2 ** (prec + 16)))
+        mid = quotient((lo + hi) / 2)
+        acc = mpmath.mpf(0)
+        for c in reversed(x.vec):
+            acc = acc * mid + quotient(c)
+        return acc
+
+
+@pytest.mark.parametrize("prec", [60, 113, 200])
+def test_mpf_at_matches_high_level_horner(prec):
+    # bit for bit the high-level values, on operands longer than prec bits
+    # (numerator and denominator each rounded) and on field elements
+    import random
+
+    from kleinsail.numberfield import mpf_at
+
+    rng = random.Random(prec)
+    long_q = [Fraction(rng.getrandbits(prec + 40) | 1, rng.getrandbits(prec + 30) | 1)
+              * rng.choice((1, -1)) for _ in range(40)]
+    long_q += [Fraction((1 << (prec + 5)) + 1, 3), Fraction(-7, (1 << (prec + 9)) - 1),
+               Fraction(0), Fraction(5)]
+    cases = [(q, 0) for q in long_q]
+    for fld in (CUBIC49, GOLDEN):
+        elems = [fld.gen(), fld.one(), fld.gen() * fld.gen() - 3]
+        elems += [fld.element([rng.choice(long_q) for _ in range(fld.degree)]) for _ in range(8)]
+        cases += [(x, e) for x in elems for e in range(fld.degree)]
+    for x, e in cases:
+        want = _high_level_mpf_at(x, e, prec)
+        got = mpf_at(x, e, prec)
+        assert type(got) is type(want)
+        assert got._mpf_ == want._mpf_
+
+
 def test_quadratic_subcase_golden_value():
     # positive root of x^2 + x - 1 is (sqrt5 - 1)/2
     g = GOLDEN.gen()

@@ -593,6 +593,27 @@ def test_box_filter_exact_path_matches_enclosures(name, make, t):
                                                 for i in range(lat.n)) for c in got[0])
 
 
+def test_box_filter_refutes_an_enclosure_on_the_bound():
+    # golden alpha at T = 10^4: coordinate 1 of (0, +-T) is +-T, its
+    # enclosure and the window side both exactly 2^64 T, so the enclosure
+    # alone refutes |x_1| < T and the exact test never runs
+    from kleinsail.lattice import _iv_dot
+    from kleinsail.sail import _box_filter, _window_bounds
+    lat = lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1)
+    t = 10**4
+    calls = []
+    bounds = [(lo, hi, lambda c, i, below=below: calls.append((c, i)) or below(c, i))
+              for lo, hi, below in _window_bounds(lat, t)]
+    assert lat.raw_window_interval(t) == (t << 64, t << 64)
+    for c in ((0, t), (0, -t)):
+        partial = [_iv_dot(row, c) for row in lat.basis_interval_matrix()]
+        assert partial[1] == (c[1] << 64, c[1] << 64)
+        assert not lat.in_sym_box(c, t)
+        for min_sign in (-1, 0):
+            assert not _box_filter(lat, bounds, min_sign)(c, partial)
+    assert calls == []
+
+
 def _real_coeff_range(lat, boxes, u_inv, k):
     """Rational enclosures (lo, hi) of the least and of the greatest value of
     coefficient k of U^-1 B^-1 x over the box, from inverse entries enclosed
