@@ -32,9 +32,7 @@ from .linalg import lll_reduce
 # the benchmark's tracer wraps `irrationality_check` under this module's name
 from .lattice import irrationality_check  # noqa: F401
 from .numberfield import cmp_at, interval_at
-from .sail import (
-    DEFAULT_POINT_BUDGET, PointBudgetError, _enumerate_core, _window_minima, build_sail_patch,
-)
+from .sail import DEFAULT_POINT_BUDGET, PointBudgetError, _enumerate_core, build_sail_patch
 
 __all__ = [
     "norm_minimum_estimate", "vertex_phi_inf",
@@ -42,65 +40,25 @@ __all__ = [
 ]
 
 
-def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET, minimal=False, patches=None):
+def enumerate_sym_box(lat, t, budget=DEFAULT_POINT_BUDGET):
     """Nonzero lattice points of Q(t) = {max |x_i| < t}, exact.
 
-    No library code calls this whole-box mode; it stays as the tests'
-    brute-force reference for the irrationality witnesses, the norm minimum
-    and the T0 boxes.
-
-    With `minimal`, only the Pareto-minimal points of the closed windows
-    [0, t)^n of the 2^(n-1) orthant representatives, each once: Q(t) is the
-    union of these windows and their negatives, and every window point is
-    dominated by a minimal one, |y_i| <= |x_i| for every i.  Coefficients are
-    in the caller's basis, since orthant reflections keep them.  `patches`
-    maps each representative's sign tuple to its sail patch at window t; the
-    minima are then read from the patches instead of enumerated again.
+    No library code calls this: the norm estimate reads the orthant patches'
+    hull vertices.  It stays as the tests' brute-force reference for the
+    irrationality witnesses, the norm minimum and the T0 boxes.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    if not minimal:
-        hi = lat.raw_window_interval(t)[1]
-        boxes = [(-hi, hi)] * lat.n
-        return list(_enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), -1),
-                                    budget))
-    reps = orthant_representatives(lat.n)
-    if patches is not None and set(patches) != {tuple(s) for s in reps}:
-        raise ValueError("need one patch per orthant representative")
-    pts = []
-    for signs in reps:
-        refl = lat.reflect(signs)
-        if patches is None:
-            pts.extend(_window_minima(refl, t, budget=budget)[1])
-            continue
-        p = patches[tuple(signs)]
-        if p.t != t or p.lattice.to_json() != refl.to_json():
-            raise ValueError(f"patch for {tuple(signs)} is not this lattice's closed "
-                             f"window at {t}")
-        pts.extend(p.minima)
-    return list(dict.fromkeys(pts))
+    hi = lat.raw_window_interval(t)[1]
+    boxes = [(-hi, hi)] * lat.n
+    return list(_enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), -1), budget))
 
 
-def norm_minimum_estimate(lat, t, budget=DEFAULT_POINT_BUDGET, patches=None):
-    """Exact minimum of |phi| over the nonzero lattice points of Q(t).
-
-    An upper bound for the norm minimum, non-increasing in t.  Returns
-    (value, witness coefficients).  The value is a nonnegative Fraction, or
-    a nonnegative FieldElement for single-field lattices; the witness is in
-    the caller's basis.
-
-    Only the minimal points of `enumerate_sym_box` are searched, not the
-    whole box: if |y_i| <= |x_i| for every i then |phi(y)| <= |phi(x)|, and x
-    and -x have the same |phi|, so the two minima agree.  `patches` (the
-    audit's orthant patches at window t) saves enumerating the windows again.
-    """
-    pts = enumerate_sym_box(lat, t, budget, minimal=True, patches=patches)
-    if not pts:
-        raise ValueError("window contains no nonzero lattice points")
-    best = None
-    best_c = None
-    for c in pts:
+def _least_abs_phi(lat, coeffs):
+    """(least |phi| over the points `coeffs`, the first point reaching it)."""
+    best = best_c = None
+    for c in coeffs:
         v = lat.phi(c)
         if lat.scalar_sign(v) < 0:
             v = -v
@@ -109,18 +67,53 @@ def norm_minimum_estimate(lat, t, budget=DEFAULT_POINT_BUDGET, patches=None):
     return best, best_c
 
 
+def norm_minimum_estimate(lat, t, budget=DEFAULT_POINT_BUDGET, patches=None):
+    """Exact minimum of |phi| over the nonzero lattice points of Q(t).
+
+    An upper bound for the norm minimum, non-increasing in t.  Returns
+    (value, witness coefficients).  The value is a nonnegative Fraction, or
+    a nonnegative FieldElement for single-field lattices; the witness is in
+    the caller's basis.  `patches` maps each orthant representative's sign
+    tuple to its sail patch at window t, as the audit passes them; they are
+    built here otherwise, so an empty window raises ValueError.
+
+    The value is the least |phi| over the patches' hull vertices.  Q(t)'s
+    nonzero points are those of the windows W = [0, t)^n of the 2^(n-1)
+    representatives and their negatives; x and -x have the same |phi|, and
+    reflections keep coefficients.  On W, |phi| is a positive multiple of
+    g^n, g(x) = (x_1...x_n)^(1/n), concave and nondecreasing on the closed
+    orthant.  A point of P = conv(W) + orthant is a convex mix of P's
+    vertices plus a vector >= 0, so g is least over W at a vertex v of P.
+    v is Pareto-minimal in W, and a strictly positive functional a is least
+    over P at v alone: take a inside P's normal cone at v, whose interior is
+    not empty and lies in the open orthant.  `build_sail_patch` hulls W's
+    Pareto set and closure points mu*r, in coefficients, a linear image.
+    Premise: every closure point is componentwise >= t in normalized
+    coordinates.  Then a is larger on each than at v, whose coordinates are
+    < t, so v is one of `hull_vertices`, and the other hull vertices, points
+    of W, read no lower.  The premise does not follow from mu's definition,
+    which bounds nothing about a closure ray's image from below;
+    `test_closure_points_lie_beyond_the_window` checks it.
+    """
+    t = Fraction(t)
+    reps = [tuple(s) for s in orthant_representatives(lat.n)]
+    if patches is None:
+        patches = {s: build_sail_patch(lat.reflect(s), t, budget) for s in reps}
+    if set(patches) != set(reps):
+        raise ValueError("need one patch per orthant representative")
+    for s in reps:
+        p = patches[s]
+        if p.t != t or p.lattice.to_json() != lat.reflect(s).to_json():
+            raise ValueError(f"patch for {s} is not this lattice's closed window at {t}")
+    return _least_abs_phi(lat, (c for s in reps for c in patches[s].hull_vertices))
+
+
 def vertex_phi_inf(patch):
-    """Exact minimum of phi over the patch's certified vertices."""
+    """Exact minimum of phi (>= 0 on the closed orthant) over the patch's certified vertices."""
     verts = patch.certified_vertices()
     if not verts:
         raise ValueError("patch has no certified vertices")
-    lat = patch.lattice
-    best = None
-    for c in verts:
-        v = lat.phi(c)
-        if best is None or lat.scalar_cmp(v, best) < 0:
-            best = v
-    return best
+    return _least_abs_phi(patch.lattice, verts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +269,8 @@ def theorem1_audit(lat, t, budget=DEFAULT_POINT_BUDGET):
     Builds the sail patch of every combinatorially distinct orthant (the
     2^n orthants collapse to 2^(n-1) by central symmetry), collects the
     facet-determinant maxima across them, the facet and edge-star maxima of
-    the positive orthant, and the norm-minimum estimate, which searches the
-    Pareto-minimal window points the patches have already found.
+    the positive orthant, and the norm-minimum estimate, which reads the
+    hull vertices of these patches.
     """
     t = Fraction(t)
     orthants = []

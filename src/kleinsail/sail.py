@@ -806,7 +806,8 @@ class SailPatch:
     lattice: Lattice
     t: Fraction
     facets: list
-    hull_vertices: list       # coeff tuples of window-hull vertices (sorted)
+    hull_vertices: list       # coeff tuples of window-hull vertices (sorted); they hold
+                              # every vertex of conv(window) + orthant (`norm_minimum_estimate`)
     edges: list               # sorted coeff-tuple pairs with >= 1 certified facet
     stars: dict               # coeff tuple -> EdgeStar (hull vertices on certified facets)
     irrationality: object
@@ -814,7 +815,6 @@ class SailPatch:
                               # seed scan, plus the sail walk's points), not all window points
     pruned: int
     budget: int
-    minima: tuple = ()        # Pareto-minimal window points (coeff tuples)
 
     @property
     def n(self):
@@ -993,7 +993,7 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
         lattice=lat, t=t, facets=facets,
         hull_vertices=sorted(hull_vertex_set),
         edges=[], stars={}, irrationality=report,
-        enumerated=enumerated, pruned=pruned, budget=budget, minima=tuple(kept),
+        enumerated=enumerated, pruned=pruned, budget=budget,
     )
     _attach_edges_and_stars(patch)
     return patch

@@ -13,6 +13,7 @@ from kleinsail.lattice import (
     CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, Lattice,
     lattice_from_alpha, lattice_from_cubic_field, random_rational_lattice,
 )
+from kleinsail.normmin import norm_minimum_estimate
 from kleinsail.numberfield import NumberField
 from kleinsail.sail import EdgeStar, build_sail_patch
 from shared_lattices import golden_module
@@ -152,9 +153,12 @@ def test_det_invariance_under_unimodular_basis_change(make, t):
     def remap(c):  # B' c' = B (U c')
         return tuple(sum(u[i][j] * c[j] for j in range(n)) for i in range(n))
 
+    reps1, reps2 = {}, {}  # the orthant representatives' patches
     for signs in product((1, -1), repeat=n):
         p1 = build_sail_patch(base.reflect(signs), t)
         p2 = build_sail_patch(rebased.reflect(signs), t)
+        if signs[0] == 1:
+            reps1[signs], reps2[signs] = p1, p2
         f1 = {f.vertices: (det_facet(f), f.dist) for f in p1.certified_facets()}
         f2 = {tuple(sorted(remap(c) for c in f.vertices)): (det_facet(f), f.dist)
               for f in p2.certified_facets()}
@@ -162,6 +166,10 @@ def test_det_invariance_under_unimodular_basis_change(make, t):
         s1 = {c: det_edge_star(p1.stars[c]) for c in p1.complete_star_vertices()}
         s2 = {remap(c): det_edge_star(p2.stars[c]) for c in p2.complete_star_vertices()}
         assert s1 == s2
+    # and the norm estimate's value (phi is irrational on the golden module)
+    if base.scale_d is not None:
+        assert (norm_minimum_estimate(base, t, patches=reps1)[0]
+                == norm_minimum_estimate(rebased, t, patches=reps2)[0])
 
 
 def test_scaled_field_lattice_matches_unscaled():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from kleinsail.lattice import (
-    CUBIC49_MINPOLY, SQRT2M1_MINPOLY, lattice_from_alpha, lattice_from_cubic_field,
-    normalize_lattice, random_rational_lattice,
+    CUBIC49_MINPOLY, GOLDEN_MINPOLY, SQRT2M1_MINPOLY, lattice_from_alpha,
+    lattice_from_cubic_field, normalize_lattice, random_rational_lattice,
 )
 from kleinsail.contfrac import cf_value
 from kleinsail.numberfield import NumberField, cmp_at
@@ -66,12 +66,74 @@ def test_module_2d_non_square_discriminant_is_refused(run):
         run(lat, 10)
 
 
-def test_estimate_matches_sym_box_random_rational():
-    lat = random_rational_lattice(3, 0)
-    val, witness = norm_minimum_estimate(lat, 8)
-    best = min(abs(lat.phi(c)) for c in enumerate_sym_box(lat, 8))
+@pytest.mark.parametrize("make, t", [
+    (lambda: random_rational_lattice(3, 0), 8),
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 6),
+    (lambda: random_rational_lattice(3, 1, denom_limit=7), 10),
+    (lambda: random_rational_lattice(2, 1), 20),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 20),
+], ids=["rational3-0-8", "cubic49-6", "rational3-d7-1-10", "rational2-1-20", "alpha-13/34-20"])
+def test_estimate_matches_sym_box_random_rational(make, t):
+    # the least |phi| over the patches' hull vertices is the least over the
+    # whole box Q(t)
+    lat = make()
+    val, witness = norm_minimum_estimate(lat, t)
+    best = min(abs(lat.phi(c)) for c in enumerate_sym_box(lat, t))
     assert val == best == abs(lat.phi(witness))
-    assert lat.in_sym_box(witness, 8)
+    assert lat.in_sym_box(witness, t)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_estimate_matches_window_pareto_sets(k):
+    # the reference is the least |phi| over every representative's window
+    # Pareto set, which dominates the window.  The certified vertices alone
+    # do not give it here, since some lie past the window
+    from kleinsail.sail import _window_minima
+    lat, t = random_rational_lattice(3, k), 30
+    reps = orthant_representatives(3)
+    want = min(abs(lat.phi(c)) for s in reps for c in _window_minima(lat.reflect(s), t)[1])
+    val, witness = norm_minimum_estimate(lat, t)
+    assert val == want == abs(lat.phi(witness))
+    certified = [c for s in reps for c in build_sail_patch(lat.reflect(s), t).certified_vertices()]
+    assert min(abs(lat.phi(c)) for c in certified) != val
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), 20),
+    (lambda: random_rational_lattice(3, 0), 30),
+    (lambda: random_rational_lattice(3, 1, denom_limit=7), 60),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 40),
+    (lambda: lattice_from_alpha(NumberField(GOLDEN_MINPOLY).gen(), root_index=1), 10**4),
+    (golden_module, 60),
+], ids=["cubic49-20", "rational3-0-30", "rational3-d7-1-60", "alpha-13/34-40",
+        "golden-alpha-10000", "golden-module-60"])
+def test_closure_points_lie_beyond_the_window(make, t):
+    # the premise of `norm_minimum_estimate`'s proof, which mu's definition
+    # does not give: every closure point of the patch is componentwise >= t
+    # in normalized coordinates, in every orthant representative
+    from kleinsail.sail import _closure_rays, _window_minima
+    base = make()
+    n = base.n
+    for signs in orthant_representatives(n):
+        lat = base.reflect(signs)
+        patch = build_sail_patch(lat, t)
+        kept = _window_minima(lat, t)[1]
+        mu = 10**6 * (1 + max(abs(x) for c in kept for x in c)) ** (n + 1)
+        far = {tuple(mu * x for x in r) for r in _closure_rays(lat)}
+        assert far <= {c for f in patch.facets if f.artificial for c in f.cycle}
+        for c in far:
+            assert all(lat.coord_sign(c, i) > 0 and not lat.coord_abs_lt(c, i, t)
+                       for i in range(n)), (signs, c)
+
+
+@pytest.mark.parametrize("run", [norm_minimum_estimate, theorem1_audit])
+@pytest.mark.parametrize("make, t", [
+    (lambda: lattice_from_cubic_field(CUBIC49_MINPOLY), Fraction(1, 2)),
+    (lambda: lattice_from_alpha(Fraction(13, 34)), 1),
+], ids=["cubic49", "alpha-13/34"])
+def test_empty_window_is_refused(make, t, run):
+    with pytest.raises(ValueError, match="^window contains no lattice points$"):
+        run(make(), t)
 
 
 def test_estimate_checks_the_patches_it_reuses():

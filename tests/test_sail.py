@@ -287,13 +287,16 @@ def test_patch_supports_come_from_the_hull(make, t):
     # every window facet off the origin has a primitive support taking the
     # value dist on its cycle, and the Pareto minima lie on one side of its
     # plane: the far side from the origin, w . c >= dist, when it is certified
-    patch = build_sail_patch(make(), t)
+    from kleinsail.sail import _window_minima
+    lat = make()
+    patch = build_sail_patch(lat, t)
+    minima = _window_minima(lat, t)[1]
     facets = [f for f in patch.facets if not f.artificial and f.dist > 0]
     assert any(f.certified for f in facets)
     for f in facets:
         assert math.gcd(*f.support) == 1
         assert {_dot(f.support, v) for v in f.cycle} == {f.dist}
-        levels = [_dot(f.support, c) for c in patch.minima]
+        levels = [_dot(f.support, c) for c in minima]
         assert min(levels) == f.dist or (not f.certified and max(levels) == f.dist)
 
 
@@ -933,7 +936,8 @@ def test_window_certification_equals_full_walk(make, t, monkeypatch):
     from kleinsail import sail
     lat = make()
     patch = build_sail_patch(lat, t)
-    window = (patch.t, patch.minima)
+    minima = sail._window_minima(lat, t)[1]
+    window = (patch.t, minima)
     facets = [f for f in patch.facets if not f.artificial and f.support]
     assert facets
     for f in facets:
@@ -941,7 +945,7 @@ def test_window_certification_equals_full_walk(make, t, monkeypatch):
         assert (f.certified, f.reason) == (ok, reason)
         if ok:
             assert f.vertices == tuple(sorted(sail._extreme_on_plane(on_plane, f.support, lat.n)))
-            assert f.extended == (not set(on_plane) <= set(patch.minima))
+            assert f.extended == (not set(on_plane) <= set(minima))
         got = certify_facet(lat, f.support, f.dist, _window=window)
         assert got[:2] == (ok, reason)
         assert set(got[2]) <= set(on_plane) and set(got[3]) <= set(below)
@@ -959,7 +963,7 @@ def test_window_certification_equals_full_walk(make, t, monkeypatch):
     for f in certified:
         ok, reason, _, below = certify_facet(lat, f.support, f.dist + 1, _window=window)
         assert not ok and reason == "lattice points strictly below the supporting plane"
-        assert set(f.vertices) & set(patch.minima) <= set(below) <= set(patch.minima)
+        assert set(f.vertices) & set(minima) <= set(below) <= set(minima)
 
 
 def _exact_lex_sorted(lat, pts):
