@@ -15,9 +15,9 @@ side (`raw_window_interval`), the boxes of the enumerator's scans and the
 kernel rows of `irrationality_check`.  `_narrowed` is the one routine that
 narrows a multiplier range on such bounds, and `_box_filter` the one test of
 membership in a window or box: every scan of `sail` and `normmin`, the
-kernel rows and the 2D sail walk decide by it.  No float decides anything here:
-the only floats are the random draws of `random_rational_lattice`, made
-exact convergents at once.
+kernel rows, the 2D sail walk and `detect_periodicity` decide by it.  No
+float decides anything here: the only floats are the random draws of
+`random_rational_lattice`, made exact convergents at once.
 
 Only two decisions depend on how the rows relate, and both read it from the
 data:
@@ -160,7 +160,8 @@ def _box_filter(lat, bounds, min_sign):
     """The one leaf filter of every window or box membership: c != 0, and
     for every coordinate i, sign(x_i) >= min_sign and, where bounds[i] is
     given, |x_i| < b_i.  Every `_enumerate_core` scan, the kernel rows of
-    `irrationality_check` and the 2D sail walk decide by it.
+    `irrationality_check`, the 2D sail walk and `detect_periodicity` decide
+    by it.
 
     min_sign -1 allows any sign, 0 is the closed orthant and 1 the open one.
     bounds[i] = (lo, hi, below): lo <= 2^64 b_i <= hi certainly, and
@@ -391,11 +392,6 @@ class Lattice:
         """Exact sign of (coordinate i of a) - (coordinate i of b)."""
         diff = tuple(x - y for x, y in zip(coeffs_a, coeffs_b))
         return self.coord_sign(diff, i)
-
-    def in_positive_window(self, coeffs, t):
-        """All normalized coordinates in [0, t)."""
-        return all(self.coord_sign(coeffs, i) >= 0 and self.coord_abs_lt(coeffs, i, t)
-                   for i in range(self.n))
 
     def in_sym_box(self, coeffs, t):
         """All normalized coordinates have |x_i| < t (the box Q(t)), exact.

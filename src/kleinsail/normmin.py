@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .determinants import det_report
+from .determinants import det_facet, det_report
 from .lattice import _ENUM_SHIFT, OrthantSign, _box_filter, _root_bounds, _window_bounds
 from .linalg import lll_reduce
 # the benchmark's tracer wraps `irrationality_check` under this module's name
@@ -136,8 +136,6 @@ def _rotated_box_violations(lat, facet, budget=DEFAULT_POINT_BUDGET):
     are its nonzero closed-orthant points with a zero coordinate, which the
     boundary policy leaves out.  Both are sorted coefficient tuples.
     """
-    from .determinants import det_facet
-
     n = lat.n
     w = facet.support
     det_f = det_facet(facet)

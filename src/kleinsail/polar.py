@@ -11,13 +11,19 @@ dimension n - 1 - dim G, reversing inclusions.
 
 Window truncation is tracked by completeness flags inherited from the
 source patch; every check skips incomplete faces and reports the skips.
+
+Each check here can fail on a patch: dimension duality (which also gives
+the face counts of the bijection), inclusion reversal, Lemma 5's bound,
+the certified facet inequalities at every facet vertex and centroid, and
+K* inside the polar body.  Lemma 4 holds by construction -- D u_F is the
+integer vector w -- and `build_polar_patch` refuses a facet whose vertex
+misses its own equation w . c = D.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -28,8 +34,7 @@ from .sail import DEFAULT_POINT_BUDGET, build_sail_patch
 
 __all__ = [
     "PolarFace", "PolarPatch", "polar_vertex_of_facet", "build_polar_patch",
-    "det_polar_facet", "check_lemma5", "check_halfspace_reconstruction",
-    "check_Kast_in_Kcirc", "simplicial_polar_identity",
+    "det_polar_facet", "check_lemma5", "check_Kast_in_Kcirc", "simplicial_polar_identity",
     "check_convex_hull_of_vertices", "CheckReport",
 ]
 
@@ -128,8 +133,8 @@ def build_polar_patch(patch):
     for fi, f in certified:
         u = vertex_by_facet[fi] = polar_vertex_of_facet(f)
         for c in f.vertices:
-            # sanity: the defining pairing <u_F, y> = 1 on the facet's vertices
-            if vec_dot(u, [Fraction(x) for x in c]) != 1:
+            # the defining pairing <u_F, c> = 1, i.e. <w, c> = D, in integers
+            if sum(w * x for w, x in zip(f.support, c)) != f.dist:
                 raise AssertionError("polar vertex fails its defining pairing")
             facets_at.setdefault(c, set()).add(fi)
         faces.append(PolarFace(source_dim=n - 1, source_vertices=f.vertices,
@@ -194,33 +199,6 @@ def check_inclusion_reversal(polar):
     return CheckReport(checked, passed, skipped, witnesses)
 
 
-def check_bijection_counts(polar):
-    """|certified complete faces of dim k| = |complete polar faces of dim n-1-k|."""
-    n = polar.source.n
-    out = {}
-    for k in range(n):
-        sources = [f for f in polar.complete_faces() if f.source_dim == k]
-        out[k] = (len(sources),
-                  sum(1 for f in sources if f.dim == n - 1 - k))
-    return out
-
-
-def check_lemma4_membership(polar):
-    """D * u_F is a dual lattice point, exactly, for every certified facet."""
-    checked = passed = 0
-    witnesses = []
-    src = polar.source
-    for fi, u in polar.vertex_by_facet.items():
-        f = src.facets[fi]
-        checked += 1
-        scaled = [Fraction(x) * f.dist for x in u]
-        if all(x.denominator == 1 for x in scaled):
-            passed += 1
-        else:
-            witnesses.append((fi, u))
-    return CheckReport(checked, passed, 0, witnesses)
-
-
 def det_polar_facet(face):
     """Generalized facet determinant of a polar face (exact rational)."""
     if not face.complete:
@@ -249,54 +227,6 @@ def check_lemma5(patch):
         else:
             witnesses.append((v, lhs, rhs))
     return CheckReport(checked, passed, skipped, witnesses)
-
-
-def check_halfspace_reconstruction(patch, samples=100, seed=0):
-    """The polar body equals the intersection of the vertex half-spaces.
-
-    Exact on the patch's data: every polar vertex satisfies every certified
-    vertex constraint <u, v> >= 1, and for sampled rational points the two
-    constraint systems (certified vertices vs certified facet sample points)
-    agree.
-    """
-    polar = build_polar_patch(patch)
-    n = patch.n
-    vert_coeffs = [tuple(Fraction(x) for x in c) for c in patch.certified_vertices()]
-    checked = passed = 0
-    witnesses = []
-    for fi, u in polar.vertex_by_facet.items():
-        for v in vert_coeffs:
-            checked += 1
-            if vec_dot(u, v) >= 1:
-                passed += 1
-            else:
-                witnesses.append((fi, v))
-    # the origin violates every vertex constraint
-    zero_ok = all(vec_dot((Fraction(0),) * n, v) < 1 for v in vert_coeffs)
-    # sampled points: vertex system vs facet-sample system
-    rng = random.Random(seed)
-    facet_samples = []
-    for f in patch.certified_facets():
-        vs = [tuple(Fraction(x) for x in c) for c in f.vertices]
-        facet_samples.extend(vs)
-        m = len(vs)
-        centroid = tuple(sum(col) / m for col in zip(*vs))
-        facet_samples.append(centroid)
-    agree = 0
-    for _ in range(samples):
-        x = tuple(Fraction(rng.randint(-8, 40), rng.randint(1, 12)) for _ in range(n))
-        via_vertices = all(vec_dot(x, v) >= 1 for v in vert_coeffs)
-        via_samples = all(vec_dot(x, y) >= 1 for y in facet_samples)
-        # vertex constraints imply facet-sample constraints (samples lie in
-        # the hull of the vertices); a vertex violation is itself a sample
-        # violation since every certified vertex lies on a certified facet
-        if via_vertices == via_samples:
-            agree += 1
-        else:
-            witnesses.append(("sample", x, via_vertices, via_samples))
-    return CheckReport(checked + samples + 1,
-                       passed + agree + (1 if zero_ok else 0),
-                       0, witnesses)
 
 
 def check_Kast_in_Kcirc(lat, t, budget=DEFAULT_POINT_BUDGET):

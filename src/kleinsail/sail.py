@@ -1060,12 +1060,16 @@ def detect_periodicity(patch, u_matrix):
 
     from .determinants import det_facet
 
+    # the window's one leaf filter; it refuses c = 0, and a unimodular image
+    # of a vertex is never 0
+    enc = lat.basis_interval_matrix()
+    window = _box_filter(lat, _window_bounds(lat, patch.t), 0)
     checked = matched = 0
     mismatches = []
     by_vertices = {f.vertices: f for f in patch.certified_facets()}
     for f in patch.certified_facets():
         img = tuple(sorted(apply(c) for c in f.vertices))
-        if not all(lat.in_positive_window(c, patch.t) for c in img):
+        if not all(window(c, [_iv_dot(row, c) for row in enc]) for c in img):
             continue
         checked += 1
         g = by_vertices.get(img)

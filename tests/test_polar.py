@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,11 +11,10 @@ from kleinsail.lattice import (
 )
 from kleinsail.numberfield import NumberField
 from kleinsail.polar import (
-    build_polar_patch, check_bijection_counts, check_convex_hull_of_vertices,
-    check_dimension_duality, check_halfspace_reconstruction,
-    check_inclusion_reversal, check_Kast_in_Kcirc, check_lemma4_membership,
-    check_lemma5, det_polar_facet, polar_vertex_of_facet,
-    simplicial_polar_identity, PolarFace,
+    build_polar_patch, check_convex_hull_of_vertices, check_dimension_duality,
+    check_inclusion_reversal, check_Kast_in_Kcirc, check_lemma5,
+    det_polar_facet, polar_vertex_of_facet, simplicial_polar_identity,
+    PolarFace, PolarPatch,
 )
 from kleinsail.sail import build_sail_patch
 
@@ -61,10 +61,13 @@ def test_polar_patch_2d_structure(golden_patch):
 
 
 def test_polar_bijection_counts(cubic_patch):
+    # the complete faces of each source dimension k map to polar faces of
+    # dimension n - 1 - k, one for one
     polar = build_polar_patch(cubic_patch)
-    counts = check_bijection_counts(polar)
-    for k, (n_src, n_matching) in counts.items():
-        assert n_src == n_matching
+    for k in range(cubic_patch.n):
+        faces = [f for f in polar.complete_faces() if f.source_dim == k]
+        rep = check_dimension_duality(PolarPatch(polar.source, polar.vertex_by_facet, faces))
+        assert rep.ok and rep.checked == len(faces) > 0
 
 
 def test_inclusion_reversal_3d(cubic_patch):
@@ -81,20 +84,33 @@ def test_dimension_duality_3d(cubic_patch):
 
 
 def test_lemma4_membership(cubic_patch):
-    polar = build_polar_patch(cubic_patch)
-    rep = check_lemma4_membership(polar)
-    assert rep.ok
-    assert rep.checked == len(cubic_patch.certified_facets())
+    # D u_F is the integer vector w: a point of the dual lattice
+    facets = cubic_patch.certified_facets()
+    assert facets
+    for f in facets:
+        assert tuple(f.dist * x for x in polar_vertex_of_facet(f)) == f.support
 
 
 def test_halfspace_reconstruction(golden_patch):
-    rep = check_halfspace_reconstruction(golden_patch, samples=100, seed=3)
-    assert rep.ok
+    rep = check_convex_hull_of_vertices(golden_patch)
+    assert rep.ok and rep.checked > 0
 
 
 def test_halfspace_reconstruction_cubic(cubic_patch):
-    rep = check_halfspace_reconstruction(cubic_patch, samples=40, seed=5)
-    assert rep.ok
+    rep = check_convex_hull_of_vertices(cubic_patch)
+    assert rep.ok and rep.checked > 0
+
+
+def test_hull_check_fails_on_a_raised_distance(cubic_patch):
+    # a facet whose D is raised by 1 misses its own vertices: w . c = D < D + 1
+    fi, f = next((i, f) for i, f in enumerate(cubic_patch.facets) if f.certified)
+    facets = list(cubic_patch.facets)
+    facets[fi] = dataclasses.replace(f, dist=f.dist + 1)
+    rep = check_convex_hull_of_vertices(dataclasses.replace(cubic_patch, facets=facets))
+    assert not rep.ok
+    assert f.support in {support for _, support, _ in rep.witnesses}
+    with pytest.raises(AssertionError, match="defining pairing"):
+        build_polar_patch(dataclasses.replace(cubic_patch, facets=facets))
 
 
 def test_kast_in_kcirc_2d_equality():

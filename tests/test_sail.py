@@ -153,6 +153,11 @@ def test_cubic_patch_certification_and_distances(cubic_patch):
             assert sum(a * b for a, b in zip(w, c)) >= d
 
 
+def _in_closed_window(lat, c, t):
+    """c lies in the window [0, t)^n, decided by the exact reference tests."""
+    return lat.in_sym_box(c, t) and all(lat.coord_sign(c, i) >= 0 for i in range(lat.n))
+
+
 def _window_points(lat, t, closed=True):
     """Every window point, mapped to its enclosures (the window (0, t)^n
     without `closed`)."""
@@ -508,7 +513,7 @@ def test_detect_periodicity_over_one_embedding(golden_patch):
     lat, t = golden_patch.lattice, golden_patch.t
     res = detect_periodicity(golden_patch, [[1, 0], [0, 1]])
     in_window = [f for f in golden_patch.certified_facets()
-                 if all(lat.in_positive_window(c, t) for c in f.vertices)]
+                 if all(_in_closed_window(lat, c, t) for c in f.vertices)]
     assert res["verdict"] and not res["mismatches"]
     assert res["checked"] == res["matched"] == len(in_window) > 0
     # B = ((1, 0), (1 - alpha, 1)): entry (1, 0) of B U B^-1 is -(1 - alpha)^2
@@ -732,7 +737,7 @@ def test_line_minima_match_full_window(name, make, t, seed):
         lat = lat0.reflect(signs)
         minima = _enumerate_window(lat, t, 10**6)
         assert minima and len(set(minima)) == len(minima)
-        assert all(lat.in_positive_window(c, t) for c in minima)
+        assert all(_in_closed_window(lat, c, t) for c in minima)
         full = _window_points(lat, t)
         assert len(minima) < len(full)
         assert sorted(_pareto_minimal(lat, minima)) == sorted(_pareto_oracle(lat, full))
