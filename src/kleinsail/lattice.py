@@ -47,7 +47,9 @@ from heapq import merge
 from itertools import combinations, groupby, islice
 from math import ceil, floor, isqrt, lcm
 
-from .linalg import det, mat_inverse, mat_mul, transpose
+from .linalg import (
+    det, mat_inverse, mat_mul, primitive_int_vector, transpose, unimodular_completion,
+)
 from .numberfield import (
     FieldElement, NumberField, _as_fraction, cmp_at, interval_at, sign_at,
 )
@@ -756,8 +758,10 @@ def _zero_coordinate_sublattice(lat, i, kernels=None):
 
     The coordinate sum_j B[i][j] c_j vanishes iff each of its rational
     power-basis coordinates does (a Fraction is its own single coordinate):
-    intersect the integer kernels of those rows.  For a module lattice the
-    generators are independent over Q, so the kernel is trivial.
+    intersect the integer kernels of those rows, one row at a time by
+    `_intersect_kernels`, whose one integer Euclid is `unimodular_completion`'s.
+    For a module lattice the generators are independent over Q, so the
+    kernel is trivial.
     """
     n = lat.n
     vecs = [x.vec if isinstance(x, FieldElement) else (x,) for x in lat.basis[i]]
@@ -774,22 +778,16 @@ def _zero_coordinate_sublattice(lat, i, kernels=None):
 
 
 def _intersect_kernels(gens, introw):
-    """Restrict a kernel lattice (given by generators) by one more row."""
+    """Restrict a kernel lattice, given by generators, by one more integer
+    row.  The combinations of the generators that the row sends to 0 are the
+    integer kernel of their values' primitive vector v: with (U, U^-1) =
+    `unimodular_completion(v)`, every row of U^-1 but the last is orthogonal
+    to U's last column v, and together those rows span that kernel."""
     vals = [sum(r * g for r, g in zip(introw, gen)) for gen in gens]
-    m = len(gens)
-    cols = [list(g) for g in gens]
-    v = list(vals)
-    while True:
-        nz = [j for j in range(m) if v[j] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda j: abs(v[j]))
-        j0 = nz[0]
-        for j in nz[1:]:
-            q = v[j] // v[j0]
-            v[j] -= q * v[j0]
-            cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-    return [tuple(cols[j]) for j in range(m) if v[j] == 0]
+    if not any(vals):
+        return gens
+    _, u_inv = unimodular_completion(primitive_int_vector(vals))
+    return mat_mul(u_inv[:-1], gens)
 
 
 def irrationality_check(lat, t):

@@ -15,7 +15,7 @@ from math import gcd
 __all__ = [
     "det", "mat_inverse", "mat_vec", "mat_mul", "transpose", "solve",
     "identity", "vec_dot", "vec_sub", "primitive_int_vector", "gcd_vector",
-    "affine_rank", "unimodular_completion", "lll_reduce",
+    "affine_rank", "unimodular_completion", "lll_reduce", "subset_det_sum",
 ]
 
 

@@ -13,13 +13,16 @@ sample's coordinates are lambda*x(a) + (1 - lambda)*x(b) from its vertices'
 values, lambda = s/EDGE_SAMPLES with EDGE_SAMPLES a power of two: one exact
 integer, rounded once at 121 bits.  Both terms are positive, so samples
 are positive by convexity, with relative error at most their vertices'
-plus 2^-120.  Comparison tolerances are fixed constants.
+plus 2^-120.  A vertex x is sample EDGE_SAMPLES of the edge (x, x), which
+is x exactly: its mantissa of at most 113 bits fits in 121.  Comparison
+tolerances are fixed constants.
 
 `pi_log` is the reference image: n logarithms at 113 bits in mpmath's raw
 layer, their mean and differences, each rounded, then rounded to floats.
-Vertices and edge samples go through an exact fixed-point kernel
-(`_ratio_floats`) that returns the same floats bit for bit, or declines,
-and only then falls back to `pi_log`:
+Every image, vertex or edge sample, comes from one exact kernel entry,
+`_mix_images`: it reads an edge's samples in one integer pass and returns
+`pi_log`'s floats of the rounded samples bit for bit, or declines a
+sample, which then goes to `pi_log` of its `_mix`:
 
 - **The ratio identity.**  Coordinate i of the image is
   Y_i = ln(x_i^(n-1) / prod_{j != i} x_j) / n, so n - 1 logarithms of exact
@@ -31,26 +34,23 @@ and only then falls back to `pi_log`:
   exact logarithm (it works with 20 guard bits), and `log_taylor_cached`
   and `ln2_fixed` within _TAYLOR_ERR and 1 units of 2^-_WP; the tests check
   all three on seeded inputs.  mpmath's add, sub and div are correctly
-  rounded, so `pi_log`'s 113-bit difference d_i lies within
-  3 * 2^-112 * A < B = 2^-110 * A of Y_i, A = sum_j |ln x_j| <=
-  ln 2 * sum_j (|mag_j| + 1), mag_j the binary magnitude of x_j.
-- **The decision.**  Both ends of [y - B - e, y + B + e], y the kernel's
-  value and e its own fixed-point error, are rounded to floats by one
-  correctly rounded int/int division each.  Rounding to nearest is
+  rounded, so `pi_log`'s 113-bit difference d_i of a point x' lies within
+  3 * 2^-112 * A < B = 2^-110 * A of Y_i(x'), A = sum_j |ln x'_j| <=
+  ln 2 * sum_j (|mag'_j| + 1), mag'_j the binary magnitude of x'_j.
+- **The slack.**  The kernel logs a sample's exact mixes x_j, not the
+  121-bit values x'_j = x_j (1 + delta_j), |delta_j| <= 2^-121, that `_mix`
+  rounds them to and `pi_log` reads.  One slack per edge covers the
+  difference.  The rounding term: ln of ratio i moves by at most
+  (n - 1) * 2^-120 * (1 + 2^-120).  The magnitude term: a mix lies between
+  its ends, and so does its rounding, so |mag'_j| <= max(|mag_a_j|,
+  |mag_b_j|) + 1 bounds B.  On a vertex's edge (x, x) both terms hold with
+  room to spare: delta_j = 0 and mag'_j = mag_j.
+- **The decision.**  Both ends of [y - S - e, y + S + e], y the kernel's
+  value, S the slack and e its own fixed-point error, are rounded to floats
+  by one correctly rounded int/int division each.  Rounding to nearest is
   monotone, so where the two ends give one float that float is `to_float`
   of d_i, `pi_log`'s float.  Otherwise (Y_i close to a rounding boundary,
-  or tiny against A) the point falls back to `pi_log` on its mpf values.
-- **The edge pass.**  `_edge_images` samples an edge in one exact integer
-  pass: the kernel reads each sample's exact mixes, not the 121-bit values
-  x'_j = x_j (1 + delta_j), |delta_j| <= 2^-121, that `_mix` rounds them to, yet
-  certifies `pi_log`'s floats of the rounded sample.  Two slack terms cover
-  the difference.  The rounding term: ln of ratio i moves by at most
-  (n - 1) * 2^-120 * (1 + 2^-120), a constant per edge.  The magnitude
-  term: a mix lies between its ends, and so does its rounding, so
-  |mag'_j| <= max(|mag_a_j|, |mag_b_j|) + 1 bounds B once per edge.  A
-  sample the edge kernel declines is rounded with `_mix` and takes the
-  vertices' path, the vertex kernel and then `pi_log`, so each float is
-  `pi_log`'s of the rounded sample, whichever path gives it.
+  or tiny against A) the sample falls back to `pi_log`.
 
 The phi-bound checks, by contrast, are exact: vertex and sample products
 and the facet section determinants are rational, and the comparison
@@ -78,7 +78,7 @@ from .sail import _cycle_edges
 
 __all__ = [
     "pi_log", "pi_log_point", "LogCell", "project_patch",
-    "cell_covering_radius", "check_phi_bounds", "PhiBoundReport",
+    "cell_covering_radius", "check_phi_bounds", "PhiBoundReport", "cells_csv",
     "TRANSLATION_TOL", "EDGE_SAMPLES",
 ]
 
@@ -166,29 +166,18 @@ def _ratio_floats(mans, offsets, slack):
     return tuple(out)
 
 
-def _pi_log_kernel(xs):
-    """`pi_log` of positive raw mpf values from n - 1 logarithms of exact
-    coordinate ratios, n = len(xs), or None where the bound B of the module
-    docstring cannot certify its floats."""
-    n = len(xs)
-    exps = [x[2] for x in xs]
-    esum = sum(exps)
-    # n * B in units of 2^-_WP, B = 2^-110 * sum_j (|mag_j| + 1), 110 = _PREC - 3
-    slack = n * (n + sum(abs(e + bc) for _, _, e, bc in xs)) << (_WP - _PREC + 3)
-    return _ratio_floats([x[1] for x in xs], [n * e - esum for e in exps], slack)
-
-
-def _edge_images(xa, xb):
-    """`pi_log` of samples s = 1 .. EDGE_SAMPLES - 1 of the edge between
-    positive raw mpf values xa and xb, sample s being the `_mix`es of xa and
-    xb's coordinates.
+def _mix_images(xa, xb, samples):
+    """`pi_log` of the given samples s of the edge between positive raw mpf
+    values xa and xb, sample s being the `_mix`es of xa and xb's
+    coordinates; s = EDGE_SAMPLES is xa itself, so the edge (x, x) reads a
+    vertex.
 
     One exact pass: each coordinate's two mantissas are shifted to a common
     exponent once, A_j and B_j, and the ratio kernel logs sample s straight
     from the exact integers s A_j + (EDGE_SAMPLES - s) B_j, which `_mix`
     would round.  Its slack covers that rounding and bounds each sample's
-    magnitudes by the ends' (module docstring); a sample it declines goes
-    through `_sample_image` of the rounded mixes."""
+    magnitudes by the ends' (module docstring); a sample it declines goes to
+    `pi_log` of the rounded mixes."""
     n = len(xa)
     ends, exps = [], []
     mag = 0
@@ -204,16 +193,11 @@ def _edge_images(xa, xb):
     slack = ((n * (2 * n + mag) << (_WP - _PREC + 3))
              + ((n - 1) << (_WP - _MIX_PREC + 1)) + 1)
     out = []
-    for s in range(1, EDGE_SAMPLES):
+    for s in samples:
         r = EDGE_SAMPLES - s
         img = _ratio_floats([s * a + r * b for a, b in ends], offsets, slack)
-        out.append(img or _sample_image([_mix(x, y, s) for x, y in zip(xa, xb)]))
+        out.append(img or pi_log([_make_mpf(_mix(x, y, s)) for x, y in zip(xa, xb)]))
     return out
-
-
-def _sample_image(xs):
-    """`pi_log` of positive raw mpf values: the kernel, else the reference."""
-    return _pi_log_kernel(xs) or pi_log([_make_mpf(x) for x in xs])
 
 
 def _coord_values(lat, coeffs):
@@ -250,10 +234,11 @@ def project_patch(patch):
 
     A cell lists its facet's vertex images around the facet polygon, in
     `Facet.ring` order.  Each vertex's values and image are computed once,
-    and every cell that meets the vertex reads them.  A vertex with a zero
-    coordinate (patches lie in the closed orthant) touches the boundary: its
-    facets are skipped and reported, under `build_sail_patch`'s policy.  Each
-    edge is sampled once.  Sample s of a -> b mixes the vertex values with
+    the image as the edge (x, x)'s sample EDGE_SAMPLES, and every cell that
+    meets the vertex reads them.  A vertex with a zero coordinate (patches
+    lie in the closed orthant) touches the boundary: its facets are skipped
+    and reported, under `build_sail_patch`'s policy.  Each edge is sampled
+    once.  Sample s of a -> b mixes the vertex values with
     weights s/k and (k - s)/k, k = EDGE_SAMPLES, rounded once, so it is bit
     for bit sample k - s of b -> a, and a cell that meets the edge the other
     way reads the same list reversed.  Samples take no field arithmetic."""
@@ -266,14 +251,14 @@ def project_patch(patch):
             verts[c] = None
             if vals is not None:
                 xs = [x._mpf_ for x in vals]
-                verts[c] = (xs, _sample_image(xs))
+                verts[c] = (xs, _mix_images(xs, xs, [EDGE_SAMPLES])[0])
         return verts[c]
 
     def edge(a, b):
         if (b, a) in edges:
             return edges[b, a][::-1]
         if (a, b) not in edges:
-            edges[a, b] = _edge_images(verts[a][0], verts[b][0])
+            edges[a, b] = _mix_images(verts[a][0], verts[b][0], range(1, EDGE_SAMPLES))
         return edges[a, b]
 
     cells = []

@@ -35,7 +35,7 @@ from .numberfield import cmp_at, interval_at
 from .sail import DEFAULT_POINT_BUDGET, PointBudgetError, _enumerate_core, build_sail_patch
 
 __all__ = [
-    "norm_minimum_estimate", "vertex_phi_inf",
+    "enumerate_sym_box", "orthant_representatives", "norm_minimum_estimate", "vertex_phi_inf",
     "check_t0_boxes", "theorem1_audit", "AuditReport", "audit_consistency",
 ]
 

@@ -35,7 +35,8 @@ from .sail import DEFAULT_POINT_BUDGET, build_sail_patch
 __all__ = [
     "PolarFace", "PolarPatch", "polar_vertex_of_facet", "build_polar_patch",
     "det_polar_facet", "check_lemma5", "check_Kast_in_Kcirc", "simplicial_polar_identity",
-    "check_convex_hull_of_vertices", "CheckReport",
+    "check_convex_hull_of_vertices", "check_dimension_duality", "check_inclusion_reversal",
+    "CheckReport",
 ]
 
 

@@ -59,7 +59,7 @@ from functools import cmp_to_key
 from operator import add, mul
 
 from .hull import _order_facet_cycle, convex_hull_2d, convex_hull_3d
-from .linalg import det, primitive_int_vector, unimodular_completion
+from .linalg import det, primitive_int_vector, subset_det_sum, unimodular_completion
 from .lattice import (
     _ENUM_SHIFT, Lattice, _box_filter, _iv_dot, _iv_minor, _narrowed, _shifted,
     _window_bounds, irrationality_check,
@@ -68,7 +68,7 @@ from .numberfield import interval_at
 
 __all__ = [
     "PointBudgetError", "Facet", "EdgeStar", "SailPatch",
-    "enumerate_orthant_points", "build_sail_patch", "edge_star",
+    "enumerate_orthant_points", "build_sail_patch", "certify_facet", "edge_star",
     "detect_periodicity", "DEFAULT_POINT_BUDGET",
 ]
 
@@ -673,7 +673,8 @@ def _level_points(lat, w, d, budget, t=None):
     to [1, d] exactly, and the leaf filter tests only the orthant.  A leaf
     needs an exact sign test only where the enclosure of one of its
     coordinates straddles 0.  `budget` bounds the leaves of all the pieces
-    together.
+    together: each piece runs under what the pieces before it left, and a
+    PointBudgetError names the caller's `budget`.
     """
     n = lat.n
     dual = lat.dual()
@@ -714,8 +715,11 @@ def _level_points(lat, w, d, budget, t=None):
         return orthant(c, partial)
 
     pts = {}
-    for piece in pieces:
-        pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (1, d)))
+    try:
+        for piece in pieces:
+            pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (1, d)))
+    except PointBudgetError:
+        raise PointBudgetError(budget) from None
     return pts
 
 
@@ -1047,9 +1051,16 @@ def edge_star(patch, vertex_coeffs):
 
 def detect_periodicity(patch, u_matrix):
     """True iff the unimodular map sends every certified facet with in-window
-    image to a certified facet with equal determinant data."""
+    image to a certified facet with equal determinant data.
+
+    Every entry of `u_matrix` must be exactly an integer: an int, or a
+    Fraction with denominator 1, as `FieldElement.mul_matrix` gives them;
+    anything else raises ValueError."""
     lat = patch.lattice
     n = lat.n
+    if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
+               for row in u_matrix for x in row):
+        raise ValueError("matrix entries must be exact integers")
     u = [tuple(int(x) for x in row) for row in u_matrix]
     if abs(det(u)) != 1:
         raise ValueError("matrix is not unimodular")
@@ -1057,8 +1068,6 @@ def detect_periodicity(patch, u_matrix):
 
     def apply(c):
         return tuple(sum(u[i][j] * c[j] for j in range(n)) for i in range(n))
-
-    from .determinants import det_facet
 
     # the window's one leaf filter; it refuses c = 0, and a unimodular image
     # of a vertex is never 0
@@ -1076,7 +1085,7 @@ def detect_periodicity(patch, u_matrix):
         if g is None:
             mismatches.append((f.vertices, "image facet not certified"))
             continue
-        if det_facet(g) != det_facet(f) or g.dist != f.dist:
+        if subset_det_sum(g.vertices, n) != subset_det_sum(f.vertices, n) or g.dist != f.dist:
             mismatches.append((f.vertices, "invariants differ"))
             continue
         matched += 1

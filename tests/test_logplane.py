@@ -430,18 +430,26 @@ def _kernel_cases(seed):
     return generic, near_one, cancel
 
 
-def test_sample_kernel_equals_pi_log():
-    # bit for bit pi_log everywhere, from the kernel or its fallback; the
-    # kernel answers almost every generic sample and most near 1 (B bounds
-    # |ln x| near 1 by ln 2, so it declines where x is within about 2^-55
-    # of 1), and declines every cancellation
+def test_sample_kernel_equals_pi_log(monkeypatch):
+    # a vertex x is read as sample EDGE_SAMPLES of the edge (x, x), whose mix
+    # is x; bit for bit pi_log everywhere, from the kernel or its fallback;
+    # the kernel answers almost every generic sample and most near 1 (B
+    # bounds |ln x| near 1 by ln 2, so it declines where x is within about
+    # 2^-55 of 1), and declines every cancellation
+    fallback = []
+    monkeypatch.setattr(logplane, "pi_log", lambda xs: fallback.append(xs) or pi_log(xs))
     generic, near_one, cancel = _kernel_cases(15)
+    declined = []
     for group in (generic, near_one, cancel):
+        fallback.clear()
         for xs in group:
-            assert logplane._sample_image(xs) == pi_log([mpmath.mp.make_mpf(x) for x in xs])
-    assert sum(logplane._pi_log_kernel(xs) is None for xs in generic) <= 3
-    assert sum(logplane._pi_log_kernel(xs) is None for xs in near_one) <= len(near_one) // 2
-    assert all(logplane._pi_log_kernel(xs) is None for xs in cancel)
+            assert [logplane._mix(x, x, EDGE_SAMPLES) for x in xs] == xs
+            want = pi_log([mpmath.mp.make_mpf(x) for x in xs])
+            assert logplane._mix_images(xs, xs, [EDGE_SAMPLES]) == [want]
+        declined.append(len(fallback))
+    assert declined[0] <= 3
+    assert declined[1] <= len(near_one) // 2
+    assert declined[2] == len(cancel)
 
 
 def test_edge_mix_is_the_121_bit_sum():
@@ -498,18 +506,16 @@ def _edge_cases(seed):
 def test_edge_images_equal_pi_log_of_rounded_mixes(monkeypatch):
     # every sample, from the edge kernel or its fallback, is bit for bit
     # pi_log of the 121-bit mixes; the kernel answers every generic and far
-    # sample, most near 1 (as the vertex kernel does), and no cancelled one
+    # sample, most near 1 (as it does on vertices), and no cancelled one
     fallback = []
-    sample_image = logplane._sample_image
-    monkeypatch.setattr(logplane, "_sample_image",
-                        lambda xs: fallback.append(xs) or sample_image(xs))
+    monkeypatch.setattr(logplane, "pi_log", lambda xs: fallback.append(xs) or pi_log(xs))
     for name, edges in _edge_cases(18).items():
         fallback.clear()
         for xa, xb in edges:
             assert len(xa) == len(xb)
             want = [pi_log([mpmath.mp.make_mpf(logplane._mix(x, y, s)) for x, y in zip(xa, xb)])
                     for s in range(1, EDGE_SAMPLES)]
-            assert logplane._edge_images(xa, xb) == want
+            assert logplane._mix_images(xa, xb, range(1, EDGE_SAMPLES)) == want
         samples = len(edges) * (EDGE_SAMPLES - 1)
         if name == "cancel":
             assert len(fallback) == samples

@@ -86,6 +86,29 @@ def test_patch_budget_error_names_stage_lattice_and_window(make, t, budget, stag
         assert part in str(err)
 
 
+def test_certify_budget_error_names_the_callers_budget(monkeypatch):
+    # facet w = (23, 9, 14), d = 1 of random_rational_lattice(3, 0) at T = 10
+    # walks two pieces, of 2 and 3 leaves, under one shared budget; a walk
+    # that overruns it names the caller's budget, not what a piece was left
+    from kleinsail import sail
+    lat = random_rational_lattice(3, 0)
+    minima = sail._window_minima(lat, 10)[1]
+    assert certify_facet(lat, (23, 9, 14), 1, 5, _window=(10, minima))[0]
+    for budget in (2, 3, 4):
+        with pytest.raises(PointBudgetError) as exc:
+            certify_facet(lat, (23, 9, 14), 1, budget, _window=(10, minima))
+        assert exc.value.budget == budget
+        assert f"budget={budget}" in str(exc.value)
+    # and through build_sail_patch, whose window scan runs here unbudgeted
+    # so that the real certification walks are the ones starved
+    window_minima = sail._window_minima
+    monkeypatch.setattr(sail, "_window_minima", lambda lat, t, budget: window_minima(lat, t))
+    for budget in (2, 4):
+        with pytest.raises(PointBudgetError) as exc:
+            build_sail_patch(lat, 10, budget=budget)
+        assert (exc.value.budget, exc.value.stage) == (budget, "certify")
+
+
 def test_golden_patch_all_edge_dets_one(golden_patch):
     from kleinsail.determinants import det_facet
 
@@ -505,6 +528,16 @@ def test_detect_periodicity_unit_square(cubic_patch):
     res = detect_periodicity(cubic_patch, u)
     assert res["verdict"]
     assert res["checked"] > 0 and not res["mismatches"]
+
+
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.9], ids=["fraction", "float"])
+def test_detect_periodicity_refuses_a_matrix_that_is_not_integral(entry):
+    # int() would truncate either entry to an integer and pass the identity
+    patch = build_sail_patch(lattice_from_cubic_field(CUBIC49_MINPOLY), 10)
+    with pytest.raises(ValueError, match="exact integers"):
+        detect_periodicity(patch, [[entry, 0, 0], [0, 1, 0], [0, 0, 1]])
+    u = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert detect_periodicity(patch, u)["checked"] == 21
 
 
 def test_detect_periodicity_over_one_embedding(golden_patch):

@@ -1,11 +1,15 @@
-"""Same outputs: patch, determinant, polar and audit documents of a fixed
-list of lattices, against a committed record.
+"""Same outputs: patch, determinant, polar and audit documents and log-plane
+cells of a fixed list of lattices, against a committed record.
 
 Every performance change must leave these documents as they are.  A facet
 cycle is compared up to rotation, and facets whose certified flag and
 sorted vertex lists tie are compared in the order of their rotated cycles,
 since those depend on where the hull starts a cycle.  The irrationality
-report is compared on its `ok` flag and witness sample.
+report is compared on its `ok` flag and witness sample.  A log-plane cell
+is recorded by its facet index, vertex images and edge samples, floats that
+round-trip through JSON exactly; its centroid and radius are left out, since
+they come from float sums and `math.dist`, which other Python versions may
+round differently.
 
 To write the record again from the current code (only when an output
 changes by design, and say so in CHANGES.md):
@@ -25,6 +29,7 @@ from kleinsail.lattice import (
     random_rational_lattice,
 )
 from kleinsail.linalg import mat_mul
+from kleinsail.logplane import project_patch
 from kleinsail.normmin import orthant_representatives, theorem1_audit
 from kleinsail.numberfield import NumberField
 from kleinsail.polar import build_polar_patch
@@ -72,8 +77,12 @@ def outputs(make, t):
         audit = theorem1_audit(lat, t).to_json()
     except NotImplementedError:  # phi is irrational for this lattice
         audit = None
+    cells, skipped = project_patch(patch)
+    logplane = {"cells": [{"facet": c.facet_index, "vertex_images": c.vertex_images,
+                           "edge_samples": c.edge_samples} for c in cells],
+                "skipped": skipped}
     return {"patch": doc, "dets": det_report(patch).to_json(), "polar": polar,
-            "audit": audit}
+            "audit": audit, "logplane": logplane}
 
 
 def _rotated(cycle):
