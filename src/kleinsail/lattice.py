@@ -48,7 +48,7 @@ from itertools import combinations, groupby, islice
 from math import ceil, floor, isqrt, lcm
 
 from .linalg import (
-    det, mat_inverse, mat_mul, primitive_int_vector, transpose, unimodular_completion,
+    det, mat_inverse, mat_mul, primitive_int_vector, transpose, unimodular_completion, vec_dot,
 )
 from .numberfield import (
     FieldElement, NumberField, _as_fraction, cmp_at, interval_at, sign_at,
@@ -231,6 +231,25 @@ class Lattice:
     `basis` holds the raw rows and `embeddings[i]` the embedding row i is
     read under.  `row_signs` records the orthant reflections applied since
     construction; a module lattice's JSON form names its orthant by them.
+
+    Everything that depends on the lattice alone is computed on first use
+    and cached here; nothing that depends on a window is.  `reflect` hands
+    each filled cache to the reflected lattice as `_REFLECTED_CACHES` says:
+
+    * `_basis_iv` (`basis_interval_matrix`): row i's enclosures negated;
+    * `_inv_basis` (`inverse_rows`): column i negated;
+    * `_dual` (`dual`): reflected by the same signs;
+    * `_scale_root_iv` (`scale_root_interval`), `_gen_mul` (`phi_raw`):
+      carried unchanged;
+    * `_kernels`, the reduced coordinate kernels of `irrationality_check`:
+      carried unchanged, since x_i = 0 iff -x_i = 0;
+    * `_line_scan`, `_seed` and `_rays`, the plan of `sail`'s window scan
+      (line vector, 2D seed pair) and closure: dropped, as they depend on
+      the orthant;
+    * `_reflected`, one memoized `reflect` per sign tuple: dropped.
+
+    `_line_scan` and `_seed` also hold the most leaves one of their scans
+    visited, which every later call charges against its own budget.
     """
 
     def __init__(self, basis, embeddings, field=None, *, scale_d_sq, row_signs=None,
@@ -529,14 +548,20 @@ class Lattice:
     # -- transforms ------------------------------------------------------------------------
 
     def reflect(self, signs):
-        """The lattice with ambient axis i negated where signs[i] = -1.
+        """The lattice with ambient axis i negated where signs[i] = -1, built
+        once per sign tuple (cached).
 
-        It inherits every cache this lattice has filled, carried over exactly
-        as `_REFLECTED_CACHES` says.
+        It inherits every cache this lattice had filled when it was built,
+        carried over exactly as `_REFLECTED_CACHES` says.
         """
         signs = tuple(signs)
         if len(signs) != self.n or not all(s in (1, -1) for s in signs):
             raise ValueError("bad orthant sign vector")
+        if self._reflected is None:
+            self._reflected = {}
+        out = self._reflected.get(signs)
+        if out is not None:
+            return out
         rows = [tuple(x if s > 0 else -x for x in row) for s, row in zip(signs, self.basis)]
         out = Lattice(rows, self.embeddings, self.field,
                       row_signs=tuple(a * b for a, b in zip(self.row_signs, signs)),
@@ -544,8 +569,9 @@ class Lattice:
                       provenance=self.provenance, seed=self.seed)
         for name, carry in _REFLECTED_CACHES.items():
             value = getattr(self, name)
-            if value is not None:
+            if value is not None and carry is not None:
                 setattr(out, name, carry(value, signs))
+        self._reflected[signs] = out
         return out
 
     def diagonal_rescale(self, factors):
@@ -634,11 +660,10 @@ class Lattice:
         return f"Lattice(kind={self.kind}, n={self.n}, provenance={self.provenance!r})"
 
 
-# Every cache a Lattice fills on first use (`__init__` sets each to None), and
-# how `reflect` carries a filled one to the lattice whose ambient axis i is
-# negated where signs[i] = -1: row i's basis enclosures (lo, hi) become
-# (-hi, -lo), column i of the inverse basis is negated, the dual is reflected
-# by the same signs, and the scale root and a module's generators stay.
+# Every cache a Lattice fills on first use (`__init__` sets each to None),
+# with its reflect rule as the `Lattice` docstring gives it: a function that
+# carries a filled cache to the lattice whose ambient axis i is negated where
+# signs[i] = -1, or None where the reflection drops it.
 _REFLECTED_CACHES = {
     "_basis_iv": lambda iv, signs: tuple(
         row if s > 0 else tuple((-hi, -lo) for lo, hi in row) for s, row in zip(signs, iv)),
@@ -647,6 +672,11 @@ _REFLECTED_CACHES = {
     "_dual": lambda dual, signs: dual.reflect(signs),
     "_scale_root_iv": lambda root, signs: root,
     "_gen_mul": lambda gen_mul, signs: gen_mul,
+    "_kernels": lambda kernels, signs: kernels,
+    "_line_scan": None,
+    "_seed": None,
+    "_rays": None,
+    "_reflected": None,
 }
 
 
@@ -744,9 +774,9 @@ class IrrationalityReport:
         if self._count is None:
             lat, t = self._lattice, self.window
             assert lat.n <= 3, "a point of a larger lattice can lie in three kernels"
-            axes = [_kernel_rows(lat, _zero_coordinate_sublattice(
-                lat, j, _zero_coordinate_sublattice(lat, i)), t)
-                for i, j in combinations(range(lat.n), 2)]
+            kernels = _coordinate_kernels(lat)
+            axes = [_kernel_rows(lat, _zero_coordinate_sublattice(lat, j, kernels[i]), t)
+                    for i, j in combinations(range(lat.n), 2)]
             self._count = (sum(_row_count(rows) for _, rows in self._kernels)
                            - sum(_row_count(rows) for _, rows in axes))
         return self._count
@@ -790,18 +820,54 @@ def _intersect_kernels(gens, introw):
     return mat_mul(u_inv[:-1], gens)
 
 
+def _coordinate_kernels(lat):
+    """Per coordinate i, the generators of `_zero_coordinate_sublattice(lat,
+    i)`, a rank-2 pair reduced by `_reduced_pair` (cached)."""
+    if lat._kernels is None:
+        lat._kernels = tuple(
+            _reduced_pair(lat, gens) if len(gens) == 2 else tuple(gens)
+            for gens in (_zero_coordinate_sublattice(lat, i) for i in range(lat.n)))
+    return lat._kernels
+
+
+def _reduced_pair(lat, gens):
+    """The kernel pair `gens` Lagrange-reduced in the metric of the
+    enclosure midpoints of its ambient images: |g0| <= |g1| and |g0 . g1| <=
+    |g0|^2 / 2.  Such a pair is unique up to signs and ties, so the rows
+    `_kernel_rows` bounds on it by Cramer's rule do not depend on which pair
+    the intersections gave.  For two vectors this is LLL with Lovasz
+    constant 1; `linalg.lll_reduce`'s 3/4 leaves the order of two nearly
+    equal vectors open."""
+    enc = lat.basis_interval_matrix()
+
+    def image(g):
+        return [sum(_iv_dot(row, g)) for row in enc]
+
+    a, b = gens
+    while True:
+        ia, ib = image(a), image(b)
+        if vec_dot(ib, ib) < vec_dot(ia, ia):
+            a, b, ia, ib = b, a, ib, ia
+        q = round(Fraction(vec_dot(ia, ib), vec_dot(ia, ia)))
+        if not q:
+            return a, b
+        b = tuple(x - q * y for x, y in zip(b, a))
+
+
 def irrationality_check(lat, t):
     """The nonzero lattice points of the box Q(t) with a zero ambient
     coordinate, as an `IrrationalityReport`.
 
     The zero set of each coordinate is a sublattice, so the search bounds
     the multipliers of its (at most (n-1)-dimensional) kernel directly
-    instead of enumerating Q(t); the points are listed only when read.
+    instead of enumerating Q(t); the points are listed only when read.  The
+    kernels are the lattice's (`_coordinate_kernels`); their rows at t are
+    bounded on every call.
     """
     t = _as_fraction(t)
     if t <= 0:
         raise ValueError("window must be positive")
-    kernels = [_kernel_rows(lat, _zero_coordinate_sublattice(lat, i), t) for i in range(lat.n)]
+    kernels = [_kernel_rows(lat, gens, t) for gens in _coordinate_kernels(lat)]
     return IrrationalityReport(lat, t, kernels)
 
 

@@ -88,12 +88,12 @@ def norm_minimum_estimate(lat, t, budget=DEFAULT_POINT_BUDGET, patches=None):
     over P at v alone: take a inside P's normal cone at v, whose interior is
     not empty and lies in the open orthant.  `build_sail_patch` hulls W's
     Pareto set and closure points mu*r, in coefficients, a linear image.
-    Premise: every closure point is componentwise >= t in normalized
-    coordinates.  Then a is larger on each than at v, whose coordinates are
-    < t, so v is one of `hull_vertices`, and the other hull vertices, points
-    of W, read no lower.  The premise does not follow from mu's definition,
-    which bounds nothing about a closure ray's image from below;
-    `test_closure_points_lie_beyond_the_window` checks it.
+    Every closure point is componentwise >= t in normalized coordinates:
+    `build_sail_patch` doubles mu until its enclosures, or exact comparisons
+    where they cannot settle it, show so (`sail._closure_points`).  So a is
+    larger on each closure point than at v, whose coordinates are < t, and
+    v is one of `hull_vertices`; the other hull vertices, points of W, read
+    no lower.
     """
     t = Fraction(t)
     reps = [tuple(s) for s in orthant_representatives(lat.n)]

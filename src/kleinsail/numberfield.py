@@ -149,17 +149,28 @@ class NumberField:
                 halves += [(lo, hi) for lo, hi in ((a, m), (m, b))
                            if sign_changes(lo) > sign_changes(hi)]
             pieces = halves
-        return [list(ab) for ab in pieces]
+        return [[lo, hi, {}] for lo, hi in pieces]
 
     # -- root interval management ---------------------------------------------
 
+    # Each root's bracket is [lo, hi, mids]: `mids` keeps the bracket's raw
+    # midpoints by precision (`_raw_midpoint`) until `refine_root` narrows it.
+
     def root_interval(self, i):
-        lo, hi = self._roots[i]
+        lo, hi, _ = self._roots[i]
         return lo, hi
+
+    def _raw_midpoint(self, i, prec):
+        """The raw mpf of root i's bracket midpoint at `prec` bits, as
+        `_raw_fraction` rounds it; computed once per bracket and precision."""
+        lo, hi, mids = self._roots[i]
+        if prec not in mids:
+            mids[prec] = _raw_fraction((lo + hi) / 2, prec)
+        return mids[prec]
 
     def refine_root(self, i, width):
         """Bisect root i's isolating interval to `width` or less."""
-        lo, hi = self._roots[i]
+        lo, hi, _ = self._roots[i]
         if hi - lo <= width:
             return lo, hi
         flo = _poly_eval(self.coeffs, lo)
@@ -170,7 +181,7 @@ class NumberField:
                 hi = mid
             else:
                 lo, flo = mid, fm
-        self._roots[i] = [lo, hi]
+        self._roots[i] = [lo, hi, {}]
         return lo, hi
 
     # -- elements --------------------------------------------------------------
@@ -396,9 +407,8 @@ class FieldElement:
         import mpmath
         from mpmath.libmp import fzero, mpf_add, mpf_mul
 
-        width = Fraction(1, 2 ** (prec + 16))
-        lo, hi = self.field.refine_root(root_index, width)
-        x = _raw_fraction((lo + hi) / 2, prec)
+        self.field.refine_root(root_index, Fraction(1, 2 ** (prec + 16)))
+        x = self.field._raw_midpoint(root_index, prec)
         acc = fzero
         for c in reversed(self.vec):
             acc = mpf_add(mpf_mul(acc, x, prec, "n"), _raw_fraction(c, prec), prec, "n")

@@ -18,12 +18,16 @@ A patch is computed inside the window [0, T)^n:
    is a run of the sail's boundary lattice points, and the rest of the run
    follows from two of them by the minus continued fraction of the cone,
    one exact step per point (Klein's construction; Karpenkov, *Geometry of
-   Continued Fractions*, ch. 1-2),
+   Continued Fractions*, ch. 1-2).  The line vector v and the 2D seed pair
+   depend on the lattice alone: each is found once per lattice and cached
+   on it, and every call charges its scans' leaves to its own budget,
 2. prune points dominated in the componentwise order -- they are never
    vertices of the hull of points plus the orthant's recession cone; the
    line minima dominate the whole window, so they have its Pareto set,
 3. close the hull with far points along integer rays whose ambient images
-   are verified strictly positive, so no bounded facet is ever cut off.
+   are verified strictly positive (found once per lattice), each far enough
+   that its coordinates are certainly >= T, so no bounded facet is ever cut
+   off.
    The hull gives each facet its plane, as a primitive outward normal and
    offset, and its vertex cycle; nothing here derives them again,
 4. certify each candidate facet on the bounded region between its
@@ -99,6 +103,21 @@ class PointBudgetError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # the enumerator
+
+class _Points(dict):
+    """What `_enumerate_core` returns: each kept coefficient tuple, in scan
+    order, mapped to its enclosures; `leaves` is the number of leaves the
+    scan visited, the count its budget bounds."""
+
+    leaves = 0
+
+
+def _charge(leaves, budget):
+    """Charge a cached scan's `leaves` to a call's `budget`: PointBudgetError
+    iff the scan, run again under `budget`, would have raised it."""
+    if leaves > budget:
+        raise PointBudgetError(budget)
+
 
 def _coeff_outer_ranges(lat, boxes, u_inv=None):
     """Integer ranges enclosing each coefficient's range over the raw
@@ -206,8 +225,9 @@ def _enumerate_core(lat, boxes, leaf_filter, budget, basis=None, level=None,
     n = 3 the lines are scanned by `_line_minima3`.
 
     `budget` bounds the leaves of the whole scan; the cut changes neither
-    the leaves visited nor their count.  Returns a dict from each kept c, in
-    scan order, to its `partial`.  n >= 2.
+    the leaves visited nor their count.  Returns a `_Points` dict from each
+    kept c, in scan order, to its `partial`, with the leaves visited.
+    n >= 2.
     """
     n = lat.n
     u, u_inv = basis if basis is not None else (None, None)
@@ -240,7 +260,7 @@ def _enumerate_core(lat, boxes, leaf_filter, budget, basis=None, level=None,
     last = n - 1
     cuts = _line_cuts(enc[last - 1], enc[last]) if first_per_line else ()
 
-    out = {}
+    out = _Points()
     count = 0
 
     def rec(k, partial, c):
@@ -279,6 +299,7 @@ def _enumerate_core(lat, boxes, leaf_filter, budget, basis=None, level=None,
         rec(0, [(0, 0)] * n, (0,) * n)
     finally:
         del rec  # rec refers to itself: free the scan's state now, not at a collection
+    out.leaves = count
     return out
 
 
@@ -358,16 +379,27 @@ def _line_basis(lat, budget):
     that cross a window grows with that sum.  The window filter decides
     membership exactly; the sums of the scan's enclosure midpoints only rank
     the candidates, ties broken by c.
+
+    The basis depends on the lattice alone: it is cached on the lattice
+    (`_line_scan`) with the most leaves one of its scans visited, which every
+    call charges to its `budget` (`_charge`); a search that raises caches
+    nothing.
     """
-    n = lat.n
-    t = Fraction(2)
-    while True:
-        boxes = [(0, lat.raw_window_interval(t)[1])] * n
-        pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 0), budget)
-        if pts:
-            v = min(pts, key=lambda c: (sum(lo + hi for lo, hi in pts[c]), c))
-            return unimodular_completion(primitive_int_vector(v))
-        t *= 2
+    if lat._line_scan is None:
+        t, leaves = Fraction(2), 0
+        while True:
+            boxes = [(0, lat.raw_window_interval(t)[1])] * lat.n
+            pts = _enumerate_core(lat, boxes, _box_filter(lat, _window_bounds(lat, t), 0),
+                                  budget)
+            leaves = max(leaves, pts.leaves)
+            if pts:
+                break
+            t *= 2
+        v = min(pts, key=lambda c: (sum(lo + hi for lo, hi in pts[c]), c))
+        lat._line_scan = leaves, unimodular_completion(primitive_int_vector(v))
+    leaves, basis = lat._line_scan
+    _charge(leaves, budget)
+    return basis
 
 
 def _enumerate_window(lat, t, budget):
@@ -419,20 +451,30 @@ def _window_minima(lat, t, budget=DEFAULT_POINT_BUDGET):
     minima.  The count is of those line minima plus the walk's points, so
     the count less the Pareto set is what the last seed scan pruned.  It is
     what `SailPatch.enumerated` and the patch JSON's `stats.enumerated` hold.
+
+    Once t0 < t the seed (t0, the last seed scan's count and Pareto points)
+    depends on the lattice alone: the first call that gets that far caches it
+    on the lattice (`_seed`) with the most leaves one of its scans, the line
+    basis's included, visited.  A later call with t > t0 charges that count
+    to its `budget` (`_charge`) and walks on from the cached pair.
     """
     if lat.n == 3:
         window_pts = _enumerate_window(lat, t, budget)
         return len(window_pts), _pareto_minimal(lat, window_pts)
-    t0 = Fraction(2)
-    while True:
-        window_pts = _enumerate_window(lat, min(t0, t), budget)
-        kept = _pareto_minimal(lat, window_pts)
-        if t0 >= t:
-            return len(window_pts), kept
-        if len(kept) >= 2:
-            break
-        t0 *= 2
-    used = len(window_pts)
+    if lat._seed is None or lat._seed[1] >= t:
+        t0, leaves = Fraction(2), 0
+        while True:
+            window_pts = _enumerate_window(lat, min(t0, t), budget)
+            leaves = max(leaves, window_pts.leaves)
+            kept = _pareto_minimal(lat, window_pts)
+            if t0 >= t:
+                return len(window_pts), kept
+            if len(kept) >= 2:
+                break
+            t0 *= 2
+        lat._seed = max(leaves, lat._line_scan[0]), t0, len(window_pts), kept
+    leaves, _, used, kept = lat._seed
+    _charge(leaves, budget)
     head, used = _sail_walk(lat, kept[1], kept[0], 0, t, budget, used)
     tail, used = _sail_walk(lat, kept[-2], kept[-1], 1, t, budget, used)
     return used, head[::-1] + kept + tail
@@ -653,6 +695,23 @@ def _closure_rays(lat):
     return rays
 
 
+def _closure_points(lat, rays, mu, t):
+    """mu times each closure ray, mu doubled until every coordinate of every
+    such point is certainly >= t: on its enclosure where the lower end
+    reaches the top of the raw window side's, else exactly by
+    `coord_abs_lt`, as `_box_filter` decides a bound it cannot settle on the
+    enclosure.  The rays' images are strictly positive, so |x_i| < t fails
+    exactly when x_i >= t."""
+    enc = lat.basis_interval_matrix()
+    t_hi = lat.raw_window_interval(t)[1]
+    while True:
+        far = [tuple(mu * x for x in r) for r in rays]
+        if all(_iv_dot(row, c)[0] >= t_hi or not lat.coord_abs_lt(c, i, t)
+               for c in far for i, row in enumerate(enc)):
+            return far
+        mu *= 2
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -707,17 +766,12 @@ def _level_points(lat, w, d, budget, t=None):
     a_inv = [tuple(m_inv[k][j] for k in order) for j in range(n)]
 
     orthant = _box_filter(lat, [None] * n, 0)
-    leaves = 0
-
-    def filt(c, partial):
-        nonlocal leaves
-        leaves += 1
-        return orthant(c, partial)
-
-    pts = {}
+    pts, leaves = {}, 0
     try:
         for piece in pieces:
-            pts.update(_enumerate_core(lat, piece, filt, budget - leaves, (a_inv, a), (1, d)))
+            got = _enumerate_core(lat, piece, orthant, budget - leaves, (a_inv, a), (1, d))
+            leaves += got.leaves
+            pts.update(got)
     except PointBudgetError:
         raise PointBudgetError(budget) from None
     return pts
@@ -917,6 +971,12 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
 
     The irrationality report is attached to the patch.  Certified facets are
     sound facets of the infinite Klein polyhedron regardless.
+
+    `budget` bounds the leaves of each window scan and certification walk.
+    The line vector, the 2D seed, the closure rays and the coordinate kernels
+    are cached on the lattice, and each call charges the cached scans' most
+    leaves, so it returns the same patch, or raises the same PointBudgetError
+    with the same stage, whatever calls came before.
     """
     t = Fraction(t)
     if t <= 0:
@@ -934,10 +994,10 @@ def build_sail_patch(lat, t, budget=DEFAULT_POINT_BUDGET):
     if not kept:
         raise ValueError("window contains no lattice points")
 
-    rays = _closure_rays(lat)
+    if lat._rays is None:
+        lat._rays = _closure_rays(lat)
     max_abs = max(abs(x) for c in kept for x in c)
-    mu = 10**6 * (1 + max_abs) ** (n + 1)
-    far = [tuple(mu * x for x in r) for r in rays]
+    far = _closure_points(lat, lat._rays, 10**6 * (1 + max_abs) ** (n + 1), t)
 
     pts = kept + far
     far_set = set(far)
